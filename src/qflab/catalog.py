@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Callable, Iterator, Mapping, Sequence
 
 from qflab.exact import Poly, QflabError, rat, rat_str
@@ -957,10 +958,6 @@ def alpha_count(spec: FamilySpec) -> int:
     return fam.alpha_count(spec)
 
 
-def is_parametric(spec: FamilySpec) -> bool:
-    return alpha_count(spec) > 0
-
-
 def generate(spec: FamilySpec, misprint: bool = False) -> Algebra:
     """Build the algebra of a catalog family.
 
@@ -1024,8 +1021,6 @@ def sound_tuples(token: str, n_max: int) -> Iterator[FamilySpec]:
 def all_family_tokens() -> tuple[str, ...]:
     return tuple(FAMILIES)
 
-
-PROP4_TOKENS = ("LsumC", "QsumC", "Lnr", "Qnr", "Tn4", "Tn3", "E951", "E952", "E953", "E73")
 
 NONPARAMETRIC_TOKENS = tuple(
     token for token in FAMILIES
@@ -1096,19 +1091,13 @@ def _canonical_generator(poly: Poly) -> Poly:
     denominator_lcm = 1
     numerator_gcd = 0
     for c in nums:
-        denominator_lcm = denominator_lcm * c.denominator // _gcd(denominator_lcm, c.denominator)
-        numerator_gcd = _gcd(numerator_gcd, abs(c.numerator))
+        denominator_lcm = denominator_lcm * c.denominator // gcd(denominator_lcm, c.denominator)
+        numerator_gcd = gcd(numerator_gcd, c.numerator)
     if numerator_gcd:
         scale = Fraction(denominator_lcm, numerator_gcd)
     if lead < 0:
         scale = -scale
     return poly * scale
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def extract_constraints(spec: FamilySpec, misprint: bool = False) -> ConstraintSet:
@@ -1166,11 +1155,8 @@ def _rational_roots(poly: Poly, name: str) -> list[Fraction]:
 def _isqrt_exact(value: int) -> int | None:
     if value < 0:
         return None
-    root = int(value ** 0.5)
-    for candidate in (root - 1, root, root + 1, root + 2):
-        if candidate >= 0 and candidate * candidate == value:
-            return candidate
-    return None
+    root = isqrt(value)
+    return root if root * root == value else None
 
 
 def sample_alphas(spec: FamilySpec, misprint: bool = False) -> tuple[Fraction, ...] | None:

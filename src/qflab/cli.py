@@ -48,13 +48,18 @@ def doc_to_algebra(doc: dict) -> Algebra:
         table = {}
         for entry in doc.get("brackets", []):
             i, j = int(entry["i"]), int(entry["j"])
+            if (i, j) in table:
+                raise ValueError(f"bracket ({i},{j}) is given twice")
             targets = {}
             for term in entry["terms"]:
-                targets[int(term["k"])] = parse_poly(str(term["coeff"]), params)
+                k = int(term["k"])
+                if k in targets:
+                    raise ValueError(f"bracket ({i},{j}) gives target {k} twice")
+                targets[k] = parse_poly(str(term["coeff"]), params)
             table[(i, j)] = targets
+        return Algebra(dim, table, params=params)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed algebra document: {exc}") from exc
-    return Algebra(dim, table, params=params)
 
 
 def dump_doc(doc: dict) -> str:
@@ -283,7 +288,10 @@ def _cmd_weights(args) -> int:
 
 def _cmd_sweep(args) -> int:
     n_cap = os.environ.get("QFLAB_NMAX")
-    n_max = args.n_max if n_cap is None else min(args.n_max, int(n_cap))
+    try:
+        n_max = args.n_max if n_cap is None else min(args.n_max, int(n_cap))
+    except ValueError:
+        raise UsageError(f"QFLAB_NMAX must be an integer, got {n_cap!r}") from None
     if args.families == "all":
         tokens = list(catalog.all_family_tokens())
     else:

@@ -19,30 +19,14 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from qflab import catalog
-from qflab.exact import Poly, QflabError, nullspace
+from qflab.exact import identity_matrix, nullspace
 from qflab.liealg import Algebra
-
-
-def _concrete(algebra: Algebra, assignment: Mapping[str, Fraction] | None) -> Algebra:
-    if algebra.params:
-        if assignment is None:
-            raise QflabError("a concrete parameter assignment is required")
-        return algebra.specialize(assignment)
-    return algebra
 
 
 def leibniz_rows(algebra: Algebra) -> list[dict[int, Fraction]]:
     """Sparse rows of the Leibniz system over the n^2 unknowns D[a][b] -> a*n+b."""
     n = algebra.dim
-    table = algebra.rational_table()
-
-    def signed(u, v):
-        if u == v:
-            return {}
-        if u < v:
-            return table.get((u, v), {})
-        return {k: -c for k, c in table.get((v, u), {}).items()}
-
+    ad = algebra.ad
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -52,13 +36,13 @@ def leibniz_rows(algebra: Algebra) -> list[dict[int, Fraction]]:
                 row = per_b.setdefault(b, {})
                 row[col] = row.get(col, Fraction(0)) + value
 
-            for k, c in signed(i, j).items():
+            for k, c in ad[i].get(j, {}).items():
                 for b in range(n):
                     bump(b, b * n + k, c)
             for a in range(n):
-                for b, c in signed(a, j).items():
+                for b, c in ad[a].get(j, {}).items():
                     bump(b, a * n + i, -c)
-                for b, c in signed(i, a).items():
+                for b, c in ad[i].get(a, {}).items():
                     bump(b, a * n + j, -c)
             for row in per_b.values():
                 row = {col: v for col, v in row.items() if v != 0}
@@ -69,7 +53,7 @@ def leibniz_rows(algebra: Algebra) -> list[dict[int, Fraction]]:
 
 def derivation_space(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None):
     """Exact basis of the derivation algebra as a list of n x n matrices."""
-    concrete = _concrete(algebra, assignment)
+    concrete = algebra.concrete(assignment)
     n = concrete.dim
     if n == 0:
         return [], 0
@@ -80,7 +64,7 @@ def derivation_space(algebra: Algebra, assignment: Mapping[str, Fraction] | None
 
 
 def derivation_dim(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> int:
-    concrete = _concrete(algebra, assignment)
+    concrete = algebra.concrete(assignment)
     n = concrete.dim
     if n == 0:
         return 0
@@ -92,30 +76,22 @@ def derivation_dim(algebra: Algebra, assignment: Mapping[str, Fraction] | None =
 def is_derivation(algebra: Algebra, matrix: Sequence[Sequence[Fraction]],
                   assignment: Mapping[str, Fraction] | None = None) -> bool:
     """Recheck the Leibniz identity on every basis pair."""
-    concrete = _concrete(algebra, assignment)
+    concrete = algebra.concrete(assignment)
     n = concrete.dim
-    table = concrete.rational_table()
-
-    def signed(u, v):
-        if u == v:
-            return {}
-        if u < v:
-            return table.get((u, v), {})
-        return {k: -c for k, c in table.get((v, u), {}).items()}
-
+    ad = concrete.ad
     for i in range(n):
         for j in range(i + 1, n):
             lhs = [Fraction(0)] * n
-            for k, c in signed(i, j).items():
+            for k, c in ad[i].get(j, {}).items():
                 for a in range(n):
                     lhs[a] += c * matrix[a][k]
             rhs = [Fraction(0)] * n
             for a in range(n):
                 if matrix[a][i]:
-                    for b, c in signed(a, j).items():
+                    for b, c in ad[a].get(j, {}).items():
                         rhs[b] += matrix[a][i] * c
                 if matrix[a][j]:
-                    for b, c in signed(i, a).items():
+                    for b, c in ad[i].get(a, {}).items():
                         rhs[b] += matrix[a][j] * c
             if lhs != rhs:
                 return False
@@ -158,12 +134,11 @@ def diagonal_derivations(algebra: Algebra, assignment: Mapping[str, Fraction] | 
     Each returned vector w is a diagonal derivation diag(w_0, ..., w_{n-1})
     in the given basis.
     """
-    concrete = _concrete(algebra, assignment)
+    concrete = algebra.concrete(assignment)
     n = concrete.dim
     rows = weight_system_rows(concrete)
     if not rows:
-        basis = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-        return basis, n
+        return [tuple(row) for row in identity_matrix(n)], n
     kernel = nullspace(rows, ncols=n)
     return kernel, len(kernel)
 
@@ -181,7 +156,7 @@ def rank_in_basis(algebra: Algebra, assignment: Mapping[str, Fraction] | None = 
 def admits_diagonal(algebra: Algebra, weights: Sequence[Fraction],
                     assignment: Mapping[str, Fraction] | None = None) -> bool:
     """Check that diag(weights) is a derivation of the (specialized) algebra."""
-    concrete = _concrete(algebra, assignment)
+    concrete = algebra.concrete(assignment)
     for i, j, targets in concrete.brackets():
         for k in targets:
             if weights[i] + weights[j] != weights[k]:

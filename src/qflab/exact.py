@@ -304,10 +304,6 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return out
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
-
-
 def vec_mat(v: Sequence[Fraction], a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
     cols = len(a[0])
     out = [Fraction(0)] * cols
@@ -319,10 +315,6 @@ def vec_mat(v: Sequence[Fraction], a: Sequence[Sequence[Fraction]]) -> list[Frac
             if row[j]:
                 out[j] += vi * row[j]
     return out
-
-
-def transpose(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*a)]
 
 
 def invert_matrix(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

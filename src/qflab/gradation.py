@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
-from qflab.exact import QflabError, RowSpace, invert_matrix, vec_mat
+from qflab.exact import QflabError, RowSpace, identity_matrix, invert_matrix, vec_mat
 from qflab.liealg import Algebra, rational_bracket
 
 
@@ -29,6 +29,17 @@ class Filtration:
     @property
     def nilindex(self) -> int:
         return len(self.ideals) - 1
+
+    def type_info(self) -> TypeInfo:
+        """The type of the algebra this is the series of; see ``type_of``."""
+        dims = self.dims
+        n = dims[0]
+        p = tuple(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
+        m = self.nilindex
+        r_index = None
+        if m == n - 2:
+            r_index = 1 if p[0] == 3 else next(i + 1 for i in range(1, len(p)) if p[i] == 2)
+        return TypeInfo(TypeVector(p), m, m == n - 1, m == n - 2, r_index)
 
 
 @dataclass(frozen=True)
@@ -54,35 +65,28 @@ class GradedAlgebra:
     weights: tuple[int, ...]  # homogeneous degree of each basis vector
 
 
-def _concrete(algebra: Algebra, assignment: Mapping[str, Fraction] | None) -> Algebra:
-    if algebra.params:
-        if assignment is None:
-            raise QflabError("a concrete parameter assignment is required")
-        return algebra.specialize(assignment)
-    return algebra
+def bracket_span(algebra: Algebra, pairs: Iterable[tuple[Sequence, Sequence]]) -> RowSpace:
+    """Span of the brackets [u, v] over the given pairs of a concrete algebra."""
+    span = RowSpace(algebra.dim)
+    for u, v in pairs:
+        w = rational_bracket(algebra, u, v)
+        if any(w):
+            span.add(w)
+    return span
 
 
 def lower_central_series(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> Filtration:
-    """Exact bases of the series g_{k+1} = [g_k, g]; fails on non-nilpotent input."""
-    concrete = _concrete(algebra, assignment)
-    n = concrete.dim
-    table = concrete.rational_table()
-    unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    """Exact bases of the series g_{k+1} = [g, g_k]; fails on non-nilpotent input."""
+    concrete = algebra.concrete(assignment)
+    unit = identity_matrix(concrete.dim)
     ideals = [tuple(tuple(row) for row in unit)]
-    current = unit
     while True:
-        nxt = RowSpace(n)
-        for v in current:
-            for e in unit:
-                w = rational_bracket(table, n, v, e)
-                if any(x != 0 for x in w):
-                    nxt.add(w)
+        nxt = bracket_span(concrete, ((e, v) for v in ideals[-1] for e in unit))
         ideals.append(tuple(nxt.basis()))
         if nxt.dim == 0:
             return Filtration(tuple(ideals))
-        if nxt.dim == len(current):
+        if nxt.dim == len(ideals[-2]):
             raise NonNilpotentError(nxt.dim)
-        current = [list(row) for row in nxt.basis()]
 
 
 def type_of(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> TypeInfo:
@@ -91,20 +95,7 @@ def type_of(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) 
     For quasi-filiform input the returned r-index is 1 when p_1 = 3 and
     otherwise the position r >= 2 of the second jump of size 2.
     """
-    filtration = lower_central_series(algebra, assignment)
-    dims = filtration.dims
-    n = algebra.dim
-    p = tuple(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
-    m = filtration.nilindex
-    filiform = m == n - 1
-    quasi = m == n - 2
-    r_index = None
-    if quasi:
-        if p[0] == 3:
-            r_index = 1
-        else:
-            r_index = next(i + 1 for i in range(1, len(p)) if p[i] == 2)
-    return TypeInfo(TypeVector(p), m, filiform, quasi, r_index)
+    return lower_central_series(algebra, assignment).type_info()
 
 
 def gr(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> GradedAlgebra:
@@ -114,10 +105,9 @@ def gr(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> Gr
     (deepest level first, lowest pivot first), and the induced bracket keeps
     only the component of homogeneous degree weight(i) + weight(j).
     """
-    concrete = _concrete(algebra, assignment)
+    concrete = algebra.concrete(assignment)
     filtration = lower_central_series(concrete)
     n = concrete.dim
-    table = concrete.rational_table()
     flag = RowSpace(n)
     chosen: list[tuple[list[Fraction], int]] = []
     for level in range(len(filtration.ideals) - 1, 0, -1):
@@ -131,7 +121,7 @@ def gr(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> Gr
     new_table = {}
     for a in range(n):
         for b in range(a + 1, n):
-            v = rational_bracket(table, n, basis[a], basis[b])
+            v = rational_bracket(concrete, basis[a], basis[b])
             coords = vec_mat(v, inverse)
             target = weights[a] + weights[b]
             entry = {}

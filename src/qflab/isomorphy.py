@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from qflab import catalog
-from qflab.exact import RowSpace, rat
-from qflab.gradation import gr, lower_central_series, type_of
+from qflab.exact import identity_matrix, mat_mul, nullspace, rat
+from qflab.gradation import bracket_span, gr, lower_central_series
 from qflab.liealg import Algebra, change_of_basis, rational_bracket
 from qflab.derivations import derivation_dim, diagonal_derivations
 
@@ -58,30 +58,25 @@ def cn_to_qn_transform(n: int, alphas: Sequence) -> CnTransform:
     source = catalog.generate(spec)
     current = source
     stages = []
-    composed = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    composed = identity_matrix(n)
     for j in range(1, m - 1):
         # read the current coefficient of a_j from the bracket
         # [Y_1, Y_{n-2j-2}] = (-1)^{1+1} a_j Y_{n-1}
         coeff = current.bracket_of(1, n - 2 * j - 2).get(n - 1)
         value = coeff.constant_value() if coeff is not None else Fraction(0)
-        P = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
+        P = identity_matrix(n)
         for i in range(1, n - 1 - 2 * j):
             P[i][i + 2 * j] = value / 2
         current = change_of_basis(current, P)
         stages.append(tuple(tuple(row) for row in P))
-        composed = _mat_mul(P, composed)
-    flip = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
+        composed = mat_mul(P, composed)
+    flip = identity_matrix(n)
     flip[n - 1][n - 1] = Fraction(-1)
     current = change_of_basis(current, flip)
     stages.append(tuple(tuple(row) for row in flip))
-    composed = _mat_mul(flip, composed)
+    composed = mat_mul(flip, composed)
     return CnTransform(source, current, tuple(stages),
                        tuple(tuple(row) for row in composed))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -118,76 +113,45 @@ class Fingerprint:
                                   self.rank_in_adapted_basis)
 
 
-def _center_dim(table, n: int) -> int:
-    # center = kernel of x -> ad(x), assembled as one stacked exact system
-    from qflab.exact import nullspace
-
-    unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    stacked = []
-    for j in range(n):
-        for coord in range(n):
-            row = {}
-            for x in range(n):
-                w = rational_bracket(table, n, unit[x], unit[j])
-                if w[coord]:
-                    row[x] = w[coord]
-            if row:
-                stacked.append(row)
-    return len(nullspace(stacked, ncols=n)) if stacked else n
-
-
 def _centralizer_dim(algebra: Algebra, vectors) -> int:
+    """Dimension of {x : [x, v] = 0 for every v}, as one stacked exact system."""
     n = algebra.dim
-    table = algebra.rational_table()
-    from qflab.exact import nullspace
-
-    unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    unit = identity_matrix(n)
     stacked = []
     for v in vectors:
+        columns = [rational_bracket(algebra, unit[x], v) for x in range(n)]
         for coord in range(n):
-            row = {}
-            for x in range(n):
-                w = rational_bracket(table, n, unit[x], list(v))
-                if w[coord]:
-                    row[x] = w[coord]
+            row = {x: w[coord] for x, w in enumerate(columns) if w[coord]}
             if row:
                 stacked.append(row)
     return len(nullspace(stacked, ncols=n)) if stacked else n
 
 
 def _derived_dims(algebra: Algebra) -> tuple[int, ...]:
-    n = algebra.dim
-    table = algebra.rational_table()
-    current = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    dims = [n]
+    current = identity_matrix(algebra.dim)
+    dims = [algebra.dim]
     while True:
-        nxt = RowSpace(n)
-        vs = [list(v) for v in current]
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                w = rational_bracket(table, n, vs[a], vs[b])
-                if any(x != 0 for x in w):
-                    nxt.add(w)
+        nxt = bracket_span(algebra, ((current[a], current[b])
+                                     for a in range(len(current))
+                                     for b in range(a + 1, len(current))))
         dims.append(nxt.dim)
         if nxt.dim == 0 or nxt.dim == len(current):
             return tuple(dims)
-        current = [list(row) for row in nxt.basis()]
+        current = nxt.basis()
 
 
 def fingerprint(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> Fingerprint:
-    concrete = algebra.specialize(assignment) if algebra.params else algebra
+    concrete = algebra.concrete(assignment)
     filtration = lower_central_series(concrete)
-    info = type_of(concrete)
-    table = concrete.rational_table()
     ideals = filtration.ideals
     g2 = ideals[1] if len(ideals) > 1 else ()
     g3 = ideals[2] if len(ideals) > 2 else ()
     return Fingerprint(
         dim=concrete.dim,
-        type_vector=info.type_vector.p,
+        type_vector=filtration.type_info().type_vector.p,
         lcs_dims=filtration.dims,
         derived_dims=_derived_dims(concrete),
-        center_dim=_center_dim(table, concrete.dim),
+        center_dim=_centralizer_dim(concrete, identity_matrix(concrete.dim)),
         der_dim=derivation_dim(concrete),
         centralizer_g2_dim=_centralizer_dim(concrete, g2),
         centralizer_g3_dim=_centralizer_dim(concrete, g3),

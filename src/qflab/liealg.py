@@ -3,12 +3,14 @@
 An algebra stores only the brackets [X_i, X_j] with i < j; the rest follows
 by antisymmetry.  Coefficients are Poly values over the algebra's declared
 parameter universe, so a single representation covers both concrete algebras
-and parametric families.
+and parametric families.  A concrete algebra also carries ``ad``, a cached
+signed view of both orders that the numeric layers read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from qflab.exact import (
@@ -121,12 +123,28 @@ class Algebra:
                 table[(i, j)] = entry
         return Algebra(self.dim, table, params=(), labels=self.labels)
 
-    def rational_table(self) -> dict:
-        """Constant table as plain Fractions; requires an empty parameter universe."""
-        out = {}
+    def concrete(self, assignment: Mapping[str, Fraction] | None = None) -> "Algebra":
+        """The algebra itself when it has no parameters, else its specialization."""
+        if not self.params:
+            return self
+        if assignment is None:
+            raise QflabError("a concrete parameter assignment is required")
+        return self.specialize(assignment)
+
+    @cached_property
+    def ad(self) -> list[dict[int, dict[int, Fraction]]]:
+        """Signed constants of a concrete algebra: [X_i, X_j] = sum_k ad[i][j][k] X_k.
+
+        Both orders of every nonzero bracket are stored, so ``ad[i]`` is the
+        support of ad(X_i).  Built once per instance and shared; read only.
+        """
+        if self.params:
+            raise QflabError("the signed constant view needs a concrete algebra")
+        ad: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
         for (i, j), targets in self._table.items():
-            out[(i, j)] = {k: poly.constant_value() for k, poly in targets.items()}
-        return out
+            ad[i][j] = {k: poly.constant_value() for k, poly in targets.items()}
+            ad[j][i] = {k: -c for k, c in ad[i][j].items()}
+        return ad
 
 
 def abelian(dim: int, params: Sequence[str] = ()) -> Algebra:
@@ -157,15 +175,22 @@ def bracket(algebra: Algebra, x: Sequence, y: Sequence) -> list[Poly]:
     return out
 
 
-def rational_bracket(table: Mapping, n: int, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-    """Fast bracket for concrete algebras on Fraction coordinate vectors."""
-    out = [Fraction(0)] * n
-    for (i, j), targets in table.items():
-        w = u[i] * v[j] - u[j] * v[i]
-        if w == 0:
+def rational_bracket(algebra: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
+    """Bracket of Fraction coordinate vectors of a concrete algebra.
+
+    Walks only the support of ``u`` through the signed view ``algebra.ad``.
+    """
+    ad = algebra.ad
+    out = [Fraction(0)] * algebra.dim
+    for i, ui in enumerate(u):
+        if not ui:
             continue
-        for k, c in targets.items():
-            out[k] += w * c
+        for j, targets in ad[i].items():
+            w = ui * v[j]
+            if not w:
+                continue
+            for k, c in targets.items():
+                out[k] += w * c
     return out
 
 
@@ -201,62 +226,30 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     parameters.  Triples not of the form i<j<k are forced by antisymmetry.
     """
     n = algebra.dim
+    if algebra.params:
+        signed = algebra.bracket_of
+        nonzero, as_poly = (lambda p: not p.is_zero()), (lambda p: p)
+    else:
+        ad = algebra.ad
+        signed = lambda u, v: ad[u].get(v, {})
+        nonzero, as_poly = bool, (lambda c: Poly.const((), c))
     residuals = {}
-    if not algebra.params:
-        table = algebra.rational_table()
-        signed = _signed_lookup(table)
-        zero = Fraction(0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc: dict[int, Fraction] = {}
-                    _acc_rational(acc, signed(i, j), signed, k)
-                    _acc_rational(acc, signed(j, k), signed, i)
-                    _acc_rational(acc, signed(k, i), signed, j)
-                    acc = {b: c for b, c in acc.items() if c != zero}
-                    if acc:
-                        residuals[(i, j, k)] = {
-                            b: Poly.const((), c) for b, c in acc.items()
-                        }
-        return JacobiReport(n, residuals)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc: dict[int, Poly] = {}
-                _acc_poly(acc, algebra.bracket_of(i, j), algebra, k)
-                _acc_poly(acc, algebra.bracket_of(j, k), algebra, i)
-                _acc_poly(acc, algebra.bracket_of(k, i), algebra, j)
-                acc = {b: p for b, p in acc.items() if not p.is_zero()}
+                acc = {}
+                for inner, outer in ((signed(i, j), k), (signed(j, k), i), (signed(k, i), j)):
+                    for m, c in inner.items():
+                        for b, d in signed(m, outer).items():
+                            prod = c * d
+                            if b in acc:
+                                acc[b] = acc[b] + prod
+                            else:
+                                acc[b] = prod
+                acc = {b: as_poly(c) for b, c in acc.items() if nonzero(c)}
                 if acc:
                     residuals[(i, j, k)] = acc
     return JacobiReport(n, residuals)
-
-
-def _signed_lookup(table):
-    def signed(u, v):
-        if u == v:
-            return {}
-        if u < v:
-            return table.get((u, v), {})
-        return {k: -c for k, c in table.get((v, u), {}).items()}
-
-    return signed
-
-
-def _acc_rational(acc, inner, signed, outer):
-    for m, c in inner.items():
-        for b, d in signed(m, outer).items():
-            acc[b] = acc.get(b, Fraction(0)) + c * d
-
-
-def _acc_poly(acc, inner, algebra, outer):
-    for m, c in inner.items():
-        for b, d in algebra.bracket_of(m, outer).items():
-            prod = c * d
-            if b in acc:
-                acc[b] = acc[b] + prod
-            else:
-                acc[b] = prod
 
 
 # ---------------------------------------------------------------------------

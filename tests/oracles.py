@@ -1,13 +1,15 @@
 """Independent brute-force reference implementations used only by the tests.
 
 These are deliberately written with no code shared with the package: plain
-dense Gaussian elimination, naive span growing, and a dense derivation-space
-eliminator.  They exist to cross-check the production routines.
+dense Gaussian elimination, a dense fraction-free rank, naive span growing,
+and a dense derivation-space eliminator.  They exist to cross-check the
+production routines.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def dense_solve(matrix, rhs):
@@ -58,10 +60,31 @@ def dense_solve(matrix, rhs):
 
 
 def dense_rank(matrix):
-    if not matrix:
-        return 0
-    sol = dense_solve(matrix, [0] * len(matrix))
-    return len(matrix[0]) - len(sol[1])
+    """Rank by dense fraction-free (Bareiss) forward elimination.
+
+    Each row is scaled to integers first.  After a pivot step every entry
+    below is a minor of the matrix, so the division by the previous pivot
+    is exact and no fraction ever appears.
+    """
+    rows = []
+    for row in matrix:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    rank, previous = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        pivot_row = rows[rank]
+        pivot = pivot_row[c]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(pivot * x - f * y) // previous for x, y in zip(rows[i], pivot_row)]
+        previous = pivot
+        rank += 1
+    return rank
 
 
 class NaiveSpan:
@@ -107,24 +130,55 @@ def bracket_of_vectors(table, n, u, v):
     return out
 
 
-def naive_lcs_dims(table, n):
-    """Lower central series dims by naive span growing over raw brackets."""
+def naive_lcs(table, n):
+    """Lower central series by naive span growing over raw brackets: one list
+    of spanning vectors per term, ending at 0 or where the series stalls."""
     basis = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    current = basis
-    dims = [n]
+    terms = [basis]
     while True:
         span = NaiveSpan(n)
-        for v in current:
+        for v in terms[-1]:
             for e in basis:
                 w = bracket_of_vectors(table, n, v, e)
                 if any(x != 0 for x in w):
                     span.add(w)
-        dims.append(span.dim)
-        if span.dim == 0:
+        terms.append(span.vectors)
+        if span.dim == 0 or span.dim == len(terms[-2]):
+            return terms  # a stall above zero means not nilpotent
+
+
+def naive_lcs_dims(table, n):
+    """Lower central series dims by naive span growing over raw brackets."""
+    return [len(term) for term in naive_lcs(table, n)]
+
+
+def naive_centralizer_dim(table, n, vectors):
+    """Dimension of {x : [x, v] = 0 for every v}, as n minus the dense rank of
+    the coordinates of [e_x, v] stacked over all v."""
+    unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    rows = []
+    for v in vectors:
+        columns = [bracket_of_vectors(table, n, e, v) for e in unit]
+        rows.extend([column[coord] for column in columns] for coord in range(n))
+    return n - dense_rank(rows)
+
+
+def naive_derived_dims(table, n):
+    """Derived series dims; each term keeps every bracket that raises the
+    dense rank of the vectors kept so far."""
+    current = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    dims = [n]
+    while True:
+        kept = []
+        for a, u in enumerate(current):
+            for v in current[a + 1:]:
+                w = bracket_of_vectors(table, n, u, v)
+                if dense_rank(kept + [w]) > len(kept):
+                    kept.append(w)
+        dims.append(len(kept))
+        if not kept or len(kept) == len(current):
             return dims
-        if span.dim == dims[-2]:
-            return dims  # stabilized above zero: not nilpotent
-        current = [list(v) for v in span.vectors]
+        current = kept
 
 
 def dense_derivation_dim(table, n):

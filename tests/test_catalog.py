@@ -270,6 +270,14 @@ def test_residuals_evaluate_to_zero_at_solution_point():
     assert all(p.evaluate(assignment) == 0 for p in residuals)  # ... zero at the point
 
 
+def test_isqrt_exact_is_exact_on_huge_values():
+    # exact far beyond the precision and the range of a float
+    root = 10**40 + 7
+    assert catalog._isqrt_exact(root * root) == root
+    assert catalog._isqrt_exact(root * root + 1) is None
+    assert catalog._isqrt_exact(10**400) == 10**200
+
+
 def test_token_partition_consistency():
     parametric = {"Ank", "Bnk", "Cn", "AsumC", "BsumC", "AarrC", "BarrCa",
                   "BarrCc", "Cnrk", "Enrk", "Gnrk", "Hnrk"}

@@ -139,3 +139,36 @@ def test_document_format_sorted_and_stable():
     doc = json.loads(text)
     assert list(doc) == sorted(doc)
     assert doc["metadata"]["family"] == "Qn(n=6)"
+
+
+def _usage_error_line(err):
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def _write_doc(tmp_path, brackets, dim=3):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": dim, "params": [], "brackets": brackets}))
+    return str(path)
+
+
+def test_document_with_unordered_pair_is_a_usage_error(tmp_path, capsys):
+    path = _write_doc(tmp_path, [{"i": 1, "j": 0, "terms": [{"k": 2, "coeff": "1"}]}])
+    code, stdout, err = run(capsys, "jacobi", path)
+    assert code == 2 and stdout == ""
+    _usage_error_line(err)
+
+
+def test_document_with_repeated_pair_is_a_usage_error(tmp_path, capsys):
+    once = {"k": 2, "coeff": "1"}
+    for brackets in ([{"i": 0, "j": 1, "terms": [once]}, {"i": 0, "j": 1, "terms": [once]}],
+                     [{"i": 0, "j": 1, "terms": [once, {"k": 2, "coeff": "2"}]}]):
+        code, stdout, err = run(capsys, "jacobi", _write_doc(tmp_path, brackets))
+        assert code == 2 and stdout == ""
+        _usage_error_line(err)
+
+
+def test_sweep_rejects_non_integer_env_cap(capsys, monkeypatch):
+    monkeypatch.setenv("QFLAB_NMAX", "abc")
+    code, stdout, err = run(capsys, "sweep", "--families", "Lnr", "--n-max", "9")
+    assert code == 2 and stdout == ""
+    _usage_error_line(err)

@@ -71,7 +71,6 @@ def test_filtration_layers_are_ideals():
     a = gen("Qnr", 9, r=5)
     filtration = lower_central_series(a)
     n = a.dim
-    table = a.rational_table()
     from qflab.liealg import rational_bracket
     from qflab.exact import RowSpace
 
@@ -80,7 +79,7 @@ def test_filtration_layers_are_ideals():
         nxt = RowSpace(n, filtration.ideals[level + 1])
         for v in filtration.ideals[level]:
             for e in unit:
-                w = rational_bracket(table, n, list(v), e)
+                w = rational_bracket(a, list(v), e)
                 assert nxt.contains(w)
 
 

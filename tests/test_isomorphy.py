@@ -12,7 +12,12 @@ from qflab.isomorphy import (
     fingerprint,
 )
 from qflab.liealg import change_of_basis, jacobi_check
-from oracles import dense_derivation_dim, naive_lcs_dims
+from oracles import (
+    dense_derivation_dim,
+    naive_centralizer_dim,
+    naive_derived_dims,
+    naive_lcs,
+)
 
 
 def gen(token, n, **kw):
@@ -62,16 +67,35 @@ def test_fingerprint_base_invariant_under_basis_change():
         assert fingerprint(moved).base_key() == fp.base_key()
 
 
+def assert_fingerprint_matches_oracles(algebra):
+    n = algebra.dim
+    table = {pair: {k: c.constant_value() for k, c in t.items()}
+             for pair, t in algebra.table().items()}
+    fp = fingerprint(algebra)
+    lcs = naive_lcs(table, n)
+    unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    assert list(fp.lcs_dims) == [len(term) for term in lcs]
+    assert list(fp.derived_dims) == naive_derived_dims(table, n)
+    assert fp.center_dim == naive_centralizer_dim(table, n, unit)
+    assert fp.centralizer_g2_dim == naive_centralizer_dim(table, n, lcs[1] if len(lcs) > 1 else [])
+    assert fp.centralizer_g3_dim == naive_centralizer_dim(table, n, lcs[2] if len(lcs) > 2 else [])
+    assert fp.der_dim == dense_derivation_dim(table, n)
+
+
 def test_fingerprint_separates_l73_q73():
+    from test_liealg import random_unimodular
+
     fa = fingerprint(gen("Lnr", 7, r=3))
     fb = fingerprint(gen("Qnr", 7, r=3))
     assert fa.base_key() != fb.base_key()
-    # cross-checked against the independent brute-force oracles
-    for algebra, fp in ((gen("Lnr", 7, r=3), fa), (gen("Qnr", 7, r=3), fb)):
-        table = {pair: {k: c.constant_value() for k, c in t.items()}
-                 for pair, t in algebra.table().items()}
-        assert list(fp.lcs_dims) == naive_lcs_dims(table, 7)
-        assert fp.der_dim == dense_derivation_dim(table, 7)
+    # every invariant is cross-checked against the independent brute-force
+    # oracles, on the catalog at n = 7..9 and on one moved basis of each entry
+    rng = random.Random(73)
+    for n in (7, 8, 9):
+        for spec in catalog.prop4_entries(n):
+            algebra = catalog.generate(spec)
+            assert_fingerprint_matches_oracles(algebra)
+            assert_fingerprint_matches_oracles(change_of_basis(algebra, random_unimodular(n, rng)))
 
 
 def test_fingerprint_cn_matches_qn():
