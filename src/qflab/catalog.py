@@ -219,31 +219,31 @@ def _half(x: int) -> Fraction:
 # -- filiform families -------------------------------------------------------
 
 
-def _build_Ln(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Ln(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     t: Table = {}
     _chain(t, s.n - 2)
-    return s.n, (), t
+    return (), t
 
 
-def _build_Qn(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Qn(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
     t: Table = {}
     _chain(t, n - 3)
     _sum_pairs(t, n - 1, n - 1, n // 2 - 1, lambda i: (-1) ** (i - 1))
-    return n, (), t
+    return (), t
 
 
-def _build_Ank(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Ank(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, k = s.n, s.k
     tt = (n - k + 1) // 2
     aij = aij_table(n - k, tt)
     t: Table = {}
     _chain(t, n - 2)
     _aline(t, aij, n - k, k - 1, n - 1)
-    return n, aij.params, t
+    return aij.params, t
 
 
-def _build_Bnk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Bnk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, k = s.n, s.k
     tt = (n - k) // 2
     aij = aij_table(n - k - 1, tt)
@@ -251,10 +251,10 @@ def _build_Bnk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
     _chain(t, n - 3)
     _sum_pairs(t, n - 1, n - 1, n // 2 - 1, lambda i: (-1) ** (i - 1))
     _aline(t, aij, n - k - 1, k - 1, n - 2)
-    return n, aij.params, t
+    return aij.params, t
 
 
-def _build_Cn(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Cn(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
     m = n // 2
     params = alpha_names(m - 2)
@@ -268,37 +268,37 @@ def _build_Cn(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
             if j <= i:
                 break
             _add(t, i, j, n - 1, ((-1) ** (i + 1)) * a)
-    return n, params, t
+    return params, t
 
 
 # -- type t_1: direct sums and shifted extensions ----------------------------
 
 
-def _build_LsumC(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_LsumC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     t: Table = {}
     _chain(t, s.n - 3)
-    return s.n, (), t
+    return (), t
 
 
-def _build_QsumC(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_QsumC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
     t: Table = {}
     _chain(t, n - 4)
     _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: (-1) ** (i - 1))
-    return n, (), t
+    return (), t
 
 
-def _build_AsumC(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_AsumC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, k = s.n, s.k
     tt = (n - k) // 2
     aij = aij_table(n - k - 1, tt)
     t: Table = {}
     _chain(t, n - 3)
     _aline(t, aij, n - k - 1, k - 1, n - 2)
-    return n, aij.params, t
+    return aij.params, t
 
 
-def _build_BsumC(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_BsumC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, k = s.n, s.k
     tt = (n - k - 1) // 2
     aij = aij_table(n - k - 2, tt)
@@ -315,10 +315,10 @@ def _build_BsumC(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
                 _add(t, i, j, i + j + k - 1, coeff)
     else:
         _aline(t, aij, n - k - 2, k - 1, n - 3)
-    return n, aij.params, t
+    return aij.params, t
 
 
-def _build_LarrC(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_LarrC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, l = s.n, s.l
     t: Table = {}
     _chain(t, n - 3)
@@ -330,12 +330,12 @@ def _build_LarrC(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
                 _add(t, i, n - 1, tgt, 1)
     else:
         _shift_ext(t, n - 1, l, 1, n - 2 - l)
-    return n, (), t
+    return (), t
 
 
-def _build_AarrC(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_AarrC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, k, l = s.n, s.k, s.l
-    dim, params, t = _build_AsumC(s, False)
+    params, t = _build_AsumC(s, False)
     if misprint:
         for i in range(1, min(n - l, n - 2) + 1):
             tgt = i + l - 2
@@ -343,65 +343,65 @@ def _build_AarrC(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
                 _add(t, i, n - 1, tgt, 1)
     else:
         _shift_ext(t, n - 1, l, 1, n - 2 - l)
-    return dim, params, t
+    return params, t
 
 
-def _build_QarrCa(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_QarrCa(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, l = s.n, s.l
-    dim, params, t = _build_QsumC(s, False)
+    params, t = _build_QsumC(s, False)
     _shift_ext(t, n - 1, l, 1, n - 3 - l)
-    return dim, params, t
+    return params, t
 
 
-def _build_BarrCa(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_BarrCa(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, l = s.n, s.l
-    dim, params, t = _build_BsumC(s, False)
+    params, t = _build_BsumC(s, False)
     _shift_ext(t, n - 1, l, 1, n - 3 - l)
-    return dim, params, t
+    return params, t
 
 
-def _build_QarrCb(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_QarrCb(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
-    dim, params, t = _build_QarrCa(s, False)
+    params, t = _build_QarrCa(s, False)
     _add(t, 0, n - 1, n - 2, 1)
-    return dim, params, t
+    return params, t
 
 
-def _build_QarrCc(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_QarrCc(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
-    dim, params, t = _build_QsumC(s, False)
+    params, t = _build_QsumC(s, False)
     _add(t, 0, n - 1, n - 2, 1)
-    return dim, params, t
+    return params, t
 
 
-def _build_BarrCc(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_BarrCc(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
-    dim, params, t = _build_BsumC(s, False)
+    params, t = _build_BsumC(s, False)
     _add(t, 0, n - 1, n - 2, 1)
-    return dim, params, t
+    return params, t
 
 
 # -- type t_r families -------------------------------------------------------
 
 
-def _build_Lnr(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Lnr(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, r = s.n, s.r
     t: Table = {}
     _chain(t, n - 3)
     _sum_pairs(t, r, n - 1, (r - 1) // 2, lambda i: (-1) ** (i - 1))
-    return n, (), t
+    return (), t
 
 
-def _build_Qnr(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Qnr(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, r = s.n, s.r
     t: Table = {}
     _chain(t, n - 4)
     _sum_pairs(t, r, n - 1, (r - 1) // 2, lambda i: (-1) ** (i - 1))
     _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: (-1) ** (i - 1))
-    return n, (), t
+    return (), t
 
 
-def _build_Tn4(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Tn4(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
     t: Table = {}
     _chain(t, n - 5)
@@ -410,20 +410,20 @@ def _build_Tn4(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
     _sum_pairs(t, n - 4, n - 1, (n - 5) // 2, lambda i: (-1) ** (i - 1))
     _sum_pairs(t, n - 3, n - 3, (n - 5) // 2, lambda i: ((-1) ** (i - 1)) * _half(n - 3 - 2 * i))
     _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: ((-1) ** i) * (i - 1) * _half(n - 3 - i))
-    return n, (), t
+    return (), t
 
 
-def _build_Tn3(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Tn3(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
     t: Table = {}
     _chain(t, n - 4)
     _add(t, 0, n - 1, n - 2, 1)
     _sum_pairs(t, n - 3, n - 1, (n - 4) // 2, lambda i: (-1) ** (i - 1))
     _sum_pairs(t, n - 2, n - 2, (n - 4) // 2, lambda i: ((-1) ** (i - 1)) * _half(n - 2 - 2 * i))
-    return n, (), t
+    return (), t
 
 
-def _build_Cnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Cnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, r, k = s.n, s.r, s.k
     tt = (n - k) // 2
     bound = n - k - 1
@@ -435,10 +435,10 @@ def _build_Cnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
     count = n - r - 2 * k
     if count > 0:
         _shift_ext(t, n - 1, 2 * k + r - 2, 1, count)
-    return n, aij.params, t
+    return aij.params, t
 
 
-def _build_Dnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Dnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, r, k = s.n, s.r, s.k
     t: Table = {}
     _chain(t, n - 3)
@@ -446,10 +446,10 @@ def _build_Dnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
     count = n - r - 2 * k - 1
     if count > 0:
         _shift_ext(t, n - 1, 2 * k + r - 1, 1, count)
-    return n, (), t
+    return (), t
 
 
-def _build_Enrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Enrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, r, k = s.n, s.r, s.k
     tt = (n - k - 1) // 2
     bound = n - k - 2
@@ -462,10 +462,10 @@ def _build_Enrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
     count = n - r - 2 * k - 1
     if count > 0:
         _shift_ext(t, n - 1, 2 * k + r - 2, 1, count)
-    return n, aij.params, t
+    return aij.params, t
 
 
-def _build_Fnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Fnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, r, k = s.n, s.r, s.k
     t: Table = {}
     _chain(t, n - 4)
@@ -474,10 +474,10 @@ def _build_Fnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
     count = n - r - 2 * k - 2
     if count > 0:
         _shift_ext(t, n - 1, 2 * k + r - 1, 1, count)
-    return n, (), t
+    return (), t
 
 
-def _build_Gnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Gnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, k = s.n, s.k
     tt = (n - k - 2) // 2
     bound = n - k - 3
@@ -497,10 +497,10 @@ def _build_Gnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
     else:
         _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: ((-1) ** i) * (i - 1) * _half(n - 3 - i))
     _aline(t, aij, bound, k - 1, n - 4)
-    return n, aij.params, t
+    return aij.params, t
 
 
-def _build_Hnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _build_Hnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n, k = s.n, s.k
     tt = (n - k - 1) // 2
     bound = n - k - 2
@@ -511,70 +511,52 @@ def _build_Hnrk(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
     _sum_pairs(t, n - 3, n - 1, (n - 4) // 2, lambda i: (-1) ** (i - 1))
     _sum_pairs(t, n - 2, n - 2, (n - 4) // 2, lambda i: ((-1) ** (i - 1)) * _half(n - 2 - 2 * i))
     _aline(t, aij, bound, k - 1, n - 3)
-    return n, aij.params, t
+    return aij.params, t
 
 
-def _fixed_table(dim: int, brackets: Mapping) -> Callable:
-    def build(s: FamilySpec, misprint: bool) -> tuple[int, tuple, Table]:
+def _fixed_table(brackets: Mapping) -> Callable:
+    def build(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
         t: Table = {}
-        _chain(t, dim - 3)
+        _chain(t, s.n - 3)
         for (i, j), entry in brackets.items():
             for k, c in entry.items():
                 _add(t, i, j, k, c)
-        return dim, (), t
+        return (), t
 
     return build
 
 
-_build_E951 = _fixed_table(9, {
+_build_E951 = _fixed_table({
     (0, 8): {6: 1}, (2, 8): {7: -3}, (1, 4): {8: 1}, (1, 5): {6: 2},
     (1, 6): {7: 3}, (2, 3): {8: -1}, (2, 4): {6: -1}, (2, 5): {7: -1},
 })
-_build_E952 = _fixed_table(9, {
+_build_E952 = _fixed_table({
     (0, 8): {6: 1}, (2, 8): {7: -1}, (1, 4): {8: 1}, (1, 5): {6: 2},
     (1, 6): {7: 1}, (2, 3): {8: -1}, (2, 4): {6: -1}, (2, 5): {7: 1},
     (3, 4): {7: -2},
 })
-_build_E953 = _fixed_table(9, {
+_build_E953 = _fixed_table({
     (0, 8): {6: 1}, (1, 4): {8: 1}, (1, 5): {6: 2}, (2, 3): {8: -1},
     (2, 4): {6: -1}, (2, 5): {7: 2}, (3, 4): {7: -3},
 })
-_build_E73 = _fixed_table(7, {
+_build_E73 = _fixed_table({
     (0, 6): {4: 1}, (2, 6): {5: -1}, (1, 2): {6: 1}, (1, 3): {4: 1},
     (1, 4): {5: 1},
 })
 
 
 # ---------------------------------------------------------------------------
-# Validation and enumeration
+# The family registry
 # ---------------------------------------------------------------------------
+
+EVEN, ODD = 0, 1
+W2 = ("l0", "l1")
+W3 = ("l0", "l1", "lx")
 
 
 def _req(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidParametersError(message)
-
-
-def _need(spec: FamilySpec, r: bool = False, k: bool = False, l: bool = False) -> None:
-    _req((spec.r is not None) == r, f"{spec.family}: r {'required' if r else 'not accepted'}")
-    _req((spec.k is not None) == k, f"{spec.family}: k {'required' if k else 'not accepted'}")
-    _req((spec.l is not None) == l, f"{spec.family}: l {'required' if l else 'not accepted'}")
-
-
-def _lnr_r_max(n: int) -> int:
-    return 2 * ((n - 1) // 2) - 1
-
-
-def _validate_lnr_pair(n: int, r: int) -> None:
-    _req(n >= 5, "n must be at least 5")
-    _req(r % 2 == 1, "r must be odd")
-    _req(3 <= r <= _lnr_r_max(n), f"r must lie in [3, {_lnr_r_max(n)}]")
-
-
-def _validate_qnr_pair(n: int, r: int) -> None:
-    _req(n >= 7 and n % 2 == 1, "n must be odd and at least 7")
-    _req(r % 2 == 1, "r must be odd")
-    _req(3 <= r <= n - 4, f"r must lie in [3, {n - 4}]")
 
 
 def _always_sound(_s: FamilySpec) -> bool:
@@ -583,139 +565,95 @@ def _always_sound(_s: FamilySpec) -> bool:
 
 @dataclass(frozen=True)
 class FamilyDef:
+    """Everything recorded about one family.
+
+    Validation, enumeration, the gr-class and the claimed diagonal are all
+    derived from these fields.  ``n`` runs from ``least`` (with the given
+    parity, or only ``least`` itself when ``fixed``).  ``r``, ``k`` and ``l``
+    map a spec to the inclusive range of that parameter (``r`` is always odd,
+    and the range of ``k`` may read ``r``); a family without a range takes no
+    such parameter.  ``alphas`` counts the alpha parameters, absent for the
+    nonparametric families.
+
+    The claimed diagonal is ``l0``, the chain ``(i-1)*l0 + l1`` and then
+    ``tail(spec)``, linear forms given by their coefficients on
+    ``(l0, l1, lx)``.  A deformation names the ``model`` whose tail it shares,
+    and ``l1(spec)`` pins ``l1 = c*l0``.  ``misprinted_table`` marks a
+    documented known-bad table variant and ``misprinted_diagonal`` rewrites
+    the diagonal into its documented known-bad form.
+    """
+
     token: str
-    build: Callable
-    validate: Callable[[FamilySpec], None]
-    alpha_count: Callable[[FamilySpec], int]
-    tuples: Callable[[int], Iterator[FamilySpec]]
-    gr_class: Callable[[FamilySpec], FamilySpec | None]
-    rank: Callable[[FamilySpec], int | None]
-    has_misprint: bool = False
+    build: Callable[[FamilySpec, bool], tuple[tuple, Table]]
+    least: int
+    rank: int  # in the generated basis at generic alpha
+    gr: str
+    parity: int | None = None
+    fixed: bool = False
+    r: Callable[[FamilySpec], tuple[int, int]] | None = None
+    k: Callable[[FamilySpec], tuple[int, int]] | None = None
+    l: Callable[[FamilySpec], tuple[int, int]] | None = None
+    filiform: bool = False
+    alphas: Callable[[FamilySpec], int] | None = None
+    tail: Callable[[FamilySpec], tuple[tuple, ...]] | None = None
+    model: str | None = None
+    l1: Callable[[FamilySpec], object] | None = None
+    misprinted_table: bool = False
+    misprinted_diagonal: Callable[[FamilySpec, list], list] | None = None
     # integer tuples inside the printed ranges on which the table actually
     # closes as a Lie algebra (for parametric families: on which the
     # constraint variety is nonempty)
     sound: Callable[[FamilySpec], bool] = _always_sound
+    # replaces the checks derived from the ranges
+    validator: Callable[[FamilySpec], None] | None = None
 
+    def takes_n(self, n: int) -> bool:
+        if self.fixed:
+            return n == self.least
+        return n >= self.least and (self.parity is None or n % 2 == self.parity)
 
-FAMILIES: dict[str, FamilyDef] = {}
+    def validate(self, s: FamilySpec) -> None:
+        if self.validator is not None:
+            return self.validator(s)
+        ranges = (("r", self.r), ("k", self.k), ("l", self.l))
+        for name, bounds in ranges:
+            _req((getattr(s, name) is not None) == (bounds is not None),
+                 f"{s.family}: {name} {'required' if bounds else 'not accepted'}")
+        if self.fixed:
+            _req(self.takes_n(s.n), f"n is fixed to {self.least}")
+        elif self.parity is None:
+            _req(self.takes_n(s.n), f"n must be at least {self.least}")
+        else:
+            _req(self.takes_n(s.n), f"n must be {('even', 'odd')[self.parity]} and at least {self.least}")
+        if self.r:
+            _req(s.r % 2 == 1, "r must be odd")
+        for name, bounds in ranges:
+            if bounds:
+                lo, hi = bounds(s)
+                _req(lo <= getattr(s, name) <= hi, f"{name} must lie in [{lo}, {hi}]")
 
+    def specs_at(self, n: int) -> Iterator[FamilySpec]:
+        """The tuples inside the printed ranges at dimension n."""
+        if not self.takes_n(n):
+            return
 
-def _register(token, build, validate, alpha_count, tuples, gr_class, rank,
-              has_misprint=False, sound=_always_sound):
-    FAMILIES[token] = FamilyDef(token, build, validate, alpha_count, tuples,
-                                gr_class, rank, has_misprint, sound)
+        def values(bounds, partial, step=1):
+            if bounds is None:
+                return (None,)
+            lo, hi = bounds(partial)
+            return range(lo, hi + 1, step)
 
+        for r in values(self.r, FamilySpec(self.token, n), 2):
+            for k in values(self.k, FamilySpec(self.token, n, r)):
+                for l in values(self.l, FamilySpec(self.token, n, r, k)):
+                    yield FamilySpec(self.token, n, r, k, l)
 
-def _self_class(s: FamilySpec) -> FamilySpec:
-    return FamilySpec(s.family, s.n, s.r, None, None, None)
+    def tuples(self, n_max: int) -> Iterator[FamilySpec]:
+        for n in range(self.least, n_max + 1):
+            yield from self.specs_at(n)
 
-
-# Ln / Qn / Ank / Bnk / Cn ----------------------------------------------------
-
-_register(
-    "Ln", _build_Ln,
-    lambda s: (_need(s), _req(s.n >= 3, "n must be at least 3")),
-    lambda s: 0,
-    lambda n_max: (spec_for("Ln", n) for n in range(3, n_max + 1)),
-    lambda s: spec_for("Ln", s.n),
-    lambda s: 2,
-)
-_register(
-    "Qn", _build_Qn,
-    lambda s: (_need(s), _req(s.n >= 6 and s.n % 2 == 0, "n must be even and at least 6")),
-    lambda s: 0,
-    lambda n_max: (spec_for("Qn", n) for n in range(6, n_max + 1, 2)),
-    lambda s: spec_for("Qn", s.n),
-    lambda s: 2,
-)
-_register(
-    "Ank", _build_Ank,
-    lambda s: (_need(s, k=True), _req(s.n >= 5, "n must be at least 5"),
-               _req(2 <= s.k <= s.n - 3, f"k must lie in [2, {s.n - 3}]")),
-    lambda s: (s.n - s.k + 1) // 2 - 1,
-    lambda n_max: (spec_for("Ank", n, k=k) for n in range(5, n_max + 1) for k in range(2, n - 2)),
-    lambda s: spec_for("Ln", s.n),
-    lambda s: 1,
-)
-_register(
-    "Bnk", _build_Bnk,
-    lambda s: (_need(s, k=True), _req(s.n >= 6 and s.n % 2 == 0, "n must be even and at least 6"),
-               _req(2 <= s.k <= s.n - 3, f"k must lie in [2, {s.n - 3}]")),
-    lambda s: (s.n - s.k) // 2 - 1,
-    lambda n_max: (spec_for("Bnk", n, k=k) for n in range(6, n_max + 1, 2) for k in range(2, n - 2)),
-    lambda s: spec_for("Qn", s.n),
-    lambda s: 1,
-)
-_register(
-    "Cn", _build_Cn,
-    lambda s: (_need(s), _req(s.n >= 6 and s.n % 2 == 0, "n must be even and at least 6")),
-    lambda s: s.n // 2 - 2,
-    lambda n_max: (spec_for("Cn", n) for n in range(6, n_max + 1, 2)),
-    lambda s: spec_for("Qn", s.n),
-    # rank in the generated basis at generic alpha; the true rank is 2 and is
-    # witnessed only after the change of variables onto Qn
-    lambda s: 1,
-)
-
-# type t_1 -------------------------------------------------------------------
-
-_register(
-    "LsumC", _build_LsumC,
-    lambda s: (_need(s), _req(s.n >= 4, "n must be at least 4")),
-    lambda s: 0,
-    lambda n_max: (spec_for("LsumC", n) for n in range(4, n_max + 1)),
-    _self_class,
-    lambda s: 3,
-)
-_register(
-    "QsumC", _build_QsumC,
-    lambda s: (_need(s), _req(s.n >= 7 and s.n % 2 == 1, "n must be odd and at least 7")),
-    lambda s: 0,
-    lambda n_max: (spec_for("QsumC", n) for n in range(7, n_max + 1, 2)),
-    _self_class,
-    lambda s: 3,
-)
-_register(
-    "AsumC", _build_AsumC,
-    lambda s: (_need(s, k=True), _req(s.n >= 6, "n must be at least 6"),
-               _req(2 <= s.k <= s.n - 4, f"k must lie in [2, {s.n - 4}]")),
-    lambda s: (s.n - s.k) // 2 - 1,
-    lambda n_max: (spec_for("AsumC", n, k=k) for n in range(6, n_max + 1) for k in range(2, n - 3)),
-    lambda s: spec_for("LsumC", s.n),
-    lambda s: 2,
-)
-_register(
-    "BsumC", _build_BsumC,
-    lambda s: (_need(s, k=True), _req(s.n >= 7 and s.n % 2 == 1, "n must be odd and at least 7"),
-               _req(2 <= s.k <= s.n - 5, f"k must lie in [2, {s.n - 5}]")),
-    lambda s: (s.n - s.k - 1) // 2 - 1,
-    lambda n_max: (spec_for("BsumC", n, k=k) for n in range(7, n_max + 1, 2) for k in range(2, n - 4)),
-    lambda s: spec_for("QsumC", s.n),
-    lambda s: 2,
-    has_misprint=True,
-)
-_register(
-    "LarrC", _build_LarrC,
-    lambda s: (_need(s, l=True), _req(s.n >= 5, "n must be at least 5"),
-               _req(2 <= s.l <= s.n - 3, f"l must lie in [2, {s.n - 3}]")),
-    lambda s: 0,
-    lambda n_max: (spec_for("LarrC", n, l=l) for n in range(5, n_max + 1) for l in range(2, n - 2)),
-    lambda s: spec_for("LsumC", s.n),
-    lambda s: 2,
-    has_misprint=True,
-)
-_register(
-    "AarrC", _build_AarrC,
-    lambda s: (_need(s, k=True, l=True), _req(s.n >= 6, "n must be at least 6"),
-               _req(2 <= s.k <= s.n - 4, f"k must lie in [2, {s.n - 4}]"),
-               _req(2 <= s.l <= s.n - 3, f"l must lie in [2, {s.n - 3}]")),
-    lambda s: (s.n - s.k) // 2 - 1,
-    lambda n_max: (spec_for("AarrC", n, k=k, l=l)
-                   for n in range(6, n_max + 1) for k in range(2, n - 3) for l in range(2, n - 2)),
-    lambda s: spec_for("LsumC", s.n),
-    lambda s: 1,
-    has_misprint=True,
-)
+    def alpha_count(self, s: FamilySpec) -> int:
+        return 0 if self.alphas is None else self.alphas(s)
 
 
 # Even shifts break the Jacobi identity against the symplectic pairs
@@ -725,111 +663,6 @@ def _odd_l_sound(s: FamilySpec) -> bool:
     return s.l % 2 == 1
 
 
-_register(
-    "QarrCa", _build_QarrCa,
-    lambda s: (_need(s, l=True), _req(s.n >= 7 and s.n % 2 == 1, "n must be odd and at least 7"),
-               _req(2 <= s.l <= s.n - 4, f"l must lie in [2, {s.n - 4}]")),
-    lambda s: 0,
-    lambda n_max: (spec_for("QarrCa", n, l=l)
-                   for n in range(7, n_max + 1, 2) for l in range(2, n - 3)),
-    lambda s: spec_for("QsumC", s.n),
-    lambda s: 2,
-    sound=_odd_l_sound,
-)
-_register(
-    "BarrCa", _build_BarrCa,
-    lambda s: (_need(s, k=True, l=True), _req(s.n >= 7 and s.n % 2 == 1, "n must be odd and at least 7"),
-               _req(2 <= s.k <= s.n - 5, f"k must lie in [2, {s.n - 5}]"),
-               _req(2 <= s.l <= s.n - 4, f"l must lie in [2, {s.n - 4}]")),
-    lambda s: (s.n - s.k - 1) // 2 - 1,
-    lambda n_max: (spec_for("BarrCa", n, k=k, l=l)
-                   for n in range(7, n_max + 1, 2) for k in range(2, n - 4) for l in range(2, n - 3)),
-    lambda s: spec_for("QsumC", s.n),
-    lambda s: 1,
-    sound=_odd_l_sound,
-)
-_register(
-    "QarrCb", _build_QarrCb,
-    lambda s: (_need(s, l=True), _req(s.n >= 7 and s.n % 2 == 1, "n must be odd and at least 7"),
-               _req(2 <= s.l <= s.n - 4, f"l must lie in [2, {s.n - 4}]")),
-    lambda s: 0,
-    lambda n_max: (spec_for("QarrCb", n, l=l)
-                   for n in range(7, n_max + 1, 2) for l in range(2, n - 3)),
-    lambda s: spec_for("QsumC", s.n),
-    lambda s: 1,
-    has_misprint=True,
-    sound=_odd_l_sound,
-)
-_register(
-    "QarrCc", _build_QarrCc,
-    lambda s: (_need(s), _req(s.n >= 7 and s.n % 2 == 1, "n must be odd and at least 7")),
-    lambda s: 0,
-    lambda n_max: (spec_for("QarrCc", n) for n in range(7, n_max + 1, 2)),
-    lambda s: spec_for("QsumC", s.n),
-    lambda s: 2,
-    has_misprint=True,
-)
-_register(
-    "BarrCc", _build_BarrCc,
-    lambda s: (_need(s, k=True), _req(s.n >= 7 and s.n % 2 == 1, "n must be odd and at least 7"),
-               _req(2 <= s.k <= s.n - 5, f"k must lie in [2, {s.n - 5}]")),
-    lambda s: (s.n - s.k - 1) // 2 - 1,
-    lambda n_max: (spec_for("BarrCc", n, k=k) for n in range(7, n_max + 1, 2) for k in range(2, n - 4)),
-    lambda s: spec_for("QsumC", s.n),
-    # the published rank partition lists this family as rank 2, but with any
-    # alpha bracket present the weight system pins w1 = k*w0 and the diagonal
-    # family is one-dimensional (and f has distinct eigenvalues, so the torus
-    # is exactly that family)
-    lambda s: 1,
-)
-
-# type t_r -------------------------------------------------------------------
-
-_register(
-    "Lnr", _build_Lnr,
-    lambda s: (_need(s, r=True), _validate_lnr_pair(s.n, s.r)),
-    lambda s: 0,
-    lambda n_max: (spec_for("Lnr", n, r=r)
-                   for n in range(5, n_max + 1) for r in range(3, _lnr_r_max(n) + 1, 2)),
-    _self_class,
-    lambda s: 2,
-)
-_register(
-    "Qnr", _build_Qnr,
-    lambda s: (_need(s, r=True), _validate_qnr_pair(s.n, s.r)),
-    lambda s: 0,
-    lambda n_max: (spec_for("Qnr", n, r=r)
-                   for n in range(7, n_max + 1, 2) for r in range(3, n - 3, 2)),
-    _self_class,
-    lambda s: 2,
-)
-_register(
-    "Tn4", _build_Tn4,
-    lambda s: (_need(s), _req(s.n >= 7 and s.n % 2 == 1, "n must be odd and at least 7")),
-    lambda s: 0,
-    lambda n_max: (spec_for("Tn4", n) for n in range(7, n_max + 1, 2)),
-    _self_class,
-    lambda s: 2,
-)
-_register(
-    "Tn3", _build_Tn3,
-    lambda s: (_need(s), _req(s.n >= 6 and s.n % 2 == 0, "n must be even and at least 6")),
-    lambda s: 0,
-    lambda n_max: (spec_for("Tn3", n) for n in range(6, n_max + 1, 2)),
-    _self_class,
-    lambda s: 2,
-)
-_register(
-    "Cnrk", _build_Cnrk,
-    lambda s: (_need(s, r=True, k=True), _validate_lnr_pair(s.n, s.r),
-               _req(2 <= s.k <= s.n - 4, f"k must lie in [2, {s.n - 4}]")),
-    lambda s: (s.n - s.k) // 2 - 1,
-    lambda n_max: (spec_for("Cnrk", n, r=r, k=k)
-                   for n in range(5, n_max + 1) for r in range(3, _lnr_r_max(n) + 1, 2)
-                   for k in range(2, n - 3)),
-    lambda s: spec_for("Lnr", s.n, r=s.r),
-    lambda s: 1,
-)
 # The extension [Y_m, Y_{n-1}] collides with the sum-r pairs: the Jacobi
 # triple (Y_i, Y_{r-i}, Y_m) leaves the bare residual (-1)^i Y_{m+2k+r-1}
 # whenever the source m avoids the pair {i, r-i}.  A Lie algebra therefore
@@ -839,30 +672,7 @@ def _dnrk_sound(s: FamilySpec) -> bool:
     return s.r == 3 and s.k == (s.n - 5) // 2
 
 
-_register(
-    "Dnrk", _build_Dnrk,
-    lambda s: (_need(s, r=True, k=True), _validate_lnr_pair(s.n, s.r),
-               _req(1 <= s.k <= (s.n - s.r - 2) // 2, f"k must lie in [1, {(s.n - s.r - 2) // 2}]")),
-    lambda s: 0,
-    lambda n_max: (spec_for("Dnrk", n, r=r, k=k)
-                   for n in range(5, n_max + 1) for r in range(3, _lnr_r_max(n) + 1, 2)
-                   for k in range(1, (n - r - 2) // 2 + 1)),
-    lambda s: spec_for("Lnr", s.n, r=s.r),
-    lambda s: 1,
-    sound=_dnrk_sound,
-)
-_register(
-    "Enrk", _build_Enrk,
-    lambda s: (_need(s, r=True, k=True), _validate_qnr_pair(s.n, s.r),
-               _req(2 <= s.k <= s.n - 5, f"k must lie in [2, {s.n - 5}]")),
-    lambda s: (s.n - s.k - 1) // 2 - 1,
-    lambda n_max: (spec_for("Enrk", n, r=r, k=k)
-                   for n in range(7, n_max + 1, 2) for r in range(3, n - 3, 2)
-                   for k in range(2, n - 4)),
-    lambda s: spec_for("Qnr", s.n, r=s.r),
-    lambda s: 1,
-)
-# No tuple of this family closes as a Lie algebra: beyond the D-type
+# No tuple of Fnrk closes as a Lie algebra: beyond the D-type
 # pair/extension collisions, the triple (Y_i, Y_{r-i}, Y_{n-1}) couples the
 # extension to the sum-(n-2) pairs and forces (pair coeff)*(ext coeff) = 0,
 # while the chain triples force the extension coefficients equal and nonzero.
@@ -871,20 +681,7 @@ def _fnrk_sound(s: FamilySpec) -> bool:
     return False
 
 
-_register(
-    "Fnrk", _build_Fnrk,
-    lambda s: (_need(s, r=True, k=True), _validate_qnr_pair(s.n, s.r),
-               _req(1 <= s.k <= (s.n - s.r - 4) // 2, f"k must lie in [1, {(s.n - s.r - 4) // 2}]")),
-    lambda s: 0,
-    lambda n_max: (spec_for("Fnrk", n, r=r, k=k)
-                   for n in range(7, n_max + 1, 2) for r in range(3, n - 3, 2)
-                   for k in range(1, (n - r - 4) // 2 + 1)),
-    lambda s: spec_for("Qnr", s.n, r=s.r),
-    lambda s: 1,
-    sound=_fnrk_sound,
-)
-
-
+# Gnrk and Hnrk accept an omitted r, so they check their ranges by hand.
 def _validate_gnrk(s: FamilySpec) -> None:
     _req(s.n >= 9 and s.n % 2 == 1, "n must be odd and at least 9")
     _req(s.r is None or s.r == s.n - 4, "r is fixed to n-4 for this family")
@@ -899,36 +696,98 @@ def _validate_hnrk(s: FamilySpec) -> None:
     _req(s.l is None, "l not accepted")
 
 
-_register(
-    "Gnrk", _build_Gnrk,
-    _validate_gnrk,
-    lambda s: (s.n - s.k - 2) // 2 - 1,
-    lambda n_max: (spec_for("Gnrk", n, r=n - 4, k=k)
-                   for n in range(9, n_max + 1, 2) for k in range(2, n - 5)),
-    lambda s: spec_for("Tn4", s.n),
-    lambda s: 1,
-    has_misprint=True,
-)
-_register(
-    "Hnrk", _build_Hnrk,
-    _validate_hnrk,
-    lambda s: (s.n - s.k - 1) // 2 - 1,
-    lambda n_max: (spec_for("Hnrk", n, r=n - 3, k=k)
-                   for n in range(8, n_max + 1, 2) for k in range(2, n - 4)),
-    lambda s: spec_for("Tn3", s.n),
-    lambda s: 1,
-)
+def _stray_symbol(s: FamilySpec, weights: list) -> list:
+    # QarrCb circulates with an unrelated symbol in one slot
+    params = W2 + ("kp",)
+    weights = [w.lift(params) for w in weights]
+    weights[2] = Poly.variable(params, "kp") * Poly.variable(params, "l0") + Poly.variable(params, "l0")
+    return weights
 
-for _token, _build, _dim in (("E951", _build_E951, 9), ("E952", _build_E952, 9),
-                             ("E953", _build_E953, 9), ("E73", _build_E73, 7)):
-    _register(
-        _token, _build,
-        (lambda d: (lambda s: (_need(s), _req(s.n == d, f"n is fixed to {d}"))))(_dim),
-        lambda s: 0,
-        (lambda tok, d: (lambda n_max: iter([spec_for(tok, d)] if n_max >= d else [])))(_token, _dim),
-        _self_class,
-        lambda s: 1,
-    )
+
+def _product_for_sum(s: FamilySpec, weights: list) -> list:
+    # QarrCc circulates with a product where the sum (n-4)*l0 + l1 belongs
+    weights[s.n - 3] = (Poly.variable(W2, "l0") * Poly.variable(W2, "l1")) * (s.n - 4)
+    return weights
+
+
+# the (n, r) ranges of Lnr and Qnr, shared by their rank-one deformations
+_LNR = dict(least=5, r=lambda s: (3, 2 * ((s.n - 1) // 2) - 1))
+_QNR = dict(least=7, parity=ODD, r=lambda s: (3, s.n - 4))
+
+FAMILIES: dict[str, FamilyDef] = {fam.token: fam for fam in (
+    # filiform ----------------------------------------------------------------
+    FamilyDef("Ln", _build_Ln, least=3, rank=2, gr="Ln", filiform=True, tail=lambda s: ()),
+    FamilyDef("Qn", _build_Qn, least=6, parity=EVEN, rank=2, gr="Qn", filiform=True,
+              tail=lambda s: ((s.n - 3, 2),)),
+    FamilyDef("Ank", _build_Ank, least=5, k=lambda s: (2, s.n - 3), rank=1, gr="Ln", filiform=True,
+              alphas=lambda s: (s.n - s.k + 1) // 2 - 1, model="Ln", l1=lambda s: s.k),
+    FamilyDef("Bnk", _build_Bnk, least=6, parity=EVEN, k=lambda s: (2, s.n - 3), rank=1, gr="Qn",
+              filiform=True, alphas=lambda s: (s.n - s.k) // 2 - 1, model="Qn", l1=lambda s: s.k),
+    # rank in the generated basis at generic alpha; the true rank is 2 and is
+    # witnessed only after the change of variables onto Qn
+    FamilyDef("Cn", _build_Cn, least=6, parity=EVEN, rank=1, gr="Qn", filiform=True,
+              alphas=lambda s: s.n // 2 - 2),
+    # type t_1 ----------------------------------------------------------------
+    FamilyDef("LsumC", _build_LsumC, least=4, rank=3, gr="LsumC", tail=lambda s: ((0, 0, 1),)),
+    FamilyDef("QsumC", _build_QsumC, least=7, parity=ODD, rank=3, gr="QsumC",
+              tail=lambda s: ((s.n - 4, 2), (0, 0, 1))),
+    FamilyDef("AsumC", _build_AsumC, least=6, k=lambda s: (2, s.n - 4), rank=2, gr="LsumC",
+              alphas=lambda s: (s.n - s.k) // 2 - 1, model="LsumC", l1=lambda s: s.k),
+    FamilyDef("BsumC", _build_BsumC, least=7, parity=ODD, k=lambda s: (2, s.n - 5), rank=2, gr="QsumC",
+              alphas=lambda s: (s.n - s.k - 1) // 2 - 1, model="QsumC", l1=lambda s: s.k,
+              misprinted_table=True),
+    FamilyDef("LarrC", _build_LarrC, least=5, l=lambda s: (2, s.n - 3), rank=2, gr="LsumC",
+              tail=lambda s: ((s.l,),), misprinted_table=True),
+    FamilyDef("AarrC", _build_AarrC, least=6, k=lambda s: (2, s.n - 4), l=lambda s: (2, s.n - 3),
+              rank=1, gr="LsumC", alphas=lambda s: (s.n - s.k) // 2 - 1, model="LarrC",
+              l1=lambda s: s.k, misprinted_table=True),
+    FamilyDef("QarrCa", _build_QarrCa, least=7, parity=ODD, l=lambda s: (2, s.n - 4), rank=2,
+              gr="QsumC", tail=lambda s: ((s.n - 4, 2), (s.l,)), sound=_odd_l_sound),
+    FamilyDef("BarrCa", _build_BarrCa, least=7, parity=ODD, k=lambda s: (2, s.n - 5),
+              l=lambda s: (2, s.n - 4), rank=1, gr="QsumC", alphas=lambda s: (s.n - s.k - 1) // 2 - 1,
+              model="QarrCa", l1=lambda s: s.k, sound=_odd_l_sound),
+    FamilyDef("QarrCb", _build_QarrCb, least=7, parity=ODD, l=lambda s: (2, s.n - 4), rank=1,
+              gr="QsumC", model="QarrCc", l1=lambda s: Fraction(s.l - s.n + 5, 2),
+              misprinted_diagonal=_stray_symbol, sound=_odd_l_sound),
+    FamilyDef("QarrCc", _build_QarrCc, least=7, parity=ODD, rank=2, gr="QsumC",
+              tail=lambda s: ((s.n - 4, 2), (s.n - 5, 2)), misprinted_diagonal=_product_for_sum),
+    # the published rank partition lists this family as rank 2, but with any
+    # alpha bracket present the weight system pins w1 = k*w0 and the diagonal
+    # family is one-dimensional (and f has distinct eigenvalues, so the torus
+    # is exactly that family)
+    FamilyDef("BarrCc", _build_BarrCc, least=7, parity=ODD, k=lambda s: (2, s.n - 5), rank=1,
+              gr="QsumC", alphas=lambda s: (s.n - s.k - 1) // 2 - 1, model="QarrCc", l1=lambda s: s.k),
+    # type t_r ----------------------------------------------------------------
+    FamilyDef("Lnr", _build_Lnr, **_LNR, rank=2, gr="Lnr", tail=lambda s: ((s.r - 2, 2),)),
+    FamilyDef("Qnr", _build_Qnr, **_QNR, rank=2, gr="Qnr",
+              tail=lambda s: ((s.n - 4, 2), (s.r - 2, 2))),
+    FamilyDef("Tn4", _build_Tn4, least=7, parity=ODD, rank=2, gr="Tn4",
+              tail=lambda s: ((s.n - 5, 2), (s.n - 4, 2), (s.n - 6, 2))),
+    FamilyDef("Tn3", _build_Tn3, least=6, parity=EVEN, rank=2, gr="Tn3",
+              tail=lambda s: ((s.n - 4, 2), (s.n - 5, 2))),
+    FamilyDef("Cnrk", _build_Cnrk, **_LNR, k=lambda s: (2, s.n - 4), rank=1, gr="Lnr",
+              alphas=lambda s: (s.n - s.k) // 2 - 1, model="Lnr", l1=lambda s: s.k),
+    FamilyDef("Dnrk", _build_Dnrk, **_LNR, k=lambda s: (1, (s.n - s.r - 2) // 2), rank=1, gr="Lnr",
+              model="Lnr", l1=lambda s: Fraction(2 * s.k + 1, 2), sound=_dnrk_sound),
+    FamilyDef("Enrk", _build_Enrk, **_QNR, k=lambda s: (2, s.n - 5), rank=1, gr="Qnr",
+              alphas=lambda s: (s.n - s.k - 1) // 2 - 1, model="Qnr", l1=lambda s: s.k),
+    FamilyDef("Fnrk", _build_Fnrk, **_QNR, k=lambda s: (1, (s.n - s.r - 4) // 2), rank=1, gr="Qnr",
+              model="Qnr", l1=lambda s: Fraction(2 * s.k + 1, 2), sound=_fnrk_sound),
+    FamilyDef("Gnrk", _build_Gnrk, least=9, parity=ODD, r=lambda s: (s.n - 4, s.n - 4),
+              k=lambda s: (2, s.n - 6), rank=1, gr="Tn4", alphas=lambda s: (s.n - s.k - 2) // 2 - 1,
+              model="Tn4", l1=lambda s: s.k, misprinted_table=True, validator=_validate_gnrk),
+    FamilyDef("Hnrk", _build_Hnrk, least=8, parity=EVEN, r=lambda s: (s.n - 3, s.n - 3),
+              k=lambda s: (2, s.n - 5), rank=1, gr="Tn3", alphas=lambda s: (s.n - s.k - 1) // 2 - 1,
+              model="Tn3", l1=lambda s: s.k, validator=_validate_hnrk),
+    FamilyDef("E951", _build_E951, least=9, fixed=True, rank=1, gr="E951",
+              tail=lambda s: ((5,),), l1=lambda s: 1),
+    FamilyDef("E952", _build_E952, least=9, fixed=True, rank=1, gr="E952",
+              tail=lambda s: ((5,),), l1=lambda s: 1),
+    FamilyDef("E953", _build_E953, least=9, fixed=True, rank=1, gr="E953",
+              tail=lambda s: ((5,),), l1=lambda s: 1),
+    FamilyDef("E73", _build_E73, least=7, fixed=True, rank=1, gr="E73",
+              tail=lambda s: ((3,),), l1=lambda s: 1),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -969,10 +828,10 @@ def generate(spec: FamilySpec, misprint: bool = False) -> Algebra:
     """
     fam = family_def(spec.family)
     validate_spec(spec)
-    if misprint and not fam.has_misprint:
+    if misprint and not fam.misprinted_table:
         raise InvalidParametersError(f"{spec.family} has no documented misprint variant")
-    dim, params, table = fam.build(spec, misprint)
-    algebra = Algebra(dim, table, params=params)
+    params, table = fam.build(spec, misprint)
+    algebra = Algebra(spec.n, table, params=params)
     if spec.alphas is not None and params:
         assignment = {name: value for name, value in zip(params, spec.alphas)}
         algebra = algebra.specialize(assignment)
@@ -983,7 +842,7 @@ def natural_gr_class(spec: FamilySpec) -> FamilySpec:
     """The naturally graded class the family degenerates to under gr."""
     fam = family_def(spec.family)
     fam.validate(spec)
-    return fam.gr_class(spec)
+    return FamilySpec(fam.gr, spec.n, spec.r if FAMILIES[fam.gr].r else None)
 
 
 def expected_rank(spec: FamilySpec) -> int:
@@ -991,7 +850,7 @@ def expected_rank(spec: FamilySpec) -> int:
     generic parameter values (every alpha nonzero where alphas exist)."""
     fam = family_def(spec.family)
     fam.validate(spec)
-    return fam.rank(spec)
+    return fam.rank
 
 
 def valid_tuples(token: str, n_max: int) -> Iterator[FamilySpec]:
@@ -1022,43 +881,17 @@ def all_family_tokens() -> tuple[str, ...]:
     return tuple(FAMILIES)
 
 
-NONPARAMETRIC_TOKENS = tuple(
-    token for token in FAMILIES
-    if token not in ("Ank", "Bnk", "Cn", "AsumC", "BsumC", "AarrC", "BarrCa",
-                     "BarrCc", "Cnrk", "Enrk", "Gnrk", "Hnrk")
-)
+NONPARAMETRIC_TOKENS = tuple(token for token, fam in FAMILIES.items() if fam.alphas is None)
 
 # the quasi-filiform families admitting a nonzero torus of derivations
-NONZERO_RANK_TOKENS = (
-    "LsumC", "AsumC", "LarrC", "AarrC",
-    "QsumC", "BsumC", "QarrCa", "BarrCa", "QarrCb", "QarrCc", "BarrCc",
-    "Lnr", "Cnrk", "Dnrk",
-    "Qnr", "Enrk", "Fnrk",
-    "Tn4", "Gnrk",
-    "Tn3", "Hnrk",
-    "E951", "E952", "E953", "E73",
-)
+NONZERO_RANK_TOKENS = tuple(token for token, fam in FAMILIES.items() if not fam.filiform)
 
 
 def prop4_entries(n: int) -> list[FamilySpec]:
-    """The naturally graded quasi-filiform catalog at a fixed dimension."""
-    out: list[FamilySpec] = []
-    if n >= 4:
-        out.append(spec_for("LsumC", n))
-    if n >= 7 and n % 2 == 1:
-        out.append(spec_for("QsumC", n))
-    if n >= 5:
-        out.extend(spec_for("Lnr", n, r=r) for r in range(3, _lnr_r_max(n) + 1, 2))
-    if n >= 7 and n % 2 == 1:
-        out.extend(spec_for("Qnr", n, r=r) for r in range(3, n - 3, 2))
-        out.append(spec_for("Tn4", n))
-    if n >= 6 and n % 2 == 0:
-        out.append(spec_for("Tn3", n))
-    if n == 9:
-        out.extend([spec_for("E951", 9), spec_for("E952", 9), spec_for("E953", 9)])
-    if n == 7:
-        out.append(spec_for("E73", 7))
-    return out
+    """The naturally graded quasi-filiform catalog at a fixed dimension: the
+    non-filiform families that are their own gr-class."""
+    return [spec for token, fam in FAMILIES.items() if not fam.filiform and fam.gr == token
+            for spec in fam.specs_at(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -1240,9 +1073,6 @@ def sample_specs(token: str, n_max: int, per_family: int | None = None) -> list[
 # Claimed diagonal derivations (weight vectors)
 # ---------------------------------------------------------------------------
 
-W2 = ("l0", "l1")
-W3 = ("l0", "l1", "lx")
-
 
 def _lin(params, c0, c1=0, cx=0) -> Poly:
     p = Poly.zero(params)
@@ -1263,97 +1093,22 @@ def claimed_weights(spec: FamilySpec, misprint: bool = False) -> tuple[Poly, ...
     stray unrelated symbol in one slot) and QarrCc (a product where a sum
     belongs); other families reject the flag.
     """
-    fam = spec.family
-    n, r, k, l = spec.n, spec.r, spec.k, spec.l
     validate_spec(spec)
-    if misprint and fam not in ("QarrCb", "QarrCc"):
-        raise InvalidParametersError(f"{fam} has no documented misprinted diagonal")
+    fam = FAMILIES[spec.family]
+    if misprint and fam.misprinted_diagonal is None:
+        raise InvalidParametersError(f"{spec.family} has no documented misprinted diagonal")
+    tail = FAMILIES[fam.model or fam.token].tail
+    if tail is None:
+        raise UnknownFamilyError(f"no claimed diagonal recorded for family {spec.family!r}")
+    tail = tail(spec)
+    names = W3 if any(len(form) == 3 for form in tail) else W2
+    c = None if fam.l1 is None else fam.l1(spec)
 
-    if fam == "Ln":
-        return tuple([_lin(W2, 1)] + [_lin(W2, i - 1, 1) for i in range(1, n)])
-    if fam == "Ank":
-        return tuple([_lin(W2, 1)] + [_lin(W2, k + i - 1) for i in range(1, n)])
-    if fam == "Qn":
-        return tuple([_lin(W2, 1)] + [_lin(W2, i - 1, 1) for i in range(1, n - 1)]
-                     + [_lin(W2, n - 3, 2)])
-    if fam == "Bnk":
-        return tuple([_lin(W2, 1)] + [_lin(W2, k + i - 1) for i in range(1, n - 1)]
-                     + [_lin(W2, n + 2 * k - 3)])
-    if fam == "LsumC":
-        return tuple([_lin(W3, 1)] + [_lin(W3, i - 1, 1) for i in range(1, n - 1)]
-                     + [_lin(W3, 0, 0, 1)])
-    if fam == "AsumC":
-        return tuple([_lin(W3, 1)] + [_lin(W3, k + i - 1) for i in range(1, n - 1)]
-                     + [_lin(W3, 0, 0, 1)])
-    if fam == "LarrC":
-        return tuple([_lin(W2, 1)] + [_lin(W2, i - 1, 1) for i in range(1, n - 1)]
-                     + [_lin(W2, l)])
-    if fam == "AarrC":
-        return tuple([_lin(W2, 1)] + [_lin(W2, k + i - 1) for i in range(1, n - 1)]
-                     + [_lin(W2, l)])
-    if fam == "QsumC":
-        return tuple([_lin(W3, 1)] + [_lin(W3, i - 1, 1) for i in range(1, n - 2)]
-                     + [_lin(W3, n - 4, 2), _lin(W3, 0, 0, 1)])
-    if fam == "BsumC":
-        return tuple([_lin(W3, 1)] + [_lin(W3, k + i - 1) for i in range(1, n - 2)]
-                     + [_lin(W3, n - 4 + 2 * k), _lin(W3, 0, 0, 1)])
-    if fam == "QarrCa":
-        return tuple([_lin(W2, 1)] + [_lin(W2, i - 1, 1) for i in range(1, n - 2)]
-                     + [_lin(W2, n - 4, 2), _lin(W2, l)])
-    if fam == "BarrCa":
-        return tuple([_lin(W2, 1)] + [_lin(W2, k + i - 1) for i in range(1, n - 2)]
-                     + [_lin(W2, n - 4 + 2 * k), _lin(W2, l)])
-    if fam == "QarrCb":
-        beta = Fraction(l - n + 5, 2)
-        weights = [_lin(W2, 1)] + [_lin(W2, beta + i - 1) for i in range(1, n - 2)] \
-            + [_lin(W2, n - 4 + 2 * beta), _lin(W2, n - 5 + 2 * beta)]
-        if misprint:
-            params = W2 + ("kp",)
-            weights = [w.lift(params) for w in weights]
-            weights[2] = Poly.variable(params, "kp") * Poly.variable(params, "l0") \
-                + Poly.variable(params, "l0")
-        return tuple(weights)
-    if fam == "QarrCc":
-        weights = [_lin(W2, 1)] + [_lin(W2, i - 1, 1) for i in range(1, n - 2)] \
-            + [_lin(W2, n - 4, 2), _lin(W2, n - 5, 2)]
-        if misprint:
-            weights[n - 3] = (Poly.variable(W2, "l0") * Poly.variable(W2, "l1")) * (n - 4)
-        return tuple(weights)
-    if fam == "BarrCc":
-        return tuple([_lin(W2, 1)] + [_lin(W2, k + i - 1) for i in range(1, n - 2)]
-                     + [_lin(W2, n - 4 + 2 * k), _lin(W2, n - 5 + 2 * k)])
-    if fam == "Lnr":
-        return tuple([_lin(W2, 1)] + [_lin(W2, i - 1, 1) for i in range(1, n - 1)]
-                     + [_lin(W2, r - 2, 2)])
-    if fam == "Cnrk":
-        return tuple([_lin(W2, 1)] + [_lin(W2, k + i - 1) for i in range(1, n - 1)]
-                     + [_lin(W2, r - 2 + 2 * k)])
-    if fam == "Dnrk":
-        return tuple([_lin(W2, 1)] + [_lin(W2, Fraction(2 * k + 2 * i - 1, 2)) for i in range(1, n - 1)]
-                     + [_lin(W2, r - 1 + 2 * k)])
-    if fam == "Qnr":
-        return tuple([_lin(W2, 1)] + [_lin(W2, i - 1, 1) for i in range(1, n - 2)]
-                     + [_lin(W2, n - 4, 2), _lin(W2, r - 2, 2)])
-    if fam == "Enrk":
-        return tuple([_lin(W2, 1)] + [_lin(W2, k + i - 1) for i in range(1, n - 2)]
-                     + [_lin(W2, n - 4 + 2 * k), _lin(W2, r - 2 + 2 * k)])
-    if fam == "Fnrk":
-        return tuple([_lin(W2, 1)] + [_lin(W2, Fraction(2 * k + 2 * i - 1, 2)) for i in range(1, n - 2)]
-                     + [_lin(W2, n + 2 * k - 3), _lin(W2, r + 2 * k - 1)])
-    if fam == "Tn4":
-        return tuple([_lin(W2, 1)] + [_lin(W2, i - 1, 1) for i in range(1, n - 3)]
-                     + [_lin(W2, n - 5, 2), _lin(W2, n - 4, 2), _lin(W2, n - 6, 2)])
-    if fam == "Gnrk":
-        return tuple([_lin(W2, 1)] + [_lin(W2, k + i - 1) for i in range(1, n - 3)]
-                     + [_lin(W2, n - 5 + 2 * k), _lin(W2, n - 4 + 2 * k), _lin(W2, n - 6 + 2 * k)])
-    if fam == "Tn3":
-        return tuple([_lin(W2, 1)] + [_lin(W2, i - 1, 1) for i in range(1, n - 2)]
-                     + [_lin(W2, n - 4, 2), _lin(W2, n - 5, 2)])
-    if fam == "Hnrk":
-        return tuple([_lin(W2, 1)] + [_lin(W2, k + i - 1) for i in range(1, n - 2)]
-                     + [_lin(W2, n - 4 + 2 * k), _lin(W2, n - 5 + 2 * k)])
-    if fam in ("E951", "E952", "E953"):
-        return tuple(_lin(W2, c) for c in (1, 1, 2, 3, 4, 5, 6, 7, 5))
-    if fam == "E73":
-        return tuple(_lin(W2, c) for c in (1, 1, 2, 3, 4, 5, 3))
-    raise UnknownFamilyError(f"no claimed diagonal recorded for family {fam!r}")
+    def form(c0, c1=0, cx=0):
+        return _lin(names, c0, c1, cx) if c is None else _lin(names, c0 + c1 * c, 0, cx)
+
+    weights = [_lin(names, 1)] + [form(i - 1, 1) for i in range(1, spec.n - len(tail))] \
+        + [form(*f) for f in tail]
+    if misprint:
+        weights = fam.misprinted_diagonal(spec, weights)
+    return tuple(weights)

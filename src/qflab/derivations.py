@@ -196,8 +196,8 @@ def verify_claimed_weights(spec: catalog.FamilySpec, misprint: bool = False) -> 
     """
     symbolic = catalog.FamilySpec(spec.family, spec.n, spec.r, spec.k, spec.l, None)
     fam = catalog.family_def(spec.family)
-    table_misprint = misprint and fam.has_misprint
-    weight_misprint = misprint and spec.family in ("QarrCb", "QarrCc")
+    table_misprint = misprint and fam.misprinted_table
+    weight_misprint = misprint and fam.misprinted_diagonal is not None
     if misprint and not (table_misprint or weight_misprint):
         raise catalog.InvalidParametersError(
             f"{spec.family} has no documented misprint to audit")

@@ -256,8 +256,10 @@ def test_generate_declared_class():
 
 
 def test_misprint_flag_rejected_without_variant():
-    with pytest.raises(InvalidParametersError):
-        catalog.generate(spec_for("Lnr", 9, r=5), misprint=True)
+    # QarrCb and QarrCc circulate with misprinted diagonals, not tables
+    for spec in (spec_for("Lnr", 9, r=5), spec_for("QarrCb", 9, l=3), spec_for("QarrCc", 9)):
+        with pytest.raises(InvalidParametersError):
+            catalog.generate(spec, misprint=True)
 
 
 def test_residuals_evaluate_to_zero_at_solution_point():
@@ -286,3 +288,91 @@ def test_token_partition_consistency():
         count = catalog.alpha_count(spec)
         assert (count > 0) == (token in parametric), token
         assert (token in catalog.NONPARAMETRIC_TOKENS) == (token not in parametric)
+
+
+# Golden values of the registry: one claimed diagonal per family, the two
+# misprinted diagonals, the tuple counts and one message of each kind.
+
+CLAIMED_DIAGONALS = (
+    (("Ln", 9, {}), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0 + l1, 6*l0 + l1, 7*l0 + l1"),
+    (("Qn", 8, {}), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0 + l1, 5*l0 + 2*l1"),
+    (("Ank", 9, dict(k=4)), "l0, 4*l0, 5*l0, 6*l0, 7*l0, 8*l0, 9*l0, 10*l0, 11*l0"),
+    (("Bnk", 10, dict(k=2)), "l0, 2*l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 8*l0, 9*l0, 11*l0"),
+    (("LsumC", 9, {}), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0 + l1, 6*l0 + l1, lx"),
+    (("QsumC", 9, {}), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0 + l1, 5*l0 + 2*l1, lx"),
+    (("AsumC", 9, dict(k=4)), "l0, 4*l0, 5*l0, 6*l0, 7*l0, 8*l0, 9*l0, 10*l0, lx"),
+    (("BsumC", 9, dict(k=3)), "l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 8*l0, 11*l0, lx"),
+    (("LarrC", 9, dict(l=4)), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0 + l1, 6*l0 + l1, 4*l0"),
+    (("AarrC", 9, dict(k=4, l=2)), "l0, 4*l0, 5*l0, 6*l0, 7*l0, 8*l0, 9*l0, 10*l0, 2*l0"),
+    (("QarrCa", 9, dict(l=5)), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0 + l1, 5*l0 + 2*l1, 5*l0"),
+    (("BarrCa", 9, dict(k=3, l=5)), "l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 8*l0, 11*l0, 5*l0"),
+    (("QarrCb", 9, dict(l=5)), "l0, 1/2*l0, 3/2*l0, 5/2*l0, 7/2*l0, 9/2*l0, 11/2*l0, 6*l0, 5*l0"),
+    (("QarrCc", 9, {}), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0 + l1, 5*l0 + 2*l1, 4*l0 + 2*l1"),
+    (("BarrCc", 9, dict(k=3)), "l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 8*l0, 11*l0, 10*l0"),
+    (("Lnr", 9, dict(r=5)), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0 + l1, 6*l0 + l1, 3*l0 + 2*l1"),
+    (("Qnr", 9, dict(r=5)), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0 + l1, 5*l0 + 2*l1, 3*l0 + 2*l1"),
+    (("Tn4", 9, {}), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 4*l0 + 2*l1, 5*l0 + 2*l1, 3*l0 + 2*l1"),
+    (("Tn3", 8, {}), "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 4*l0 + 2*l1, 3*l0 + 2*l1"),
+    (("Cnrk", 9, dict(r=5, k=4)), "l0, 4*l0, 5*l0, 6*l0, 7*l0, 8*l0, 9*l0, 10*l0, 11*l0"),
+    (("Dnrk", 9, dict(r=3, k=2)), "l0, 5/2*l0, 7/2*l0, 9/2*l0, 11/2*l0, 13/2*l0, 15/2*l0, 17/2*l0, 6*l0"),
+    (("Enrk", 9, dict(r=5, k=2)), "l0, 2*l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 9*l0, 7*l0"),
+    (("Fnrk", 9, dict(r=3, k=1)), "l0, 3/2*l0, 5/2*l0, 7/2*l0, 9/2*l0, 11/2*l0, 13/2*l0, 8*l0, 4*l0"),
+    (("Gnrk", 9, dict(r=5, k=3)), "l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 10*l0, 11*l0, 9*l0"),
+    (("Hnrk", 10, dict(r=7, k=3)), "l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 8*l0, 9*l0, 12*l0, 11*l0"),
+    (("E951", 9, {}), "l0, l0, 2*l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 5*l0"),
+    (("E952", 9, {}), "l0, l0, 2*l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 5*l0"),
+    (("E953", 9, {}), "l0, l0, 2*l0, 3*l0, 4*l0, 5*l0, 6*l0, 7*l0, 5*l0"),
+    (("E73", 7, {}), "l0, l0, 2*l0, 3*l0, 4*l0, 5*l0, 3*l0"),
+)
+
+
+def _diagonal(spec, misprint=False):
+    return ", ".join(str(w) for w in catalog.claimed_weights(spec, misprint=misprint))
+
+
+def test_claimed_diagonals_golden():
+    pinned = {token for (token, _, _), _ in CLAIMED_DIAGONALS}
+    assert pinned == set(catalog.all_family_tokens()) - {"Cn"}
+    for (token, n, kw), want in CLAIMED_DIAGONALS:
+        assert _diagonal(spec_for(token, n, **kw)) == want, token
+    with pytest.raises(UnknownFamilyError):
+        catalog.claimed_weights(spec_for("Cn", 8))
+    # the documented misprints: a stray symbol in one slot of QarrCb, a
+    # product where a sum belongs in QarrCc
+    assert _diagonal(spec_for("QarrCb", 9, l=3), misprint=True) == (
+        "l0, -1/2*l0, l0*kp + l0, 3/2*l0, 5/2*l0, 7/2*l0, 9/2*l0, 4*l0, 3*l0")
+    assert _diagonal(spec_for("QarrCc", 9), misprint=True) == (
+        "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0*l1, 5*l0 + 2*l1, 4*l0 + 2*l1")
+    with pytest.raises(InvalidParametersError):
+        catalog.claimed_weights(spec_for("Ln", 9), misprint=True)
+
+
+TUPLE_COUNTS_TO_13 = {  # token: (valid tuples, sound tuples) with n <= 13
+    "Ln": (11, 11), "Qn": (4, 4), "Ank": (45, 45), "Bnk": (20, 20), "Cn": (4, 4),
+    "LsumC": (10, 10), "QsumC": (4, 4), "AsumC": (36, 36), "BsumC": (16, 16),
+    "LarrC": (45, 45), "AarrC": (240, 240), "QarrCa": (20, 10), "BarrCa": (100, 50),
+    "QarrCb": (20, 10), "QarrCc": (4, 4), "BarrCc": (16, 16), "Lnr": (25, 25),
+    "Qnr": (10, 10), "Tn4": (4, 4), "Tn3": (4, 4), "Cnrk": (130, 130), "Dnrk": (30, 7),
+    "Enrk": (50, 50), "Fnrk": (10, 0), "Gnrk": (12, 12), "Hnrk": (12, 12),
+    "E951": (1, 1), "E952": (1, 1), "E953": (1, 1), "E73": (1, 1),
+}
+
+
+def test_tuple_counts_golden():
+    got = {token: (len(list(catalog.valid_tuples(token, 13))),
+                   len(list(catalog.sound_tuples(token, 13))))
+           for token in catalog.all_family_tokens()}
+    assert got == TUPLE_COUNTS_TO_13
+
+
+def test_validation_messages_golden():
+    for token, n, kw, message in (
+            ("QsumC", 8, {}, "n must be odd and at least 7"),
+            ("Lnr", 9, dict(r=4), "r must be odd"),
+            ("Ank", 9, dict(k=8), "k must lie in [2, 6]"),
+            ("E951", 10, {}, "n is fixed to 9"),
+            ("Gnrk", 9, dict(r=4, k=2), "r is fixed to n-4 for this family"),
+            ("Ank", 9, dict(k=2, l=3), "Ank: l not accepted")):
+        with pytest.raises(InvalidParametersError) as info:
+            catalog.validate_spec(spec_for(token, n, **kw))
+        assert str(info.value) == message

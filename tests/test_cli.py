@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflab import catalog
-from qflab.cli import algebra_to_doc, doc_to_algebra, dump_doc, main
+from qflab.cli import UsageError, algebra_to_doc, doc_to_algebra, dump_doc, main
 from qflab.catalog import spec_for
 
 
@@ -172,3 +176,65 @@ def test_sweep_rejects_non_integer_env_cap(capsys, monkeypatch):
     code, stdout, err = run(capsys, "sweep", "--families", "Lnr", "--n-max", "9")
     assert code == 2 and stdout == ""
     _usage_error_line(err)
+
+
+def test_document_with_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    path = _write_doc(tmp_path, [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "1/0"}]}])
+    code, stdout, err = run(capsys, "jacobi", path)
+    assert code == 2 and stdout == ""
+    _usage_error_line(err)
+
+
+def test_document_with_non_integral_number_is_a_usage_error(tmp_path, capsys):
+    # 2.7 and true were truncated to 2 and 1 before
+    term = {"k": 2, "coeff": "1"}
+    for doc in ({"dim": 3, "brackets": [{"i": 0, "j": 1, "terms": [{"k": 2.7, "coeff": "1"}]}]},
+                {"dim": 3, "brackets": [{"i": 0.5, "j": 1, "terms": [term]}]},
+                {"dim": True, "brackets": []},
+                {"dim": 3, "brackets": [{"i": False, "j": 1, "terms": [term]}]}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "jacobi", str(path))
+        assert code == 2 and stdout == "", doc
+        _usage_error_line(err)
+
+
+# Random documents, well formed or not, with dimension at most 6: every
+# command exits with 0, 1 or 2 and none ends in a traceback.
+# (no digit strings or huge floats here: "9999" is a valid, far too large dim)
+_junk = st.one_of(st.none(), st.booleans(), st.floats(-9, 9), st.just(float("nan")),
+                  st.text("ab -/*^", max_size=4), st.lists(st.integers(0, 3), max_size=2))
+_index = st.one_of(st.integers(-1, 6), st.integers(-1, 6).map(str), _junk)
+_coeff = st.one_of(st.sampled_from(["1", "-2", "1/2", "1/0", "0", "", "a1", "a2^2",
+                                    "2*a1 - a2", "-a1*a2 + 3", "b", "a1^", "1.5", "2 +"]),
+                   st.text(max_size=6), st.integers(-3, 3), _junk)
+_term = st.fixed_dictionaries({"k": _index, "coeff": _coeff})
+_bracket = st.fixed_dictionaries({"i": _index, "j": _index},
+                                 optional={"terms": st.lists(_term, max_size=3)})
+_document = st.one_of(
+    st.fixed_dictionaries(
+        {"dim": st.one_of(st.integers(-1, 6), _junk)},
+        optional={"params": st.one_of(st.lists(st.sampled_from(["a1", "a2"]), max_size=2), _junk),
+                  "brackets": st.one_of(st.lists(_bracket, max_size=6), _junk)}),
+    _junk, st.dictionaries(st.text(max_size=3), _junk, max_size=2))
+
+
+@given(_document)
+@settings(max_examples=200, deadline=None)
+def test_random_documents_never_end_in_a_traceback(doc):
+    try:
+        doc_to_algebra(doc)
+    except UsageError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/doc.json"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        for command in ("jacobi", "series", "rank"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, path])
+            assert code in (0, 1, 2), (command, doc)
+            if code == 2:
+                _usage_error_line(err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue()
