@@ -1097,10 +1097,10 @@ def claimed_weights(spec: FamilySpec, misprint: bool = False) -> tuple[Poly, ...
     fam = FAMILIES[spec.family]
     if misprint and fam.misprinted_diagonal is None:
         raise InvalidParametersError(f"{spec.family} has no documented misprinted diagonal")
-    tail = FAMILIES[fam.model or fam.token].tail
-    if tail is None:
+    tail_of = FAMILIES[fam.model or fam.token].tail
+    if tail_of is None:
         raise UnknownFamilyError(f"no claimed diagonal recorded for family {spec.family!r}")
-    tail = tail(spec)
+    tail = tail_of(spec)
     names = W3 if any(len(form) == 3 for form in tail) else W2
     c = None if fam.l1 is None else fam.l1(spec)
 
