@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -935,10 +936,18 @@ def _canonical_generator(poly: Poly) -> Poly:
 
 def extract_constraints(spec: FamilySpec, misprint: bool = False) -> ConstraintSet:
     """Deduplicated polynomial generators whose common zeros are exactly the
-    alpha assignments for which the family is a Lie algebra."""
+    alpha assignments for which the family is a Lie algebra.
+
+    The alpha values of ``spec`` are ignored; the result is computed once per
+    alpha-free spec and misprint flag and shared (it is immutable)."""
+    return _constraints_of(FamilySpec(spec.family, spec.n, spec.r, spec.k, spec.l, None),
+                           bool(misprint))
+
+
+@lru_cache(maxsize=1024)
+def _constraints_of(symbolic: FamilySpec, misprint: bool) -> ConstraintSet:
     from qflab.liealg import jacobi_check
 
-    symbolic = FamilySpec(spec.family, spec.n, spec.r, spec.k, spec.l, None)
     algebra = generate(symbolic, misprint=misprint)
     report = jacobi_check(algebra)
     seen = {}

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import add, neg
 from typing import Iterable, Mapping, Sequence
 
 from qflab.exact import (
@@ -41,15 +43,11 @@ class Algebra:
     constant table (plus dimension and parameter universe).
     """
 
-    def __init__(self, dim: int, table: Mapping | None = None,
-                 params: Sequence[str] = (), labels: Sequence[str] | None = None):
+    def __init__(self, dim: int, table: Mapping | None = None, params: Sequence[str] = ()):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         self.dim = dim
         self.params = tuple(params)
-        self.labels = tuple(labels) if labels is not None else tuple(f"X{i}" for i in range(dim))
-        if len(self.labels) != dim:
-            raise ValueError("label count does not match dimension")
         normalized: BracketTable = {}
         for (i, j), targets in (table or {}).items():
             if not (0 <= i < j < dim):
@@ -103,9 +101,6 @@ class Algebra:
             return dict(self._table.get((i, j), {}))
         return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
-    def coeff(self, i: int, j: int, k: int) -> Poly:
-        return self.bracket_of(i, j).get(k, Poly.zero(self.params))
-
     # -- parameter handling --------------------------------------------------
 
     def specialize(self, assignment: Mapping[str, Fraction]) -> "Algebra":
@@ -121,7 +116,7 @@ class Algebra:
                     entry[k] = value
             if entry:
                 table[(i, j)] = entry
-        return Algebra(self.dim, table, params=(), labels=self.labels)
+        return Algebra(self.dim, table, params=())
 
     def concrete(self, assignment: Mapping[str, Fraction] | None = None) -> "Algebra":
         """The algebra itself when it has no parameters, else its specialization."""
@@ -219,37 +214,95 @@ class JacobiReport:
         return "JacobiReport(ok)" if self.ok else f"JacobiReport({len(self.residuals)} bad triples)"
 
 
+def _jacobi_terms(view: dict, pairs: Iterable[tuple[int, int]]):
+    """The nonzero terms [[Xa,Xb],Xc] of the Jacobi sums, with a < b stored.
+
+    ``view[i][j]`` maps each target of the signed bracket [Xi, Xj] to its
+    coefficient, both orders stored.  Yields (triple, negate, coefficient of
+    Xm in [Xa,Xb], targets of [Xm,Xc]) for every c outside {a, b} whose
+    bracket with Xm is nonzero.  In the cyclic sum of the sorted triple
+    i<j<k the term is [[Xi,Xj],Xk] or [[Xj,Xk],Xi], except when a < c < b,
+    where it is [[Xk,Xi],Xj] read with the pair reversed, hence ``negate``.
+    """
+    for a, b in pairs:
+        for m, coeff in view[a][b].items():
+            for c, outer in view.get(m, {}).items():
+                if c > b:
+                    yield (a, b, c), False, coeff, outer
+                elif c < a:
+                    yield (c, a, b), False, coeff, outer
+                elif c != a and c != b:
+                    yield (a, c, b), True, coeff, outer
+
+
+def _signed_view(algebra: Algebra, value, negate) -> dict[int, dict]:
+    """view[i][j] = {k: value(coefficient)} for both orders of every bracket;
+    an index in no bracket has no row, so nothing is allocated per dimension."""
+    view: dict[int, dict] = {}
+    for (i, j), targets in algebra._table.items():
+        forward = view.setdefault(i, {})[j] = {k: value(poly) for k, poly in targets.items()}
+        view.setdefault(j, {})[i] = {k: negate(v) for k, v in forward.items()}
+    return view
+
+
+def _concrete_terms(view: dict, pairs: Iterable[tuple[int, int]]) -> dict:
+    acc: dict[tuple, dict[int, int]] = {}
+    for triple, negate, coeff, outer in _jacobi_terms(view, pairs):
+        if negate:
+            coeff = -coeff
+        component = acc.setdefault(triple, {})
+        for e, d in outer.items():
+            component[e] = component.get(e, 0) + coeff * d
+    return acc
+
+
+def _parametric_terms(view: dict, pairs: Iterable[tuple[int, int]]) -> dict:
+    acc: dict[tuple, dict[int, dict]] = {}
+    for triple, negate, coeff, outer in _jacobi_terms(view, pairs):
+        component = acc.setdefault(triple, {})
+        for e, d in outer.items():
+            poly = component.setdefault(e, {})
+            for m1, c1 in coeff.items():
+                if negate:
+                    c1 = -c1
+                for m2, c2 in d.items():
+                    mono = tuple(map(add, m1, m2))
+                    poly[mono] = poly.get(mono, 0) + c1 * c2
+    return acc
+
+
 def jacobi_check(algebra: Algebra) -> JacobiReport:
     """Residuals [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] for all i<j<k.
 
     An empty report means the Jacobi identity holds identically in the
     parameters.  Triples not of the form i<j<k are forced by antisymmetry.
+    Only the nonzero terms are visited, so the cost is proportional to the
+    nonzero products of structure constants, not to dim^3.  The products are
+    taken in integers: every coefficient is multiplied by the common
+    denominator of the table, so each residual comes out scaled by its square.
     """
-    n = algebra.dim
+    scale = lcm(*(c.denominator for targets in algebra._table.values()
+                  for poly in targets.values() for _, c in poly.terms))
+    square = scale * scale
+    scaled = lambda c: c.numerator * (scale // c.denominator)
     if algebra.params:
-        signed = algebra.bracket_of
-        nonzero, as_poly = (lambda p: not p.is_zero()), (lambda p: p)
+        view = _signed_view(algebra, lambda p: {m: scaled(c) for m, c in p.terms},
+                            lambda v: {m: -c for m, c in v.items()})
+        acc = _parametric_terms(view, algebra._table)
+        to_poly = lambda v: Poly.from_map(algebra.params, {m: Fraction(c, square)
+                                                          for m, c in v.items()})
     else:
-        ad = algebra.ad
-        signed = lambda u, v: ad[u].get(v, {})
-        nonzero, as_poly = bool, (lambda c: Poly.const((), c))
+        # plain integers: constants wrapped as monomial dicts cost more on dense tables
+        view = _signed_view(algebra, lambda p: scaled(p.terms[0][1]), neg)
+        acc = _concrete_terms(view, algebra._table)
+        to_poly = lambda v: Poly.const((), Fraction(v, square))
     residuals = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = {}
-                for inner, outer in ((signed(i, j), k), (signed(j, k), i), (signed(k, i), j)):
-                    for m, c in inner.items():
-                        for b, d in signed(m, outer).items():
-                            prod = c * d
-                            if b in acc:
-                                acc[b] = acc[b] + prod
-                            else:
-                                acc[b] = prod
-                acc = {b: as_poly(c) for b, c in acc.items() if nonzero(c)}
-                if acc:
-                    residuals[(i, j, k)] = acc
-    return JacobiReport(n, residuals)
+    for triple, component in sorted(acc.items()):
+        polys = {e: to_poly(v) for e, v in sorted(component.items())}
+        polys = {e: poly for e, poly in polys.items() if not poly.is_zero()}
+        if polys:
+            residuals[triple] = polys
+    return JacobiReport(algebra.dim, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +321,23 @@ def change_of_basis(algebra: Algebra, P: Sequence[Sequence[Fraction]]) -> Algebr
         raise DimensionMismatchError("change-of-basis matrix has wrong shape")
     rows = [[rat(x) for x in row] for row in P]
     inverse = invert_matrix(rows)  # raises SingularMatrixError
+    inverse_rows = [[(t, c) for t, c in enumerate(row) if c] for row in inverse]
+    if algebra.params:
+        zero, old_bracket, nonzero = Poly.zero(algebra.params), bracket, (lambda p: not p.is_zero())
+    else:
+        zero, old_bracket, nonzero = Fraction(0), rational_bracket, bool
     table: BracketTable = {}
     for a in range(n):
         for b in range(a + 1, n):
-            v = bracket(algebra, rows[a], rows[b])  # old coordinates, Poly entries
             entry = {}
-            for t in range(n):
-                coeff = Poly.zero(algebra.params)
-                for jj in range(n):
-                    c = inverse[jj][t]
-                    if c != 0 and not v[jj].is_zero():
-                        coeff = coeff + v[jj] * c
-                if not coeff.is_zero():
-                    entry[t] = coeff
+            for jj, x in enumerate(old_bracket(algebra, rows[a], rows[b])):  # old coordinates
+                if nonzero(x):
+                    for t, c in inverse_rows[jj]:
+                        entry[t] = entry.get(t, zero) + x * c
+            entry = {t: c for t, c in sorted(entry.items()) if nonzero(c)}
             if entry:
                 table[(a, b)] = entry
-    return Algebra(n, table, params=algebra.params, labels=algebra.labels)
+    return Algebra(n, table, params=algebra.params)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:

@@ -215,3 +215,42 @@ def dense_derivation_dim(table, n):
     if not rows:
         return n * n
     return n * n - dense_rank(rows)
+
+
+def naive_jacobi(table, n):
+    """Jacobi residuals by the plain loop over every triple i < j < k.
+
+    ``table`` is {(i, j): {k: {monomial: coeff}}} with i < j, a monomial
+    being a tuple of exponents.  Returns {(i, j, k): {b: {monomial: Fraction}}}
+    for the cyclic sums [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj], keeping
+    only nonzero coefficients, components and triples.
+    """
+    def signed(i, j):
+        if i < j:
+            return table.get((i, j), {}), 1
+        return table.get((j, i), {}), -1
+
+    residuals = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = {}
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner, s1 = signed(x, y)
+                    for m, p in inner.items():
+                        outer, s2 = signed(m, z)
+                        for b, q in outer.items():
+                            slot = total.setdefault(b, {})
+                            for m1, c1 in p.items():
+                                for m2, c2 in q.items():
+                                    mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                                    slot[mono] = (slot.get(mono, Fraction(0))
+                                                  + s1 * s2 * Fraction(c1) * Fraction(c2))
+                clean = {}
+                for b, poly in total.items():
+                    poly = {mono: c for mono, c in poly.items() if c}
+                    if poly:
+                        clean[b] = poly
+                if clean:
+                    residuals[(i, j, k)] = clean
+    return residuals

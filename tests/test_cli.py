@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qflab
 from qflab import catalog
 from qflab.cli import UsageError, algebra_to_doc, doc_to_algebra, dump_doc, main
 from qflab.catalog import spec_for
@@ -16,6 +21,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv, timeout):
+    """Run a fresh interpreter that imports this checkout's qflab."""
+    src = str(Path(qflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def test_document_roundtrip_on_catalog():
@@ -238,3 +255,31 @@ def test_random_documents_never_end_in_a_traceback(doc):
             if code == 2:
                 _usage_error_line(err.getvalue())
             assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize("brackets", [
+    [],
+    [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "1"}]},
+     {"i": 0, "j": 1998, "terms": [{"k": 1999, "coeff": "-1/2"}]}],
+])
+def test_jacobi_on_a_large_sparse_document(tmp_path, brackets):
+    # the check visits only nonzero products of structure constants, so a
+    # large dim with few brackets is cheap
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"dim": 2000, "brackets": brackets}))
+    done = run_python("-c", "import sys; from qflab.cli import main; sys.exit(main(sys.argv[1:]))",
+                      "jacobi", str(path), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "JACOBI OK"
+
+
+def test_audit_findings_script_prints_its_certificates():
+    done = run_python(str(REPO / "scripts" / "audit_findings.py"), timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "constant Jacobi generators of the variant: ['1']" in lines
+    barrcc = [line for line in lines if line.startswith("BarrCc(")]
+    assert len(barrcc) == 3 and all("rank_in_basis=1" in line for line in barrcc)
+    generators = [line for line in lines if line.startswith("    generator (w0 = 1): diag(")]
+    assert len(generators) == 3
+    assert all(line.endswith("entries pairwise distinct: True") for line in generators)

@@ -225,3 +225,71 @@ def test_direct_sum_associative_up_to_reindexing():
     right = direct_sum(a, direct_sum(b, c))
     assert type_of(left).type_vector == type_of(right).type_vector
     assert left.dim == right.dim == 12
+
+
+def _raw_residuals(algebra):
+    return {triple: {b: dict(poly.terms) for b, poly in components.items()}
+            for triple, components in jacobi_check(algebra).residuals.items()}
+
+
+def _raw_table(algebra):
+    return {pair: {k: dict(poly.terms) for k, poly in targets.items()}
+            for pair, targets in algebra.table().items()}
+
+
+def test_jacobi_matches_naive_oracle_on_catalog():
+    from oracles import naive_jacobi
+
+    checked = 0
+    for token in catalog.all_family_tokens():
+        variants = (False, True) if catalog.family_def(token).misprinted_table else (False,)
+        for spec in catalog.valid_tuples(token, 10):
+            for misprint in variants:
+                algebra = catalog.generate(spec, misprint=misprint)
+                assert _raw_residuals(algebra) == naive_jacobi(_raw_table(algebra), algebra.dim), \
+                    (spec, misprint)
+                checked += 1
+    assert checked > 300
+
+
+@st.composite
+def parametric_tables(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    params = ("p", "q")[:draw(st.integers(min_value=0, max_value=2))]
+    monomial = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(params))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    poly = st.dictionaries(monomial, coefficient, min_size=1, max_size=3)
+    targets = st.dictionaries(st.integers(min_value=0, max_value=n - 1), poly, max_size=3)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return n, params, draw(st.dictionaries(st.sampled_from(pairs), targets, max_size=2 * n))
+
+
+@given(parametric_tables())
+@settings(max_examples=100, deadline=None)
+def test_jacobi_matches_naive_oracle_on_random_tables(drawn):
+    from oracles import naive_jacobi
+
+    n, params, raw = drawn
+    table = {pair: {k: Poly.from_map(params, terms) for k, terms in targets.items()}
+             for pair, targets in raw.items()}
+    assert _raw_residuals(Algebra(n, table, params=params)) == naive_jacobi(raw, n)
+
+
+def test_concrete_change_of_basis_matches_oracle_bracket():
+    from oracles import bracket_of_vectors
+
+    rng = random.Random(31)
+    for n in range(1, 10):
+        for spec in catalog.prop4_entries(n):
+            algebra = catalog.generate(spec)
+            raw = {pair: {k: poly.constant_value() for k, poly in targets.items()}
+                   for pair, targets in algebra.table().items()}
+            p = random_unimodular(n, rng)
+            moved = change_of_basis(algebra, p)
+            for a in range(n):
+                for b in range(a + 1, n):
+                    got = [Fraction(0)] * n
+                    for t, c in moved.bracket_of(a, b).items():
+                        for x in range(n):
+                            got[x] += c.constant_value() * p[t][x]
+                    assert got == bracket_of_vectors(raw, n, p[a], p[b]), (spec, a, b)
