@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add, neg
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from qflab.exact import (
@@ -235,40 +235,17 @@ def _jacobi_terms(view: dict, pairs: Iterable[tuple[int, int]]):
                     yield (a, c, b), True, coeff, outer
 
 
-def _signed_view(algebra: Algebra, value, negate) -> dict[int, dict]:
-    """view[i][j] = {k: value(coefficient)} for both orders of every bracket;
-    an index in no bracket has no row, so nothing is allocated per dimension."""
+def _signed_view(algebra: Algebra, scale: int) -> dict[int, dict]:
+    """view[i][j] = {k: {monomial: scale * coefficient}} (an int) for both
+    orders of every bracket; an index in no bracket has no row, so nothing is
+    allocated per dimension."""
     view: dict[int, dict] = {}
     for (i, j), targets in algebra._table.items():
-        forward = view.setdefault(i, {})[j] = {k: value(poly) for k, poly in targets.items()}
-        view.setdefault(j, {})[i] = {k: negate(v) for k, v in forward.items()}
+        forward = view.setdefault(i, {})[j] = {
+            k: {m: c.numerator * (scale // c.denominator) for m, c in poly.terms}
+            for k, poly in targets.items()}
+        view.setdefault(j, {})[i] = {k: {m: -c for m, c in v.items()} for k, v in forward.items()}
     return view
-
-
-def _concrete_terms(view: dict, pairs: Iterable[tuple[int, int]]) -> dict:
-    acc: dict[tuple, dict[int, int]] = {}
-    for triple, negate, coeff, outer in _jacobi_terms(view, pairs):
-        if negate:
-            coeff = -coeff
-        component = acc.setdefault(triple, {})
-        for e, d in outer.items():
-            component[e] = component.get(e, 0) + coeff * d
-    return acc
-
-
-def _parametric_terms(view: dict, pairs: Iterable[tuple[int, int]]) -> dict:
-    acc: dict[tuple, dict[int, dict]] = {}
-    for triple, negate, coeff, outer in _jacobi_terms(view, pairs):
-        component = acc.setdefault(triple, {})
-        for e, d in outer.items():
-            poly = component.setdefault(e, {})
-            for m1, c1 in coeff.items():
-                if negate:
-                    c1 = -c1
-                for m2, c2 in d.items():
-                    mono = tuple(map(add, m1, m2))
-                    poly[mono] = poly.get(mono, 0) + c1 * c2
-    return acc
 
 
 def jacobi_check(algebra: Algebra) -> JacobiReport:
@@ -284,21 +261,21 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     scale = lcm(*(c.denominator for targets in algebra._table.values()
                   for poly in targets.values() for _, c in poly.terms))
     square = scale * scale
-    scaled = lambda c: c.numerator * (scale // c.denominator)
-    if algebra.params:
-        view = _signed_view(algebra, lambda p: {m: scaled(c) for m, c in p.terms},
-                            lambda v: {m: -c for m, c in v.items()})
-        acc = _parametric_terms(view, algebra._table)
-        to_poly = lambda v: Poly.from_map(algebra.params, {m: Fraction(c, square)
-                                                          for m, c in v.items()})
-    else:
-        # plain integers: constants wrapped as monomial dicts cost more on dense tables
-        view = _signed_view(algebra, lambda p: scaled(p.terms[0][1]), neg)
-        acc = _concrete_terms(view, algebra._table)
-        to_poly = lambda v: Poly.const((), Fraction(v, square))
+    acc: dict[tuple, dict[int, dict]] = {}
+    for triple, negate, coeff, outer in _jacobi_terms(_signed_view(algebra, scale), algebra._table):
+        component = acc.setdefault(triple, {})
+        for e, d in outer.items():
+            poly = component.setdefault(e, {})
+            for m1, c1 in coeff.items():
+                if negate:
+                    c1 = -c1
+                for m2, c2 in d.items():
+                    mono = tuple(map(add, m1, m2))
+                    poly[mono] = poly.get(mono, 0) + c1 * c2
     residuals = {}
     for triple, component in sorted(acc.items()):
-        polys = {e: to_poly(v) for e, v in sorted(component.items())}
+        polys = {e: Poly.from_map(algebra.params, {m: Fraction(c, square) for m, c in v.items()})
+                 for e, v in sorted(component.items())}
         polys = {e: poly for e, poly in polys.items() if not poly.is_zero()}
         if polys:
             residuals[triple] = polys
