@@ -3,7 +3,11 @@
 A derivation is a matrix D (columnwise action: D X_j = sum_a D[a][j] X_a)
 satisfying D[x,y] = [Dx,y] + [x,Dy].  That identity is one linear equation
 per bracket pair and output coordinate; the full solution space is computed
-exactly with the sparse fraction-free eliminator.
+exactly with the sparse fraction-free eliminator.  ``dim Der`` does not
+depend on the basis, so ``derivation_dim`` solves the system in the basis
+adapted to the lower central series (``gradation.series_adapted``), where a
+nilpotent algebra given in a dense basis has few structure constants;
+``derivation_space`` stays in the given basis.
 
 Diagonal derivations in a fixed basis are the same thing as additive weight
 systems: assignments w with w_i + w_j = w_k for every nonzero structure
@@ -19,7 +23,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from qflab import catalog
-from qflab.exact import identity_matrix, nullspace
+from qflab.exact import identity_matrix, matrix_rank, nullspace
+from qflab.gradation import NonNilpotentError, series_adapted
 from qflab.liealg import Algebra
 
 
@@ -64,12 +69,15 @@ def derivation_space(algebra: Algebra, assignment: Mapping[str, Fraction] | None
 
 
 def derivation_dim(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> int:
+    """dim Der, solved in the series-adapted basis (the given one if not nilpotent)."""
     concrete = algebra.concrete(assignment)
     n = concrete.dim
     if n == 0:
         return 0
-    from qflab.exact import matrix_rank
-
+    try:
+        concrete, _ = series_adapted(concrete)
+    except NonNilpotentError:
+        pass
     return n * n - matrix_rank(leibniz_rows(concrete), ncols=n * n)
 
 

@@ -304,19 +304,6 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return out
 
 
-def vec_mat(v: Sequence[Fraction], a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    cols = len(a[0])
-    out = [Fraction(0)] * cols
-    for i, vi in enumerate(v):
-        if vi == 0:
-            continue
-        row = a[i]
-        for j in range(cols):
-            if row[j]:
-                out[j] += vi * row[j]
-    return out
-
-
 def invert_matrix(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
     n = len(a)

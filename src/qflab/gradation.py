@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from qflab.exact import QflabError, RowSpace, identity_matrix, invert_matrix, vec_mat
-from qflab.liealg import Algebra, rational_bracket
+from qflab.exact import QflabError, RowSpace, identity_matrix
+from qflab.liealg import Algebra, change_of_basis, rational_bracket
 
 
 class NonNilpotentError(QflabError):
@@ -76,8 +77,16 @@ def bracket_span(algebra: Algebra, pairs: Iterable[tuple[Sequence, Sequence]]) -
 
 
 def lower_central_series(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> Filtration:
-    """Exact bases of the series g_{k+1} = [g, g_k]; fails on non-nilpotent input."""
-    concrete = algebra.concrete(assignment)
+    """Exact bases of the series g_{k+1} = [g, g_k]; fails on non-nilpotent input.
+
+    Memoised per concrete algebra, so ``type_of``, ``gr`` and ``derivation_dim``
+    of one algebra read one series.
+    """
+    return _series(algebra.concrete(assignment))
+
+
+@functools.lru_cache(maxsize=64)
+def _series(concrete: Algebra) -> Filtration:
     unit = identity_matrix(concrete.dim)
     ideals = [tuple(tuple(row) for row in unit)]
     while True:
@@ -98,40 +107,48 @@ def type_of(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) 
     return lower_central_series(algebra, assignment).type_info()
 
 
-def gr(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> GradedAlgebra:
-    """Associated graded algebra of the lower central series.
+def series_adapted(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None
+                   ) -> tuple[Algebra, tuple[int, ...]]:
+    """The full table in a basis adapted to the lower central series, and its levels.
 
-    The homogeneous basis extends the echelonized basis of g_{i+1} to g_i
-    (deepest level first, lowest pivot first), and the induced bracket keeps
-    only the component of homogeneous degree weight(i) + weight(j).
+    The basis extends the echelonized basis of g_{i+1} to g_i (deepest level
+    first, lowest pivot first) and lists it by level; basis vector t lies in
+    g_{levels[t]}.  Memoised per concrete algebra.  When that basis is the
+    given one, the algebra itself is returned.
     """
-    concrete = algebra.concrete(assignment)
+    return _adapted(algebra.concrete(assignment))
+
+
+@functools.lru_cache(maxsize=64)
+def _adapted(concrete: Algebra) -> tuple[Algebra, tuple[int, ...]]:
     filtration = lower_central_series(concrete)
-    n = concrete.dim
-    flag = RowSpace(n)
-    chosen: list[tuple[list[Fraction], int]] = []
+    flag = RowSpace(concrete.dim)
+    chosen: list[tuple[tuple[Fraction, ...], int]] = []
     for level in range(len(filtration.ideals) - 1, 0, -1):
         for row in filtration.ideals[level - 1]:
             if flag.add(row):
-                chosen.append(([Fraction(x) for x in row], level))
+                chosen.append((row, level))
     chosen.sort(key=lambda pair: pair[1])  # stable: keeps pivot order within a level
-    basis = [vec for vec, _ in chosen]
-    weights = tuple(level for _, level in chosen)
-    inverse = invert_matrix(basis)
-    new_table = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = rational_bracket(concrete, basis[a], basis[b])
-            coords = vec_mat(v, inverse)
-            target = weights[a] + weights[b]
-            entry = {}
-            for t in range(n):
-                if coords[t] == 0:
-                    continue
-                if weights[t] < target:
-                    raise QflabError("bracket left the filtration; input is inconsistent")
-                if weights[t] == target:
-                    entry[t] = coords[t]
-            if entry:
-                new_table[(a, b)] = entry
-    return GradedAlgebra(Algebra(n, new_table), weights)
+    basis = [row for row, _ in chosen]
+    levels = tuple(level for _, level in chosen)
+    if basis == [tuple(row) for row in identity_matrix(concrete.dim)]:
+        return concrete, levels
+    return change_of_basis(concrete, basis), levels
+
+
+def gr(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> GradedAlgebra:
+    """Associated graded algebra of the lower central series.
+
+    The leading-degree truncation of ``series_adapted``: the bracket of basis
+    vectors of levels i and j keeps only its component of level i + j.
+    """
+    adapted, weights = series_adapted(algebra, assignment)
+    table = {}
+    for a, b, targets in adapted.brackets():
+        target = weights[a] + weights[b]
+        if any(weights[t] < target for t in targets):
+            raise QflabError("bracket left the filtration; input is inconsistent")
+        entry = {t: c for t, c in targets.items() if weights[t] == target}
+        if entry:
+            table[(a, b)] = entry
+    return GradedAlgebra(Algebra(adapted.dim, table), weights)

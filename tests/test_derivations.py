@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflab import catalog
 from qflab.derivations import (
@@ -15,8 +16,10 @@ from qflab.derivations import (
     verify_claimed_weights,
 )
 from qflab.exact import RowSpace
-from qflab.liealg import abelian, change_of_basis
+from qflab.gradation import NonNilpotentError, lower_central_series
+from qflab.liealg import Algebra, abelian, change_of_basis
 from oracles import dense_derivation_dim
+from test_liealg import random_unimodular
 
 
 def gen(token, n, **kw):
@@ -50,6 +53,40 @@ def test_der_small_catalog_matches_oracle():
                       ("LsumC", dict(n=5)), ("LarrC", dict(n=6, l=2))):
         a = catalog.generate(catalog.spec_for(token, **kw))
         assert derivation_dim(a) == dense_derivation_dim(rational_table(a), a.dim)
+
+
+@st.composite
+def anticommutative_tables(draw):
+    """A random table of dimension <= 6; about half are cut to brackets that
+    land above both indices, which makes them nilpotent."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    targets = st.dictionaries(st.integers(min_value=0, max_value=n - 1), coefficient, max_size=2)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    table = draw(st.dictionaries(st.sampled_from(pairs), targets, max_size=2 * n)) if pairs else {}
+    if draw(st.booleans()):
+        table = {(i, j): {k: c for k, c in t.items() if k > j} for (i, j), t in table.items()}
+    return n, table
+
+
+@given(anticommutative_tables(), st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=100, deadline=None)
+def test_derivation_dim_matches_dense_oracle_on_random_tables(drawn, seed):
+    # derivation_dim solves in the series-adapted basis, or in the given one
+    # when the series stabilizes; the oracle solves in the given basis
+    n, table = drawn
+    expected = dense_derivation_dim(table, n)
+    algebra = Algebra(n, table)
+    assert derivation_dim(algebra) == expected
+    moved = change_of_basis(algebra, random_unimodular(n, random.Random(seed)))
+    assert derivation_dim(moved) == expected
+
+
+def test_derivation_dim_of_non_nilpotent_algebra():
+    a = Algebra(2, {(0, 1): {1: 1}})
+    with pytest.raises(NonNilpotentError):
+        lower_central_series(a)
+    assert derivation_dim(a) == dense_derivation_dim({(0, 1): {1: 1}}, 2) == 2
 
 
 def test_every_basis_element_satisfies_leibniz():

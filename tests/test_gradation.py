@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qflab import catalog
-from qflab.gradation import NonNilpotentError, gr, lower_central_series, type_of
-from qflab.liealg import Algebra, abelian, bracket, change_of_basis
+from qflab.exact import QflabError, RowSpace
+from qflab.gradation import NonNilpotentError, gr, lower_central_series, series_adapted, type_of
+from qflab.liealg import Algebra, abelian, bracket, change_of_basis, jacobi_check
 from qflab.isomorphy import fingerprint
 from oracles import naive_lcs_dims
 
@@ -129,6 +130,35 @@ def test_gr_type_preserved_under_basis_change():
         moved = change_of_basis(a, random_unimodular(9, rng))
         assert type_of(moved).type_vector == type_of(a).type_vector
         assert type_of(gr(moved).algebra).type_vector == type_of(a).type_vector
+
+
+def test_gr_rejects_a_bracket_that_leaves_the_filtration():
+    # nilpotent, but not a Lie algebra: [X2, X3] = X4 lies in g_4, not in
+    # [g_2, g_3], which is inside g_5 = 0 for a Lie algebra
+    from test_liealg import random_unimodular
+
+    a = Algebra(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (0, 3): {4: 1}, (2, 3): {4: 1}})
+    assert lower_central_series(a).dims == (5, 3, 2, 1, 0)
+    assert not jacobi_check(a).ok
+    for algebra in (a, change_of_basis(a, random_unimodular(5, random.Random(3)))):
+        with pytest.raises(QflabError, match="bracket left the filtration"):
+            gr(algebra)
+
+
+def test_series_adapted_basis_spans_the_series():
+    from test_liealg import random_unimodular
+
+    assert series_adapted(gen("Ln", 8))[0] == gen("Ln", 8)  # level-ordered already
+    a = gen("Qnr", 9, r=3)
+    moved = change_of_basis(a, random_unimodular(9, random.Random(29)))
+    adapted, levels = series_adapted(moved)
+    assert list(levels) == sorted(levels)
+    assert lower_central_series(adapted).dims == lower_central_series(moved).dims
+    # g_k of the adapted table is spanned by the basis vectors of level >= k
+    for k, ideal in enumerate(lower_central_series(adapted).ideals[:-1], start=1):
+        span = RowSpace(9, [[Fraction(int(i == t)) for i in range(9)]
+                            for t in range(9) if levels[t] >= k])
+        assert span.dim == len(ideal) and all(span.contains(list(v)) for v in ideal)
 
 
 def test_parametric_requires_assignment():
