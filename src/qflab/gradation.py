@@ -85,7 +85,9 @@ def lower_central_series(algebra: Algebra, assignment: Mapping[str, Fraction] | 
     return _series(algebra.concrete(assignment))
 
 
-@functools.lru_cache(maxsize=64)
+# The calls that share one algebra's series (its type, gr and dim Der) come
+# close together, so a small memo serves them; a larger one only holds memory.
+@functools.lru_cache(maxsize=16)
 def _series(concrete: Algebra) -> Filtration:
     unit = identity_matrix(concrete.dim)
     ideals = [tuple(tuple(row) for row in unit)]
@@ -119,7 +121,7 @@ def series_adapted(algebra: Algebra, assignment: Mapping[str, Fraction] | None =
     return _adapted(algebra.concrete(assignment))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def _adapted(concrete: Algebra) -> tuple[Algebra, tuple[int, ...]]:
     filtration = lower_central_series(concrete)
     flag = RowSpace(concrete.dim)
