@@ -948,7 +948,7 @@ def extract_constraints(spec: FamilySpec, misprint: bool = False) -> ConstraintS
 def _constraints_of(symbolic: FamilySpec, misprint: bool) -> ConstraintSet:
     from qflab.liealg import jacobi_check
 
-    algebra = generate(symbolic, misprint=misprint)
+    algebra = _symbolic(symbolic, misprint)
     report = jacobi_check(algebra)
     seen = {}
     for components in report.residuals.values():
@@ -957,6 +957,15 @@ def _constraints_of(symbolic: FamilySpec, misprint: bool) -> ConstraintSet:
             seen[g.terms] = g
     generators = tuple(sorted(seen.values(), key=lambda g: (g.total_degree(), len(g.terms), str(g))))
     return ConstraintSet(algebra.params, generators)
+
+
+# The constraints and the weight audit (``derivations.verify_claimed_weights``)
+# of one tuple read its symbolic table one after the other, so a small memo
+# serves both.
+@lru_cache(maxsize=8)
+def _symbolic(symbolic: FamilySpec, misprint: bool) -> Algebra:
+    """The table of an alpha-free spec, generated once and shared (it is immutable)."""
+    return generate(symbolic, misprint=misprint)
 
 
 _SAMPLE_POOL = (

@@ -41,6 +41,13 @@ def algebra_to_doc(algebra: Algebra, family: str | None = None) -> dict:
     return doc
 
 
+# Largest dim a document may declare.  `jacobi` costs in proportion to the
+# nonzero terms and checks sparse documents of a few thousand dimensions; the
+# numeric commands build dim-long vectors and dim x dim systems, so an
+# unbounded dim would only exhaust memory.
+MAX_DIM = 4096
+
+
 def _integer(value) -> int:
     # int() would truncate 2.7 to 2 and read true as 1
     if isinstance(value, (bool, float)):
@@ -51,6 +58,8 @@ def _integer(value) -> int:
 def doc_to_algebra(doc: dict) -> Algebra:
     try:
         dim = _integer(doc["dim"])
+        if dim > MAX_DIM:
+            raise ValueError(f"dim {dim} is above the largest supported dim {MAX_DIM}")
         params = tuple(str(p) for p in doc.get("params", []))
         table = {}
         for entry in doc.get("brackets", []):

@@ -209,7 +209,7 @@ def verify_claimed_weights(spec: catalog.FamilySpec, misprint: bool = False) -> 
     if misprint and not (table_misprint or weight_misprint):
         raise catalog.InvalidParametersError(
             f"{spec.family} has no documented misprint to audit")
-    algebra = catalog.generate(symbolic, misprint=table_misprint)
+    algebra = catalog._symbolic(symbolic, bool(table_misprint))
     weights = catalog.claimed_weights(symbolic, misprint=weight_misprint)
     violations = []
     for i, j, targets in algebra.brackets():

@@ -1,4 +1,20 @@
-"""Lower central series, type vectors and the associated graded algebra."""
+"""Lower central series, type vectors and the associated graded algebra.
+
+The series is built from generators.  A nilpotent Lie algebra is generated by
+any complement V of [g, g], and then g_{k+1} = [V, g_k] (Goze and
+Khakimdjanov, *Nilpotent Lie Algebras*, 1996, ch. 1).  So g_2 is the span of
+the table's target vectors, V is the unit vectors at the non-pivot columns of
+its echelon basis, and each later term takes dim V brackets per basis vector
+of g_k instead of n.  The identity rests on the Jacobi identity, which input
+need not satisfy, so the candidate is checked.  Each of its terms lies in the
+matching g_k by bilinearity alone.  When it ends at 0 and every structure
+constant c_ab^t of its adapted table has level(t) > max(level(a), level(b)),
+it is a central series, so it also contains each g_k and is the series.
+Where the check fails or the candidate stalls above 0 (non-Lie or
+non-nilpotent input), the series is built from every bracket [e_i, v]; only
+that path finds the dimension at which a non-nilpotent series stabilizes.
+Both paths give the same spans in canonical echelon form.
+"""
 
 from __future__ import annotations
 
@@ -79,23 +95,55 @@ def bracket_span(algebra: Algebra, pairs: Iterable[tuple[Sequence, Sequence]]) -
 def lower_central_series(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> Filtration:
     """Exact bases of the series g_{k+1} = [g, g_k]; fails on non-nilpotent input.
 
-    Memoised per concrete algebra, so ``type_of``, ``gr`` and ``derivation_dim``
-    of one algebra read one series.
+    Built from the generators and checked, as the module docstring says.
+    Memoised per concrete algebra together with ``series_adapted``, so
+    ``type_of``, ``gr`` and ``derivation_dim`` of one algebra read one series.
     """
-    return _series(algebra.concrete(assignment))
+    return _series(algebra.concrete(assignment))[0]
 
 
 # The calls that share one algebra's series (its type, gr and dim Der) come
 # close together, so a small memo serves them; a larger one only holds memory.
 @functools.lru_cache(maxsize=16)
-def _series(concrete: Algebra) -> Filtration:
+def _series(concrete: Algebra) -> tuple[Filtration, Algebra, tuple[int, ...]]:
+    ideals = _generator_series(concrete)
+    if ideals is not None:
+        adapted, levels = _adapted(concrete, ideals)
+        if all(levels[t] > max(levels[a], levels[b])
+               for a, b, targets in adapted.brackets() for t in targets):
+            return Filtration(ideals), adapted, levels
+    ideals = _bracket_series(concrete)
+    return (Filtration(ideals), *_adapted(concrete, ideals))
+
+
+def _generator_series(concrete: Algebra) -> tuple | None:
+    """The candidate g_2 = span of the targets, g_{k+1} = [V, g_k]; None on a stall."""
+    n = concrete.dim
+    derived = RowSpace(n)
+    for i, row in enumerate(concrete.ad):
+        for j, targets in row.items():
+            if i < j:
+                derived.add([targets.get(t, 0) for t in range(n)])
+    unit = identity_matrix(n)
+    generators = [unit[j] for j in range(n) if j not in derived.pivots]
+    ideals = [tuple(tuple(row) for row in unit)]
+    span = derived
+    while span.dim < len(ideals[-1]):
+        ideals.append(tuple(span.basis()))
+        if span.dim == 0:
+            return tuple(ideals)
+        span = bracket_span(concrete, ((v, w) for w in ideals[-1] for v in generators))
+    return None
+
+
+def _bracket_series(concrete: Algebra) -> tuple:
     unit = identity_matrix(concrete.dim)
     ideals = [tuple(tuple(row) for row in unit)]
     while True:
         nxt = bracket_span(concrete, ((e, v) for v in ideals[-1] for e in unit))
         ideals.append(tuple(nxt.basis()))
         if nxt.dim == 0:
-            return Filtration(tuple(ideals))
+            return tuple(ideals)
         if nxt.dim == len(ideals[-2]):
             raise NonNilpotentError(nxt.dim)
 
@@ -115,19 +163,17 @@ def series_adapted(algebra: Algebra, assignment: Mapping[str, Fraction] | None =
 
     The basis extends the echelonized basis of g_{i+1} to g_i (deepest level
     first, lowest pivot first) and lists it by level; basis vector t lies in
-    g_{levels[t]}.  Memoised per concrete algebra.  When that basis is the
-    given one, the algebra itself is returned.
+    g_{levels[t]}.  Memoised per concrete algebra with its series.  When that
+    basis is the given one, the algebra itself is returned.
     """
-    return _adapted(algebra.concrete(assignment))
+    return _series(algebra.concrete(assignment))[1:]
 
 
-@functools.lru_cache(maxsize=16)
-def _adapted(concrete: Algebra) -> tuple[Algebra, tuple[int, ...]]:
-    filtration = lower_central_series(concrete)
+def _adapted(concrete: Algebra, ideals: tuple) -> tuple[Algebra, tuple[int, ...]]:
     flag = RowSpace(concrete.dim)
     chosen: list[tuple[tuple[Fraction, ...], int]] = []
-    for level in range(len(filtration.ideals) - 1, 0, -1):
-        for row in filtration.ideals[level - 1]:
+    for level in range(len(ideals) - 1, 0, -1):
+        for row in ideals[level - 1]:
             if flag.add(row):
                 chosen.append((row, level))
     chosen.sort(key=lambda pair: pair[1])  # stable: keeps pivot order within a level

@@ -128,16 +128,14 @@ def _centralizer_dim(algebra: Algebra, vectors) -> int:
 
 
 def _derived_dims(algebra: Algebra) -> tuple[int, ...]:
-    current = identity_matrix(algebra.dim)
-    dims = [algebra.dim]
-    while True:
-        nxt = bracket_span(algebra, ((current[a], current[b])
-                                     for a in range(len(current))
-                                     for b in range(a + 1, len(current))))
-        dims.append(nxt.dim)
-        if nxt.dim == 0 or nxt.dim == len(current):
-            return tuple(dims)
-        current = nxt.basis()
+    current = lower_central_series(algebra).ideals[1]  # D^1 = [g, g] = g_2
+    dims = [algebra.dim, len(current)]
+    while dims[-1] and dims[-1] != dims[-2]:
+        current = bracket_span(algebra, ((current[a], current[b])
+                                         for a in range(len(current))
+                                         for b in range(a + 1, len(current)))).basis()
+        dims.append(len(current))
+    return tuple(dims)
 
 
 def fingerprint(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> Fingerprint:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import qflab
 from qflab import catalog
-from qflab.cli import UsageError, algebra_to_doc, doc_to_algebra, dump_doc, main
+from qflab.cli import MAX_DIM, UsageError, algebra_to_doc, doc_to_algebra, dump_doc, main
 from qflab.catalog import spec_for
 
 
@@ -216,9 +216,22 @@ def test_document_with_non_integral_number_is_a_usage_error(tmp_path, capsys):
         _usage_error_line(err)
 
 
+def test_document_above_the_largest_dim_is_a_usage_error(tmp_path, capsys):
+    # series, rank and derivations build dim-long vectors, so a huge dim is
+    # refused when the document is read, before anything is allocated
+    brackets = [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "1"}]}]
+    path = _write_doc(tmp_path, brackets, dim=1_000_000_000)
+    for command in ("series", "rank", "derivations"):
+        code, stdout, err = run(capsys, command, path)
+        assert code == 2 and stdout == "", command
+        _usage_error_line(err)
+    assert doc_to_algebra({"dim": MAX_DIM, "brackets": brackets}).dim == MAX_DIM
+
+
 # Random documents, well formed or not, with dimension at most 6: every
 # command exits with 0, 1 or 2 and none ends in a traceback.
-# (no digit strings or huge floats here: "9999" is a valid, far too large dim)
+# (no digit strings or huge floats here: "4000" is a valid dim, far too large
+# for series and rank)
 _junk = st.one_of(st.none(), st.booleans(), st.floats(-9, 9), st.just(float("nan")),
                   st.text("ab -/*^", max_size=4), st.lists(st.integers(0, 3), max_size=2))
 _index = st.one_of(st.integers(-1, 6), st.integers(-1, 6).map(str), _junk)

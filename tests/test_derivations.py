@@ -61,10 +61,10 @@ def test_der_small_catalog_matches_oracle():
 
 
 @st.composite
-def anticommutative_tables(draw):
-    """A random table of dimension <= 6; about half are cut to brackets that
-    land above both indices, which makes them nilpotent."""
-    n = draw(st.integers(min_value=1, max_value=6))
+def anticommutative_tables(draw, max_dim=6):
+    """A random table of dimension <= max_dim; about half are cut to brackets
+    that land above both indices, which makes them nilpotent."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
     coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
     targets = st.dictionaries(st.integers(min_value=0, max_value=n - 1), coefficient, max_size=2)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflab import catalog
 from qflab.exact import QflabError, RowSpace
 from qflab.gradation import NonNilpotentError, gr, lower_central_series, series_adapted, type_of
-from qflab.liealg import Algebra, abelian, bracket, change_of_basis, jacobi_check
+from qflab.liealg import Algebra, abelian, bracket, change_of_basis, direct_sum, jacobi_check
 from qflab.isomorphy import fingerprint
-from oracles import naive_lcs_dims
+from oracles import NaiveSpan, naive_lcs, naive_lcs_dims
+from test_derivations import anticommutative_tables, rational_table
+from test_liealg import random_unimodular
 
 
 def gen(token, n, **kw):
@@ -40,6 +43,70 @@ def test_series_matches_naive_oracle():
         table = {pair: {k: c.constant_value() for k, c in t.items()}
                  for pair, t in a.table().items()}
         assert list(lower_central_series(a).dims) == naive_lcs_dims(table, a.dim)
+
+
+SL2 = Algebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+
+# Small Lie algebras, nilpotent or not; their direct sums are Lie algebras.
+LIE_BLOCKS = (abelian(1), Algebra(2, {(0, 1): {1: 1}}), Algebra(3, {(0, 1): {2: 1}}), SL2,
+              Algebra(3, {(0, 1): {1: 1, 2: 1}, (0, 2): {2: 1}}),
+              gen("Ln", 4), gen("Ln", 5), gen("Qn", 6), gen("Tn4", 7))
+
+
+@st.composite
+def series_inputs(draw):
+    """An algebra of dim <= 7: a direct sum of LIE_BLOCKS, or a random table
+    (rarely Lie), about half of them nilpotent."""
+    if draw(st.booleans()):
+        algebra = abelian(0)
+        for block in draw(st.lists(st.sampled_from(LIE_BLOCKS), min_size=1, max_size=3)):
+            if algebra.dim + block.dim <= 7:
+                algebra = direct_sum(algebra, block)
+        return algebra
+    n, table = draw(anticommutative_tables(max_dim=7))
+    return Algebra(n, table)
+
+
+@given(series_inputs(), st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=150, deadline=None)
+def test_series_matches_naive_oracle_on_random_tables(algebra, seed):
+    # the series is built from a complement of [g, g] when its check passes
+    # and from every bracket [e_i, v] otherwise; the oracle always does the latter
+    moved = change_of_basis(algebra, random_unimodular(algebra.dim, random.Random(seed)))
+    for a in (algebra, moved):
+        terms = naive_lcs(rational_table(a), a.dim)
+        if terms[-1]:  # the oracle stalled above 0
+            with pytest.raises(NonNilpotentError) as caught:
+                lower_central_series(a)
+            assert caught.value.stabilized_dim == len(terms[-1])
+            continue
+        ideals = lower_central_series(a).ideals
+        assert len(ideals) == len(terms)
+        for ideal, term in zip(ideals, terms):
+            span = NaiveSpan(a.dim)
+            for v in term:
+                span.add(v)
+            assert len(ideal) == span.dim and all(span.contains(v) for v in ideal)
+
+
+def test_series_of_sl2_plus_line_stalls_at_sl2():
+    # the line is a complement of [g, g] = sl2 and brackets to 0, so the
+    # generator shortcut ends at 0; its check fails and the series stalls
+    a = direct_sum(SL2, abelian(1))
+    for algebra in (a, change_of_basis(a, random_unimodular(4, random.Random(11)))):
+        with pytest.raises(NonNilpotentError) as caught:
+            lower_central_series(algebra)
+        assert caught.value.stabilized_dim == 3
+
+
+def test_series_of_a_non_lie_table_is_not_the_generator_shortcut():
+    # [X2, X3] = X4 puts X4 into g_3, but X0 and X1, a complement of [g, g],
+    # never reach it: the unchecked shortcut gives dims 5, 3, 1, 0
+    a = Algebra(5, {(0, 1): {2: 1}, (0, 2): {3: 1}, (2, 3): {4: 1}})
+    assert not jacobi_check(a).ok
+    assert naive_lcs_dims(rational_table(a), 5) == [5, 3, 2, 1, 0]
+    for algebra in (a, change_of_basis(a, random_unimodular(5, random.Random(13)))):
+        assert lower_central_series(algebra).dims == (5, 3, 2, 1, 0)
 
 
 def test_non_nilpotent_detected():
