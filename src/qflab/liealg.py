@@ -141,6 +141,15 @@ class Algebra:
             ad[j][i] = {k: -c for k, c in ad[i][j].items()}
         return ad
 
+    @cached_property
+    def scaled_ad(self) -> tuple[int, list[dict[int, dict[int, int]]]]:
+        """``(scale, view)`` with ``ad[i][j][k] == view[i][j][k] / scale`` in ints,
+        ``scale`` the common denominator of the constants."""
+        scale = lcm(*(c.denominator for row in self.ad for targets in row.values()
+                      for c in targets.values()))
+        return scale, [{j: {k: c.numerator * (scale // c.denominator) for k, c in targets.items()}
+                        for j, targets in row.items()} for row in self.ad]
+
 
 def abelian(dim: int, params: Sequence[str] = ()) -> Algebra:
     return Algebra(dim, {}, params=params)
@@ -170,23 +179,33 @@ def bracket(algebra: Algebra, x: Sequence, y: Sequence) -> list[Poly]:
     return out
 
 
+_ZERO = Fraction(0)
+
+
 def rational_bracket(algebra: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
     """Bracket of Fraction coordinate vectors of a concrete algebra.
 
-    Walks only the support of ``u`` through the signed view ``algebra.ad``.
+    Walks only the support of ``u`` through the signed view ``algebra.ad``,
+    in integers: u, v and the constants are scaled by their common
+    denominators, which are divided out once per coordinate at the end.
     """
-    ad = algebra.ad
-    out = [Fraction(0)] * algebra.dim
+    scale, ad = algebra.scaled_ad
+    du = lcm(*(x.denominator for x in u if x))
+    dv = lcm(*(x.denominator for x in v if x))
+    out = [0] * algebra.dim
     for i, ui in enumerate(u):
         if not ui:
             continue
+        ui = ui.numerator * (du // ui.denominator)
         for j, targets in ad[i].items():
-            w = ui * v[j]
-            if not w:
+            vj = v[j]
+            if not vj:
                 continue
+            w = ui * vj.numerator * (dv // vj.denominator)
             for k, c in targets.items():
                 out[k] += w * c
-    return out
+    scale *= du * dv
+    return [Fraction(x, scale) if x else _ZERO for x in out]
 
 
 class JacobiReport:
