@@ -3,9 +3,9 @@
 The series is built from generators.  A nilpotent Lie algebra is generated by
 any complement V of [g, g], and then g_{k+1} = [V, g_k] (Goze and
 Khakimdjanov, *Nilpotent Lie Algebras*, 1996, ch. 1).  So g_2 is the span of
-the table's target vectors, V is the unit vectors at the non-pivot columns of
-its echelon basis, and each later term takes dim V brackets per basis vector
-of g_k instead of n.  The identity rests on the Jacobi identity, which input
+the table's target vectors, V consists of the unit vectors at the non-pivot
+columns of its echelon basis, and each later term takes dim V brackets per
+basis vector of g_k instead of n.  The identity rests on the Jacobi identity, which input
 need not satisfy, so the candidate is checked.  Each of its terms lies in the
 matching g_k by bilinearity alone.  When it ends at 0 and every structure
 constant c_ab^t of its adapted table has level(t) > max(level(a), level(b)),

@@ -48,18 +48,18 @@ def test_series_matches_naive_oracle():
 SL2 = Algebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
 
 # Small Lie algebras, nilpotent or not; their direct sums are Lie algebras.
-LIE_BLOCKS = (abelian(1), Algebra(2, {(0, 1): {1: 1}}), Algebra(3, {(0, 1): {2: 1}}), SL2,
+LIE_BLOCKS = (SL2, abelian(1), Algebra(2, {(0, 1): {1: 1}}), Algebra(3, {(0, 1): {2: 1}}),
               Algebra(3, {(0, 1): {1: 1, 2: 1}, (0, 2): {2: 1}}),
               gen("Ln", 4), gen("Ln", 5), gen("Qn", 6), gen("Tn4", 7))
 
 
 @st.composite
 def series_inputs(draw):
-    """An algebra of dim <= 7: a direct sum of LIE_BLOCKS, or a random table
-    (rarely Lie), about half of them nilpotent."""
+    """An algebra of dim <= 7: a direct sum of two or three LIE_BLOCKS (those
+    that fit), or a random table (rarely Lie), about half of them nilpotent."""
     if draw(st.booleans()):
         algebra = abelian(0)
-        for block in draw(st.lists(st.sampled_from(LIE_BLOCKS), min_size=1, max_size=3)):
+        for block in draw(st.lists(st.sampled_from(LIE_BLOCKS), min_size=2, max_size=3)):
             if algebra.dim + block.dim <= 7:
                 algebra = direct_sum(algebra, block)
         return algebra
@@ -68,7 +68,7 @@ def series_inputs(draw):
 
 
 @given(series_inputs(), st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_series_matches_naive_oracle_on_random_tables(algebra, seed):
     # the series is built from a complement of [g, g] when its check passes
     # and from every bracket [e_i, v] otherwise; the oracle always does the latter
