@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
 from qflab.exact import Poly, QflabError, rat, rat_str
@@ -908,6 +908,9 @@ class ConstraintSet:
     generators: tuple[Poly, ...]
 
     def is_satisfied_by(self, alphas: Sequence) -> bool:
+        if len(alphas) != len(self.params):
+            raise InvalidParametersError(
+                f"{len(alphas)} alpha values given for {len(self.params)} parameters")
         assignment = {name: rat(v) for name, v in zip(self.params, alphas)}
         return all(g.evaluate(assignment) == 0 for g in self.generators)
 
@@ -919,19 +922,16 @@ class ConstraintSet:
 
 
 def _canonical_generator(poly: Poly) -> Poly:
-    nums = [c for _, c in poly.terms]
-    lead = nums[0]
-    scale = Fraction(1)
-    denominator_lcm = 1
-    numerator_gcd = 0
-    for c in nums:
-        denominator_lcm = denominator_lcm * c.denominator // gcd(denominator_lcm, c.denominator)
-        numerator_gcd = gcd(numerator_gcd, c.numerator)
-    if numerator_gcd:
-        scale = Fraction(denominator_lcm, numerator_gcd)
-    if lead < 0:
-        scale = -scale
-    return poly * scale
+    """The nonzero ``poly`` scaled to coprime integer coefficients with a
+    positive leading one.  Scaling by a nonzero constant keeps the terms in
+    canonical order, so they are rewritten in place."""
+    denominator_lcm = lcm(*(c.denominator for _, c in poly.terms))
+    numerator_gcd = gcd(*(c.numerator for _, c in poly.terms))
+    if poly.terms[0][1] < 0:
+        numerator_gcd = -numerator_gcd
+    return Poly(poly.params, tuple(
+        (m, Fraction(c.numerator * (denominator_lcm // c.denominator) // numerator_gcd))
+        for m, c in poly.terms))
 
 
 def extract_constraints(spec: FamilySpec, misprint: bool = False) -> ConstraintSet:
@@ -979,7 +979,13 @@ _SAMPLE_POOL = (
 
 
 def _rational_roots(poly: Poly, name: str) -> list[Fraction]:
-    """Rational roots of a univariate polynomial of degree <= 2."""
+    """Rational roots of a polynomial of degree 1 or 2 in ``name`` alone.
+
+    Returns no candidates for a polynomial in other parameters too, for a
+    constant, and for degree 3 or more: the search has no exact solver there,
+    and reading only the low coefficients would solve a truncation instead
+    (x^3 - x is not x).  No catalog constraint has degree above 2.
+    """
     coeffs = {}
     idx = poly.params.index(name)
     for mono, c in poly.terms:
@@ -988,7 +994,7 @@ def _rational_roots(poly: Poly, name: str) -> list[Fraction]:
         coeffs[mono[idx]] = coeffs.get(mono[idx], Fraction(0)) + c
     deg = max(coeffs, default=0)
     a2, a1, a0 = coeffs.get(2, Fraction(0)), coeffs.get(1, Fraction(0)), coeffs.get(0, Fraction(0))
-    if deg <= 0:
+    if not 1 <= deg <= 2:
         return []
     if a2 == 0:
         return [-a0 / a1] if a1 != 0 else []
@@ -1056,16 +1062,21 @@ def sample_alphas(spec: FamilySpec, misprint: bool = False) -> tuple[Fraction, .
 
 
 def _substitute_partial(poly: Poly, assignment: Mapping[str, Fraction]) -> Poly:
+    """Substitute the assigned parameters; the others stay symbolic."""
+    known = [(i, assignment[name]) for i, name in enumerate(poly.params) if name in assignment]
     acc: dict[tuple, Fraction] = {}
     for mono, coeff in poly.terms:
         value = coeff
         new = list(mono)
-        for i, name in enumerate(poly.params):
-            if name in assignment and mono[i]:
-                value *= assignment[name] ** mono[i]
+        for i, v in known:
+            if mono[i]:
+                value *= v ** mono[i]
                 new[i] = 0
         key = tuple(new)
-        acc[key] = acc.get(key, Fraction(0)) + value
+        if key in acc:
+            acc[key] += value
+        else:
+            acc[key] = value
     return Poly.from_map(poly.params, acc)
 
 
@@ -1093,14 +1104,13 @@ def sample_specs(token: str, n_max: int, per_family: int | None = None) -> list[
 
 
 def _lin(params, c0, c1=0, cx=0) -> Poly:
-    p = Poly.zero(params)
-    if c0:
-        p = p + Poly.variable(params, "l0") * rat(c0)
-    if c1:
-        p = p + Poly.variable(params, "l1") * rat(c1)
-    if cx:
-        p = p + Poly.variable(params, "lx") * rat(cx)
-    return p
+    """The linear form c0*l0 + c1*l1 + cx*lx over ``params``."""
+    terms = {}
+    for name, c in (("l0", c0), ("l1", c1), ("lx", cx)):
+        if c:
+            at = params.index(name)
+            terms[tuple(int(i == at) for i in range(len(params)))] = c
+    return Poly.from_map(params, terms)
 
 
 def claimed_weights(spec: FamilySpec, misprint: bool = False) -> tuple[Poly, ...]:

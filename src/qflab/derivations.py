@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from qflab import catalog
@@ -211,10 +213,26 @@ def verify_claimed_weights(spec: catalog.FamilySpec, misprint: bool = False) -> 
             f"{spec.family} has no documented misprint to audit")
     algebra = catalog._symbolic(symbolic, bool(table_misprint))
     weights = catalog.claimed_weights(symbolic, misprint=weight_misprint)
+    scaled = _scaled_weights(weights)
     violations = []
     for i, j, targets in algebra.brackets():
         for k in targets:
-            delta = weights[i] + weights[j] - weights[k]
-            if not delta.is_zero():
-                violations.append(((i, j, k), delta))
+            if tuple(map(add, scaled[i], scaled[j])) != scaled[k]:
+                violations.append(((i, j, k), weights[i] + weights[j] - weights[k]))
     return WeightAudit(symbolic, misprint, tuple(violations))
+
+
+def _scaled_weights(weights: Sequence) -> list[tuple[int, ...]]:
+    """Each weight as integer coordinates over the monomials the weights use,
+    all multiplied by one common denominator, so w_i + w_j = w_k holds exactly
+    when the integer tuples add up."""
+    monomials = sorted({m for w in weights for m, _ in w.terms})
+    column = {m: c for c, m in enumerate(monomials)}
+    scale = lcm(*(c.denominator for w in weights for _, c in w.terms))
+    scaled = []
+    for w in weights:
+        row = [0] * len(monomials)
+        for m, c in w.terms:
+            row[column[m]] = c.numerator * (scale // c.denominator)
+        scaled.append(tuple(row))
+    return scaled

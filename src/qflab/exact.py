@@ -5,6 +5,16 @@ No floats anywhere.  Polynomials are kept in a canonical graded-lexicographic
 form so that structural equality coincides with mathematical equality; the
 rest of the package relies on this for golden comparisons and for
 deduplicating polynomial constraint sets.
+
+Canonical form: ``Poly.terms`` lists each monomial at most once, with a
+nonzero ``Fraction`` coefficient, in strictly descending grlex order (total
+degree first, then the exponent tuple).  Every ``Poly`` built by the
+arithmetic goes through one private step, ``_canonical``, which drops the
+zero coefficients of a ``{monomial: Fraction}`` accumulator and sorts once;
+it trusts its input, so only the arithmetic, whose monomials and
+coefficients are already well formed, calls it.  ``Poly.from_map`` checks
+monomial lengths and coerces coefficients for every other caller, then ends
+in the same step.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
@@ -52,8 +63,20 @@ def rat_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _grlex_key(mono: Monomial):
-    return (sum(mono), mono)
+def _grlex_term_key(term):
+    return (sum(term[0]), term[0])
+
+
+def _canonical(params: tuple[str, ...], acc: dict) -> "Poly":
+    """The Poly of a ``{monomial: Fraction}`` accumulator over ``params``.
+
+    Zero coefficients are dropped and the terms sorted once, in descending
+    grlex order.  The monomials must already be tuples of the universe's
+    length and the coefficients Fractions (see the module docstring).
+    """
+    items = [term for term in acc.items() if term[1]]
+    items.sort(key=_grlex_term_key, reverse=True)
+    return Poly(params, tuple(items))
 
 
 @dataclass(frozen=True)
@@ -73,12 +96,14 @@ class Poly:
     @staticmethod
     def from_map(params: Sequence[str], mapping: Mapping[Monomial, Fraction]) -> "Poly":
         params = tuple(params)
-        items = [(tuple(m), rat(c)) for m, c in mapping.items() if c != 0]
-        for mono, _ in items:
-            if len(mono) != len(params):
-                raise ValueError("monomial length does not match parameter universe")
-        items.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
-        return Poly(params, tuple(items))
+        acc = {}
+        for m, c in mapping.items():
+            if c != 0:
+                m = tuple(m)
+                if len(m) != len(params):
+                    raise ValueError("monomial length does not match parameter universe")
+                acc[m] = rat(c)
+        return _canonical(params, acc)
 
     @staticmethod
     def const(params: Sequence[str], value) -> "Poly":
@@ -137,8 +162,11 @@ class Poly:
         other = self._coerce(other)
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return Poly.from_map(self.params, acc)
+            if m in acc:
+                acc[m] += c
+            else:
+                acc[m] = c
+        return _canonical(self.params, acc)
 
     __radd__ = __add__
 
@@ -146,7 +174,14 @@ class Poly:
         return Poly(self.params, tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        acc = dict(self.terms)
+        for m, c in other.terms:
+            if m in acc:
+                acc[m] -= c
+            else:
+                acc[m] = -c
+        return _canonical(self.params, acc)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -156,9 +191,12 @@ class Poly:
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Poly.from_map(self.params, acc)
+                m = tuple(map(add, m1, m2))
+                if m in acc:
+                    acc[m] += c1 * c2
+                else:
+                    acc[m] = c1 * c2
+        return _canonical(self.params, acc)
 
     __rmul__ = __mul__
 
@@ -172,15 +210,15 @@ class Poly:
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         """Substitute rationals for every parameter occurring in the polynomial."""
+        values = [assignment.get(name) for name in self.params]
         total = Fraction(0)
         for mono, coeff in self.terms:
             value = coeff
-            for name, exp in zip(self.params, mono):
-                if exp == 0:
-                    continue
-                if name not in assignment:
-                    raise MissingParameterError(f"no value assigned to {name}")
-                value *= rat(assignment[name]) ** exp
+            for name, v, exp in zip(self.params, values, mono):
+                if exp:
+                    if v is None:
+                        raise MissingParameterError(f"no value assigned to {name}")
+                    value *= rat(v) ** exp
             total += value
         return total
 

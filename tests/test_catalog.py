@@ -125,6 +125,21 @@ def test_a92_constraint_and_solution():
     assert jacobi_check(a).ok
 
 
+def test_constraint_check_rejects_wrong_alpha_count():
+    cs = catalog.extract_constraints(spec_for("Ank", 9, k=2))
+    for alphas in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(InvalidParametersError):
+            cs.is_satisfied_by(alphas)
+
+
+def test_rational_roots_refuses_degree_above_two():
+    x = Poly.variable(("x",), "x")
+    # x^3 - x has the roots 0, 1 and -1; its quadratic truncation -x only 0
+    assert catalog._rational_roots(x * x * x - x, "x") == []
+    assert sorted(catalog._rational_roots(x * x - 1, "x")) == [-1, 1]
+    assert catalog._rational_roots(x * 2 - 1, "x") == [Fraction(1, 2)]
+
+
 def test_alpha_zero_valid_on_sound_at_zero_domain():
     # the all-zero assignment is a Lie point wherever no generator carries a
     # constant term; that covers the direct sums and deformations without a

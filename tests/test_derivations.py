@@ -204,3 +204,33 @@ def test_weight_audit_rejects_unknown_misprint():
 def test_weights_unknown_for_cn():
     with pytest.raises(catalog.UnknownFamilyError):
         catalog.claimed_weights(catalog.spec_for("Cn", 8))
+
+
+def test_weight_audit_matches_naive_sums():
+    # the audit compares integer-scaled weights; the oracle subtracts the
+    # Poly weights bracket by bracket over every valid tuple up to n = 11
+    half_integer_diagonal = quadratic_delta = False
+    for token in catalog.all_family_tokens():
+        fam = catalog.family_def(token)
+        flags = (False, True) if fam.misprinted_table or fam.misprinted_diagonal else (False,)
+        for spec in catalog.valid_tuples(token, 11):
+            for misprint in flags:
+                try:
+                    audit = verify_claimed_weights(spec, misprint=misprint)
+                except catalog.UnknownFamilyError:
+                    continue  # no claimed diagonal for this family
+                algebra = catalog.generate(spec, misprint=misprint and fam.misprinted_table)
+                weights = catalog.claimed_weights(
+                    spec, misprint=misprint and fam.misprinted_diagonal is not None)
+                naive = []
+                for i, j, targets in algebra.brackets():
+                    for k in targets:
+                        delta = weights[i] + weights[j] - weights[k]
+                        if not delta.is_zero():
+                            naive.append(((i, j, k), delta))
+                assert audit.violations == tuple(naive), (spec, misprint)
+                if token == "QarrCb" and not misprint:
+                    half_integer_diagonal |= any(c.denominator == 2 for w in weights for _, c in w.terms)
+                if token == "QarrCc" and misprint:
+                    quadratic_delta |= any(d.total_degree() == 2 for _, d in naive)
+    assert half_integer_diagonal and quadratic_delta

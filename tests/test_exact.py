@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qflab import catalog
 from qflab.exact import (
     InconsistentSystemError,
     MissingParameterError,
@@ -92,6 +93,60 @@ def test_ring_axioms(p, q, r):
 @settings(max_examples=60, deadline=None)
 def test_string_roundtrip(p):
     assert parse_poly(str(p), PARAMS) == p
+
+
+# few monomials and small coefficients, so sums cancel and products collide
+st_small_poly = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=1)] * len(PARAMS)),
+    st.builds(Fraction, st.integers(min_value=-2, max_value=2), st.integers(min_value=1, max_value=2)),
+    max_size=6,
+).map(lambda d: Poly.from_map(PARAMS, d))
+
+
+def assert_canonical(p):
+    keys = [(sum(m), m) for m, _ in p.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert all(type(c) is Fraction and c != 0 for _, c in p.terms)
+
+
+@given(st.one_of(st_small_poly, st_poly), st.one_of(st_small_poly, st_poly),
+       st.fixed_dictionaries({name: st_rational for name in PARAMS}),
+       st.sets(st.sampled_from(PARAMS)))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_naive_dicts(p, q, values, substituted):
+    a, b = dict(p.terms), dict(q.terms)
+    total = {m: a.get(m, 0) + b.get(m, 0) for m in set(a) | set(b)}
+    difference = {m: a.get(m, 0) - b.get(m, 0) for m in set(a) | set(b)}
+    product = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            product[m] = product.get(m, 0) + c1 * c2
+    partial, value = {}, Fraction(0)
+    for m, c in a.items():
+        term = c
+        for name, e in zip(PARAMS, m):
+            term *= values[name] ** e
+        value += term
+        kept = tuple(0 if name in substituted else e for name, e in zip(PARAMS, m))
+        for name, e in zip(PARAMS, m):
+            if name in substituted:
+                c *= values[name] ** e
+        partial[kept] = partial.get(kept, 0) + c
+    assignment = {name: values[name] for name in substituted}
+    for got, want in ((p + q, total), (p - q, difference), (p * q, product),
+                      (catalog._substitute_partial(p, assignment), partial)):
+        assert got == Poly.from_map(PARAMS, want)
+        assert_canonical(got)
+    assert p.evaluate(values) == value
+    assert_canonical(p - 3)
+    assert p - 3 == p + Poly.const(PARAMS, -3)
+
+
+def test_subtraction_across_universes_rejected():
+    p = Poly.variable(PARAMS, "a1")
+    with pytest.raises(ValueError):
+        _ = p - Poly.variable(("b1",), "b1")
 
 
 def test_canonical_form_is_sorted_and_sparse():
