@@ -10,9 +10,9 @@ Canonical form: ``Poly.terms`` lists each monomial at most once, with a
 nonzero ``Fraction`` coefficient, in strictly descending grlex order (total
 degree first, then the exponent tuple).  Every ``Poly`` built by the
 arithmetic goes through one private step, ``_canonical``, which drops the
-zero coefficients of a ``{monomial: Fraction}`` accumulator and sorts once;
-it trusts its input, so only the arithmetic, whose monomials and
-coefficients are already well formed, calls it.  ``Poly.from_map`` checks
+zero coefficients of distinct ``(monomial, Fraction)`` terms and sorts them
+once.  It trusts its input, so only the arithmetic, whose monomials and
+coefficients are already well formed, calls it; ``Poly.from_map`` checks
 monomial lengths and coerces coefficients for every other caller, then ends
 in the same step.
 """
@@ -67,14 +67,10 @@ def _grlex_term_key(term):
     return (sum(term[0]), term[0])
 
 
-def _canonical(params: tuple[str, ...], acc: dict) -> "Poly":
-    """The Poly of a ``{monomial: Fraction}`` accumulator over ``params``.
-
-    Zero coefficients are dropped and the terms sorted once, in descending
-    grlex order.  The monomials must already be tuples of the universe's
-    length and the coefficients Fractions (see the module docstring).
-    """
-    items = [term for term in acc.items() if term[1]]
+def _canonical(params: tuple[str, ...], terms: Iterable) -> "Poly":
+    """The Poly of distinct ``(monomial, Fraction)`` terms over ``params``,
+    which it trusts to be well formed (see the module docstring)."""
+    items = [term for term in terms if term[1]]
     items.sort(key=_grlex_term_key, reverse=True)
     return Poly(params, tuple(items))
 
@@ -96,14 +92,11 @@ class Poly:
     @staticmethod
     def from_map(params: Sequence[str], mapping: Mapping[Monomial, Fraction]) -> "Poly":
         params = tuple(params)
-        acc = {}
-        for m, c in mapping.items():
-            if c != 0:
-                m = tuple(m)
-                if len(m) != len(params):
-                    raise ValueError("monomial length does not match parameter universe")
-                acc[m] = rat(c)
-        return _canonical(params, acc)
+        items = [(tuple(m), rat(c)) for m, c in mapping.items() if c != 0]
+        for mono, _ in items:
+            if len(mono) != len(params):
+                raise ValueError("monomial length does not match parameter universe")
+        return _canonical(params, items)
 
     @staticmethod
     def const(params: Sequence[str], value) -> "Poly":
@@ -166,7 +159,7 @@ class Poly:
                 acc[m] += c
             else:
                 acc[m] = c
-        return _canonical(self.params, acc)
+        return _canonical(self.params, acc.items())
 
     __radd__ = __add__
 
@@ -181,7 +174,7 @@ class Poly:
                 acc[m] -= c
             else:
                 acc[m] = -c
-        return _canonical(self.params, acc)
+        return _canonical(self.params, acc.items())
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -196,7 +189,7 @@ class Poly:
                     acc[m] += c1 * c2
                 else:
                     acc[m] = c1 * c2
-        return _canonical(self.params, acc)
+        return _canonical(self.params, acc.items())
 
     __rmul__ = __mul__
 
