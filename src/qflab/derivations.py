@@ -2,11 +2,12 @@
 
 A derivation is a matrix D (columnwise action: D X_j = sum_a D[a][j] X_a)
 satisfying D[x,y] = [Dx,y] + [x,Dy].  That identity is one linear equation
-per bracket pair and output coordinate; the full solution space is computed
-exactly with the sparse fraction-free eliminator.  ``dim Der`` does not
-depend on the basis, so ``derivation_dim`` solves the system in the basis
-adapted to the lower central series (``gradation.series_adapted``), where a
-nilpotent algebra given in a dense basis has few structure constants;
+per bracket pair and output coordinate, solved exactly by ``exact.RowSpace``,
+the package's one eliminator: ``derivation_space`` reads a kernel basis off
+it, ``derivation_dim`` only its rank.  ``dim Der`` does not depend on the
+basis, so ``derivation_dim`` solves the system in the basis adapted to the
+lower central series (``gradation.series_adapted``), where a nilpotent
+algebra given in a dense basis has few structure constants;
 ``derivation_space`` stays in the given basis.
 
 Diagonal derivations in a fixed basis are the same thing as additive weight
@@ -25,7 +26,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from qflab import catalog
-from qflab.exact import identity_matrix, matrix_rank, nullspace
+from qflab.exact import matrix_rank, nullspace
 from qflab.gradation import NonNilpotentError, series_adapted
 from qflab.liealg import Algebra
 
@@ -145,11 +146,7 @@ def diagonal_derivations(algebra: Algebra, assignment: Mapping[str, Fraction] | 
     in the given basis.
     """
     concrete = algebra.concrete(assignment)
-    n = concrete.dim
-    rows = weight_system_rows(concrete)
-    if not rows:
-        return [tuple(row) for row in identity_matrix(n)], n
-    kernel = nullspace(rows, ncols=n)
+    kernel = nullspace(weight_system_rows(concrete), ncols=concrete.dim)
     return kernel, len(kernel)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from qflab import catalog
-from qflab.exact import identity_matrix, mat_mul, nullspace, rat
+from qflab.exact import identity_matrix, mat_mul, matrix_rank, rat
 from qflab.gradation import bracket_span, gr, lower_central_series
 from qflab.liealg import Algebra, change_of_basis, rational_bracket
 from qflab.derivations import derivation_dim, diagonal_derivations
@@ -124,7 +124,7 @@ def _centralizer_dim(algebra: Algebra, vectors) -> int:
             row = {x: w[coord] for x, w in enumerate(columns) if w[coord]}
             if row:
                 stacked.append(row)
-    return len(nullspace(stacked, ncols=n)) if stacked else n
+    return n - matrix_rank(stacked, ncols=n)
 
 
 def _derived_dims(algebra: Algebra) -> tuple[int, ...]:

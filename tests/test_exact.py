@@ -10,6 +10,7 @@ from qflab.exact import (
     MissingParameterError,
     Poly,
     RowSpace,
+    SingularMatrixError,
     invert_matrix,
     mat_mul,
     matrix_rank,
@@ -19,7 +20,7 @@ from qflab.exact import (
     rat_str,
     solve_linear,
 )
-from oracles import dense_solve
+from oracles import NaiveSpan, dense_rank, dense_solve
 
 PARAMS = ("a1", "a2", "a3")
 
@@ -176,13 +177,13 @@ def test_inconsistent_raises():
         solve_linear([[1, 1], [1, 1]], [1, 2])
 
 
+# integers and rationals, with zeros often enough that rows are rank deficient
+st_entry = st.one_of(st.integers(min_value=-6, max_value=6), st_rational)
+
+
 @given(
-    st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=7, max_size=7),
-        min_size=5,
-        max_size=5,
-    ),
-    st.lists(st.integers(min_value=-6, max_value=6), min_size=5, max_size=5),
+    st.lists(st.lists(st_entry, min_size=7, max_size=7), min_size=5, max_size=5),
+    st.lists(st_entry, min_size=5, max_size=5),
 )
 @settings(max_examples=60, deadline=None)
 def test_solver_matches_dense_oracle(matrix, rhs):
@@ -192,25 +193,17 @@ def test_solver_matches_dense_oracle(matrix, rhs):
             solve_linear(matrix, rhs)
         return
     sol = solve_linear(matrix, rhs)
-    # same kernel dimension and an exactly satisfied particular solution
-    assert len(sol.kernel) == len(expected[1])
-    for row, b in zip(matrix, rhs):
-        assert sum(Fraction(c) * x for c, x in zip(row, sol.particular)) == b
-        for k in sol.kernel:
-            assert sum(Fraction(c) * x for c, x in zip(row, k)) == 0
+    # the canonical answer: 0 at the free columns, one kernel vector per free column
+    assert sol.particular == expected[0]
+    assert list(sol.kernel) == expected[1]
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-5, max_value=5), min_size=6, max_size=6),
-        min_size=3,
-        max_size=8,
-    )
-)
+@given(st.lists(st.lists(st_entry, min_size=6, max_size=6), min_size=3, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(matrix):
-    ncols = 6
-    assert matrix_rank(matrix) + len(nullspace(matrix)) == ncols
+    kernel = nullspace(matrix)
+    assert kernel == dense_solve(matrix, [0] * len(matrix))[1]
+    assert matrix_rank(matrix) == dense_rank(matrix) == 6 - len(kernel)
 
 
 def test_sparse_input_agrees_with_dense():
@@ -221,15 +214,59 @@ def test_sparse_input_agrees_with_dense():
 
 
 def test_invert_matrix_roundtrip():
+    assert invert_matrix([]) == []
+    with pytest.raises(SingularMatrixError):
+        invert_matrix([[1, 2], [Fraction(1, 2), 1]])
     rng = random.Random(7)
-    for _ in range(10):
+    outcomes = set()
+    for _ in range(40):
         n = rng.randint(1, 5)
-        m = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        try:
+        m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        singular = dense_rank(m) < n
+        outcomes.add(singular)
+        if singular:
+            with pytest.raises(SingularMatrixError):
+                invert_matrix(m)
+        else:
             inv = invert_matrix(m)
-        except Exception:
-            continue
-        assert mat_mul(m, inv) == [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+            assert mat_mul(m, inv) == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    assert outcomes == {False, True}
+
+
+st_span_vectors = st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(min_value=-3, max_value=3), st_rational),
+             min_size=5, max_size=5),
+    max_size=7,
+)
+
+
+@given(st_span_vectors, st_span_vectors, st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_rowspace_matches_naive_span(vectors, probes, rng):
+    space, naive = RowSpace(5), NaiveSpan(5)
+    for i, v in enumerate(vectors):
+        if i == len(vectors) // 2:
+            space.basis()  # back-substitutes the stored rows in place
+        # gradation._adapted keeps a vector exactly when add says the span grew
+        assert space.add(v) == naive.add(v)
+        assert space.dim == naive.dim
+    sums = [[a + b for a, b in zip(u, w)] for u, w in zip(vectors, vectors[1:])]
+    for v in probes + sums:
+        assert space.contains(v) == naive.contains(v)
+    basis = space.basis()
+    assert len(basis) == naive.dim and all(naive.contains(row) for row in basis)
+    # canonical RREF: leading 1s at strictly increasing pivots, cleared above and below
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots)) == space.pivots
+    for row, p in zip(basis, pivots):
+        assert row[p] == 1 and [other[p] for other in basis].count(0) == len(basis) - 1
+    shuffled = list(vectors)
+    rng.shuffle(shuffled)
+    incremental = RowSpace(5)
+    for v in shuffled:
+        incremental.add(v)
+    batch = RowSpace(5, [dict(enumerate(v)) for v in vectors])
+    assert batch.basis() == incremental.basis() == basis
 
 
 def test_rowspace_rref_deterministic():
