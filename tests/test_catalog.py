@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -391,3 +392,53 @@ def test_validation_messages_golden():
         with pytest.raises(InvalidParametersError) as info:
             catalog.validate_spec(spec_for(token, n, **kw))
         assert str(info.value) == message
+
+
+# One sha256 per family over the canonical table of every valid tuple with
+# n <= 13, the documented misprint variant included where one exists.
+GENERATED_TABLE_SHA256 = {
+    "Ln": "f5f74ac53a04c4c8dc01628f94a83d50aee26194ee54281c65699aa555b3f012",
+    "Qn": "bc5971e712fbc9d466e3f64a9c86a151868be4eb735cd8c1971a0233aaa2c51e",
+    "Ank": "548d0e911ae77c7cbe717057988371a83ba2241680e42c4d153e03738e3b8c40",
+    "Bnk": "21a16245f438525078944dab99c6eed0b47801203519fa2393dbf0bacdb35d4b",
+    "Cn": "94395a7b912f0a86a9837b49a27454bd121e5c126d30b21e85be4506be7e7deb",
+    "LsumC": "6f01f430805909cf8254525bfe1287340425bffea81f2d12835ff75c6b9884bf",
+    "QsumC": "7ee3f0b141add87c0bd6bf3ddab766fa941ddb4ecd54c8b838380dab7e052643",
+    "AsumC": "264a0c6f014b32d8542f579318afd1682c80a157e0fa154a999c388dd9c40bbf",
+    "BsumC": "8efe5b7de72e1a0a545ee00b4e0208f7108ef5a3613c4d86d2f832bee2a3f5e3",
+    "LarrC": "9707507adb221b6bc1f1d7b50e94f1f26ef0263e7b6dded2d88388ef12b08b39",
+    "AarrC": "6c1536f8994c689b0001a1734d78f3b5bf3d336cb343970b6bbcee1ca0968e74",
+    "QarrCa": "121f1c4017dd4b22fc844b504087e452491b538246340be89ffd78b3167dec76",
+    "BarrCa": "c8a08e2568621241bc44ca3af617c71712471d87bc321822514a21a93bf0dc31",
+    "QarrCb": "f28f3e2815df1f9d75886d9169ed7146fb8fd1aa9eaebc86782d51a8c3ede44c",
+    "QarrCc": "b66d62ccfc33b73b4c580393071598a7144698951a1f2fbc27369f153ef86c9a",
+    "BarrCc": "7630266f22758e08974619eda35ac1b107b9bd6cee6e4aedd587b9529bc0ebea",
+    "Lnr": "cf431865040884f48745c227d0e283117f5719ddfa7878e546896270b972cf55",
+    "Qnr": "d8bd435a73a375d024e8e1fec68575e8e99b625d9013c651a0a6498b034ffeb6",
+    "Tn4": "1da2b98d23aeb914e7e86645dfd0b59346191b1b00c51b7a6b79e7286735fada",
+    "Tn3": "3dd7c9ce4f2b6cfc3eab712f3a7e1ba6f1503c339d0a0e22879ca9dd6562e78d",
+    "Cnrk": "08cff54d303da0513ee8d5f2727134771cc6900c21eac22004a046a6736ba429",
+    "Dnrk": "7107244ab81e963f401c5ce5f7e7c91072bf6edd7019e3ad663dab057170425b",
+    "Enrk": "567820e048ff30493beab4220aca680f885acfd8fe34b79cf6c8801dc7e62f00",
+    "Fnrk": "8422359566e0910bad6987dc6be45c9b40f73c834cb5864924fa5c276f921404",
+    "Gnrk": "0848ece1c4c90a2d072e65cbb52c895faa044c5e4b0584f3824d243e6e7b8197",
+    "Hnrk": "b69fb7fce791d2339a7ed1aa699b66b78275c9a21e1a7040cdff9c40596f5f51",
+    "E951": "e45071137883820a0211994d470cfd956dededc6688c71f6b2abb713eef2f677",
+    "E952": "3ec8b1ff5b239f5ea5ba0e0720682fc480f7b1167c44b86542602dd39fb3f1cf",
+    "E953": "2b6fc5d867a99934a3a578a696a0ccc759ae67af4c61db1560b2f6eec010d0c8",
+    "E73": "e85b050dc6d459134502ced245db44cd2a0a44843f39ceae6836ed847c37f511",
+}
+
+
+def test_generated_tables_golden():
+    got = {}
+    for token in catalog.all_family_tokens():
+        variants = (False, True) if catalog.family_def(token).misprinted_table else (False,)
+        text = "".join(f"{spec} misprint={misprint} {catalog.generate(spec, misprint=misprint).canonical()!r}\n"
+                       for spec in catalog.valid_tuples(token, 13) for misprint in variants)
+        got[token] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == GENERATED_TABLE_SHA256
+    # the alpha count is the parameter count of the generated table
+    for token in catalog.all_family_tokens():
+        for spec in catalog.valid_tuples(token, 17):
+            assert catalog.alpha_count(spec) == len(catalog.generate(spec).params), spec
