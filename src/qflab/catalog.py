@@ -28,14 +28,32 @@ Token glossary (dimension of the algebra is always ``n``):
     Enrk, Fnrk      rank-one deformations/extensions over Qnr
     Gnrk, Hnrk      rank-one deformations over Tn4 / Tn3
 
+Ln, Qn, Tn4, Tn3, Cn and the special algebras are built whole.  Every other
+family takes the table of the ``model`` named in its registry entry and adds
+one piece to it; e below is the end of the model's chain [Y0, Y_i] = Y_{i+1}:
+
+    (+)C      LsumC and QsumC are Ln and Qn in dimension n-1 (Y_{n-1} central)
+    r-pairs   Lnr and Qnr add [Y_i, Y_{r-i}] = (-1)^(i-1) Y_{n-1} to them
+    a_{i,j}   a deformation adds [Y_i, Y_j] = a_{i,j} Y_{i+j+k-1} on the range
+              i + j <= e+1-k with t = (e+2-k)//2; its alpha count is the
+              number of parameters of the table it makes
+    shift     an extension adds [Y_i, Y_{n-1}] = Y_{i+shift} for i <= e-shift,
+              where shift is l, 2k+r-2 or 2k+r-1
+
+QarrCc adds [Y0, Y_{n-1}] = Y_{n-2} to QsumC, and Gnrk adds [Y1, Y_{n-1}] =
+Y_{n-2} at k = 2 to its line.
+
 A few families circulate with misprinted tables or diagonals; the corrected
 versions are generated by default and the known-bad variants are available
-through ``misprint=True`` so the weight audit can demonstrate detection.
+through ``misprint=True`` so the weight audit can demonstrate detection.  Each
+table misprint lives in the one piece it corrupts: the shift of LarrC (and so
+of AarrC over it), the line of BsumC and Tn4's deepest pair line under Gnrk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -191,6 +209,14 @@ def _chain(table: Table, last_source: int) -> None:
         _add(table, 0, i, i + 1, 1)
 
 
+def _chain_end(table: Table) -> int:
+    """The index e that ends the chain: [Y0, Yi] = Y_{i+1} for 1 <= i < e."""
+    e = 1
+    while e + 1 in table.get((0, e), ()):
+        e += 1
+    return e
+
+
 def _sum_pairs(table: Table, total: int, target: int, i_max: int, coeff: Callable[[int], object]) -> None:
     # [Y_i, Y_{total-i}] = coeff(i) * Y_target for 1 <= i <= i_max (i < total-i)
     for i in range(1, i_max + 1):
@@ -200,24 +226,15 @@ def _sum_pairs(table: Table, total: int, target: int, i_max: int, coeff: Callabl
         _add(table, i, j, target, coeff(i))
 
 
-def _aline(table: Table, aij: AijTable, bound: int, offset: int, j_max: int) -> None:
-    # [Y_i, Y_j] = a_{i,j} Y_{i+j+offset} for 1 <= i < j <= j_max, i+j <= bound
-    for (i, j), coeff in aij.values.items():
-        if i + j <= bound and j <= j_max:
-            _add(table, i, j, i + j + offset, coeff)
-
-
-def _shift_ext(table: Table, new_index: int, offset: int, i_min: int, i_max: int) -> None:
-    # [Y_i, Y_new] = Y_{i+offset} for i_min <= i <= i_max
-    for i in range(i_min, i_max + 1):
-        _add(table, i, new_index, i + offset, 1)
+def _sign(i: int) -> int:
+    return (-1) ** (i - 1)
 
 
 def _half(x: int) -> Fraction:
     return Fraction(x, 2)
 
 
-# -- filiform families -------------------------------------------------------
+# -- the models --------------------------------------------------------------
 
 
 def _build_Ln(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
@@ -230,29 +247,8 @@ def _build_Qn(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
     t: Table = {}
     _chain(t, n - 3)
-    _sum_pairs(t, n - 1, n - 1, n // 2 - 1, lambda i: (-1) ** (i - 1))
+    _sum_pairs(t, n - 1, n - 1, n // 2 - 1, _sign)
     return (), t
-
-
-def _build_Ank(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, k = s.n, s.k
-    tt = (n - k + 1) // 2
-    aij = aij_table(n - k, tt)
-    t: Table = {}
-    _chain(t, n - 2)
-    _aline(t, aij, n - k, k - 1, n - 1)
-    return aij.params, t
-
-
-def _build_Bnk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, k = s.n, s.k
-    tt = (n - k) // 2
-    aij = aij_table(n - k - 1, tt)
-    t: Table = {}
-    _chain(t, n - 3)
-    _sum_pairs(t, n - 1, n - 1, n // 2 - 1, lambda i: (-1) ** (i - 1))
-    _aline(t, aij, n - k - 1, k - 1, n - 2)
-    return aij.params, t
 
 
 def _build_Cn(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
@@ -272,145 +268,18 @@ def _build_Cn(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     return params, t
 
 
-# -- type t_1: direct sums and shifted extensions ----------------------------
-
-
-def _build_LsumC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    t: Table = {}
-    _chain(t, s.n - 3)
-    return (), t
-
-
-def _build_QsumC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n = s.n
-    t: Table = {}
-    _chain(t, n - 4)
-    _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: (-1) ** (i - 1))
-    return (), t
-
-
-def _build_AsumC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, k = s.n, s.k
-    tt = (n - k) // 2
-    aij = aij_table(n - k - 1, tt)
-    t: Table = {}
-    _chain(t, n - 3)
-    _aline(t, aij, n - k - 1, k - 1, n - 2)
-    return aij.params, t
-
-
-def _build_BsumC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, k = s.n, s.k
-    tt = (n - k - 1) // 2
-    aij = aij_table(n - k - 2, tt)
-    t: Table = {}
-    _chain(t, n - 4)
-    _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: (-1) ** (i - 1))
-    if misprint:
-        # known-bad variant: superdiagonal brackets land one step short
-        for i in range(1, tt):
-            a = Poly.variable(aij.params, f"a{i}")
-            _add(t, i, i + 1, 2 * i + k - 1, a)
-        for (i, j), coeff in aij.values.items():
-            if j > i + 1 and i + j <= n - k - 2 and j <= n - 3:
-                _add(t, i, j, i + j + k - 1, coeff)
-    else:
-        _aline(t, aij, n - k - 2, k - 1, n - 3)
-    return aij.params, t
-
-
-def _build_LarrC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, l = s.n, s.l
-    t: Table = {}
-    _chain(t, n - 3)
-    if misprint:
-        # known-bad variant: target shifted by l-2 over an oversized range
-        for i in range(1, min(n - l, n - 2) + 1):
-            tgt = i + l - 2
-            if 1 <= tgt <= n - 2:
-                _add(t, i, n - 1, tgt, 1)
-    else:
-        _shift_ext(t, n - 1, l, 1, n - 2 - l)
-    return (), t
-
-
-def _build_AarrC(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, k, l = s.n, s.k, s.l
-    params, t = _build_AsumC(s, False)
-    if misprint:
-        for i in range(1, min(n - l, n - 2) + 1):
-            tgt = i + l - 2
-            if 1 <= tgt <= n - 2:
-                _add(t, i, n - 1, tgt, 1)
-    else:
-        _shift_ext(t, n - 1, l, 1, n - 2 - l)
-    return params, t
-
-
-def _build_QarrCa(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, l = s.n, s.l
-    params, t = _build_QsumC(s, False)
-    _shift_ext(t, n - 1, l, 1, n - 3 - l)
-    return params, t
-
-
-def _build_BarrCa(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, l = s.n, s.l
-    params, t = _build_BsumC(s, False)
-    _shift_ext(t, n - 1, l, 1, n - 3 - l)
-    return params, t
-
-
-def _build_QarrCb(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n = s.n
-    params, t = _build_QarrCa(s, False)
-    _add(t, 0, n - 1, n - 2, 1)
-    return params, t
-
-
-def _build_QarrCc(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n = s.n
-    params, t = _build_QsumC(s, False)
-    _add(t, 0, n - 1, n - 2, 1)
-    return params, t
-
-
-def _build_BarrCc(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n = s.n
-    params, t = _build_BsumC(s, False)
-    _add(t, 0, n - 1, n - 2, 1)
-    return params, t
-
-
-# -- type t_r families -------------------------------------------------------
-
-
-def _build_Lnr(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, r = s.n, s.r
-    t: Table = {}
-    _chain(t, n - 3)
-    _sum_pairs(t, r, n - 1, (r - 1) // 2, lambda i: (-1) ** (i - 1))
-    return (), t
-
-
-def _build_Qnr(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, r = s.n, s.r
-    t: Table = {}
-    _chain(t, n - 4)
-    _sum_pairs(t, r, n - 1, (r - 1) // 2, lambda i: (-1) ** (i - 1))
-    _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: (-1) ** (i - 1))
-    return (), t
-
-
 def _build_Tn4(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     n = s.n
     t: Table = {}
     _chain(t, n - 5)
     _add(t, 0, n - 3, n - 2, 1)
     _add(t, 0, n - 1, n - 3, 1)
-    _sum_pairs(t, n - 4, n - 1, (n - 5) // 2, lambda i: (-1) ** (i - 1))
-    _sum_pairs(t, n - 3, n - 3, (n - 5) // 2, lambda i: ((-1) ** (i - 1)) * _half(n - 3 - 2 * i))
-    _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: ((-1) ** i) * (i - 1) * _half(n - 3 - i))
+    _sum_pairs(t, n - 4, n - 1, (n - 5) // 2, _sign)
+    _sum_pairs(t, n - 3, n - 3, (n - 5) // 2, lambda i: _sign(i) * _half(n - 3 - 2 * i))
+    # the known-bad Gnrk reads (n-2-i)/2 in the deepest pair line, which
+    # breaks the Jacobi identity by a constant; Tn4 itself has no such variant
+    top = n - 2 if misprint else n - 3
+    _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: ((-1) ** i) * (i - 1) * _half(top - i))
     return (), t
 
 
@@ -419,100 +288,85 @@ def _build_Tn3(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     t: Table = {}
     _chain(t, n - 4)
     _add(t, 0, n - 1, n - 2, 1)
-    _sum_pairs(t, n - 3, n - 1, (n - 4) // 2, lambda i: (-1) ** (i - 1))
-    _sum_pairs(t, n - 2, n - 2, (n - 4) // 2, lambda i: ((-1) ** (i - 1)) * _half(n - 2 - 2 * i))
+    _sum_pairs(t, n - 3, n - 1, (n - 4) // 2, _sign)
+    _sum_pairs(t, n - 2, n - 2, (n - 4) // 2, lambda i: _sign(i) * _half(n - 2 - 2 * i))
     return (), t
 
 
-def _build_Cnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, r, k = s.n, s.r, s.k
-    tt = (n - k) // 2
-    bound = n - k - 1
-    aij = aij_table(bound, tt)
-    t: Table = {}
-    _chain(t, n - 3)
-    _sum_pairs(t, r, n - 1, (r - 1) // 2, lambda i: (-1) ** (i - 1))
-    _aline(t, aij, bound, k - 1, n - 2)
-    count = n - r - 2 * k
-    if count > 0:
-        _shift_ext(t, n - 1, 2 * k + r - 2, 1, count)
-    return aij.params, t
+# -- the pieces added to a model ---------------------------------------------
 
 
-def _build_Dnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, r, k = s.n, s.r, s.k
-    t: Table = {}
-    _chain(t, n - 3)
-    _sum_pairs(t, r, n - 1, (r - 1) // 2, lambda i: (-1) ** (i - 1))
-    count = n - r - 2 * k - 1
-    if count > 0:
-        _shift_ext(t, n - 1, 2 * k + r - 1, 1, count)
-    return (), t
+def _model(s: FamilySpec, misprint: bool, n: int | None = None) -> tuple[tuple, Table]:
+    """A fresh table of the registry model of ``s``'s family, in dimension
+    ``n`` (default ``s.n``), with the same r, k and l."""
+    model = FAMILIES[s.family].model
+    return FAMILIES[model].build(FamilySpec(model, s.n if n is None else n, s.r, s.k, s.l), misprint)
 
 
-def _build_Enrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, r, k = s.n, s.r, s.k
-    tt = (n - k - 1) // 2
-    bound = n - k - 2
-    aij = aij_table(bound, tt)
-    t: Table = {}
-    _chain(t, n - 4)
-    _sum_pairs(t, r, n - 1, (r - 1) // 2, lambda i: (-1) ** (i - 1))
-    _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: (-1) ** (i - 1))
-    _aline(t, aij, bound, k - 1, n - 3)
-    count = n - r - 2 * k - 1
-    if count > 0:
-        _shift_ext(t, n - 1, 2 * k + r - 2, 1, count)
-    return aij.params, t
+def _line(s: FamilySpec, table: Table, misprint: bool = False) -> tuple[str, ...]:
+    """Add [Y_i, Y_j] = a_{i,j} Y_{i+j+k-1} for i + j <= e+1-k, where e ends
+    the chain (so every such j lies below e); return the alpha parameters."""
+    bound = _chain_end(table) + 1 - s.k
+    aij = aij_table(bound, (bound + 1) // 2)
+    for (i, j), coeff in aij.values.items():
+        # the known-bad BsumC lands the superdiagonal brackets one step short
+        short = misprint and j == i + 1
+        _add(table, i, j, i + j + s.k - 1 - short, coeff)
+    return aij.params
 
 
-def _build_Fnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, r, k = s.n, s.r, s.k
-    t: Table = {}
-    _chain(t, n - 4)
-    _sum_pairs(t, r, n - 1, (r - 1) // 2, lambda i: (-1) ** (i - 1))
-    _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: (-1) ** (i - 1))
-    count = n - r - 2 * k - 2
-    if count > 0:
-        _shift_ext(t, n - 1, 2 * k + r - 1, 1, count)
-    return (), t
+def _shift(s: FamilySpec, table: Table, shift: int) -> None:
+    # [Y_i, Y_{n-1}] = Y_{i+shift} for 1 <= i <= e - shift, e the chain's end
+    for i in range(1, _chain_end(table) - shift + 1):
+        _add(table, i, s.n - 1, i + shift, 1)
+
+
+def _sum_c(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+    # the model in dimension n-1, and Y_{n-1} central
+    return _model(s, False, s.n - 1)
+
+
+def _r_pairs(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+    # [Y_i, Y_{r-i}] = (-1)^(i-1) Y_{n-1} on the sum with C
+    params, t = _model(s, False)
+    _sum_pairs(t, s.r, s.n - 1, (s.r - 1) // 2, _sign)
+    return params, t
+
+
+def _central(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+    # [Y0, Y_{n-1}] = Y_{n-2} on the sum with C
+    params, t = _model(s, False)
+    _add(t, 0, s.n - 1, s.n - 2, 1)
+    return params, t
+
+
+def _shifted(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+    # the known-bad LarrC shifts by l-2 in place of l
+    params, t = _model(s, False)
+    _shift(s, t, FAMILIES[s.family].shift(s) - 2 * misprint)
+    return params, t
+
+
+def _deformation(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+    """The model plus the a_{i,j} line, and the family's shift if it has one.
+
+    A misprint belongs to the model when the model has a misprinted table
+    (AarrC over LarrC), and to the line otherwise (BsumC)."""
+    fam = FAMILIES[s.family]
+    in_model = misprint and FAMILIES[fam.model].misprinted_table
+    _, t = _model(s, in_model)
+    if fam.shift:
+        _shift(s, t, fam.shift(s))
+    return _line(s, t, misprint and not in_model), t
 
 
 def _build_Gnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, k = s.n, s.k
-    tt = (n - k - 2) // 2
-    bound = n - k - 3
-    aij = aij_table(bound, tt)
-    t: Table = {}
-    _chain(t, n - 5)
-    _add(t, 0, n - 3, n - 2, 1)
-    _add(t, 0, n - 1, n - 3, 1)
-    if k == 2:
-        _add(t, 1, n - 1, n - 2, 1)
-    _sum_pairs(t, n - 4, n - 1, (n - 5) // 2, lambda i: (-1) ** (i - 1))
-    _sum_pairs(t, n - 3, n - 3, (n - 5) // 2, lambda i: ((-1) ** (i - 1)) * _half(n - 3 - 2 * i))
-    if misprint:
-        # known-bad variant: the deepest coefficient line reads (n-2-i)/2,
-        # which breaks the Jacobi identity by a constant
-        _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: ((-1) ** i) * (i - 1) * _half(n - 2 - i))
-    else:
-        _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: ((-1) ** i) * (i - 1) * _half(n - 3 - i))
-    _aline(t, aij, bound, k - 1, n - 4)
-    return aij.params, t
-
-
-def _build_Hnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
-    n, k = s.n, s.k
-    tt = (n - k - 1) // 2
-    bound = n - k - 2
-    aij = aij_table(bound, tt)
-    t: Table = {}
-    _chain(t, n - 4)
-    _add(t, 0, n - 1, n - 2, 1)
-    _sum_pairs(t, n - 3, n - 1, (n - 4) // 2, lambda i: (-1) ** (i - 1))
-    _sum_pairs(t, n - 2, n - 2, (n - 4) // 2, lambda i: ((-1) ** (i - 1)) * _half(n - 2 - 2 * i))
-    _aline(t, aij, bound, k - 1, n - 3)
-    return aij.params, t
+    # the misprint is Tn4's deepest pair line; k = 2 adds [Y1, Y_{n-1}] = Y_{n-2}
+    _, t = _model(s, misprint)
+    params = _line(s, t)
+    if s.k == 2:
+        _add(t, 1, s.n - 1, s.n - 2, 1)
+    return params, t
 
 
 def _fixed_table(brackets: Mapping) -> Callable:
@@ -568,20 +422,25 @@ def _always_sound(_s: FamilySpec) -> bool:
 class FamilyDef:
     """Everything recorded about one family.
 
-    Validation, enumeration, the gr-class and the claimed diagonal are all
-    derived from these fields.  ``n`` runs from ``least`` (with the given
-    parity, or only ``least`` itself when ``fixed``).  ``r``, ``k`` and ``l``
-    map a spec to the inclusive range of that parameter (``r`` is always odd,
-    and the range of ``k`` may read ``r``); a family without a range takes no
-    such parameter.  ``alphas`` counts the alpha parameters, absent for the
-    nonparametric families.
+    Validation, enumeration, the table, the alpha count, the gr-class and
+    the claimed diagonal are all derived from these fields.  ``n`` runs from
+    ``least`` (with the given parity, or only ``least`` itself when
+    ``fixed``).  ``r``, ``k`` and ``l`` map a spec to the inclusive range of
+    that parameter (``r`` is always odd, and the range of ``k`` may read
+    ``r``); a family without a range takes no such parameter.
+
+    ``build`` makes the table.  A naturally graded model (Ln, Qn, Tn4, Tn3,
+    the special algebras) and Cn build theirs whole; every other family adds
+    one piece to the table of its ``model`` (see the module docstring), and
+    ``shift(spec)`` is the step of its chain shift where it has one.  The
+    alpha count is the number of parameters of the symbolic table.
 
     The claimed diagonal is ``l0``, the chain ``(i-1)*l0 + l1`` and then
     ``tail(spec)``, linear forms given by their coefficients on
-    ``(l0, l1, lx)``.  A deformation names the ``model`` whose tail it shares,
-    and ``l1(spec)`` pins ``l1 = c*l0``.  ``misprinted_table`` marks a
-    documented known-bad table variant and ``misprinted_diagonal`` rewrites
-    the diagonal into its documented known-bad form.
+    ``(l0, l1, lx)``.  A family without a tail (a deformation) shares its
+    model's, and ``l1(spec)`` pins ``l1 = c*l0``.  ``misprinted_table``
+    marks a documented known-bad table variant and ``misprinted_diagonal``
+    rewrites the diagonal into its documented known-bad form.
     """
 
     token: str
@@ -595,7 +454,7 @@ class FamilyDef:
     k: Callable[[FamilySpec], tuple[int, int]] | None = None
     l: Callable[[FamilySpec], tuple[int, int]] | None = None
     filiform: bool = False
-    alphas: Callable[[FamilySpec], int] | None = None
+    shift: Callable[[FamilySpec], int] | None = None
     tail: Callable[[FamilySpec], tuple[tuple, ...]] | None = None
     model: str | None = None
     l1: Callable[[FamilySpec], object] | None = None
@@ -652,9 +511,6 @@ class FamilyDef:
     def tuples(self, n_max: int) -> Iterator[FamilySpec]:
         for n in range(self.least, n_max + 1):
             yield from self.specs_at(n)
-
-    def alpha_count(self, s: FamilySpec) -> int:
-        return 0 if self.alphas is None else self.alphas(s)
 
 
 # Even shifts break the Jacobi identity against the symplectic pairs
@@ -720,66 +576,66 @@ FAMILIES: dict[str, FamilyDef] = {fam.token: fam for fam in (
     FamilyDef("Ln", _build_Ln, least=3, rank=2, gr="Ln", filiform=True, tail=lambda s: ()),
     FamilyDef("Qn", _build_Qn, least=6, parity=EVEN, rank=2, gr="Qn", filiform=True,
               tail=lambda s: ((s.n - 3, 2),)),
-    FamilyDef("Ank", _build_Ank, least=5, k=lambda s: (2, s.n - 3), rank=1, gr="Ln", filiform=True,
-              alphas=lambda s: (s.n - s.k + 1) // 2 - 1, model="Ln", l1=lambda s: s.k),
-    FamilyDef("Bnk", _build_Bnk, least=6, parity=EVEN, k=lambda s: (2, s.n - 3), rank=1, gr="Qn",
-              filiform=True, alphas=lambda s: (s.n - s.k) // 2 - 1, model="Qn", l1=lambda s: s.k),
+    FamilyDef("Ank", _deformation, least=5, k=lambda s: (2, s.n - 3), rank=1, gr="Ln", filiform=True,
+              model="Ln", l1=lambda s: s.k),
+    FamilyDef("Bnk", _deformation, least=6, parity=EVEN, k=lambda s: (2, s.n - 3), rank=1, gr="Qn",
+              filiform=True, model="Qn", l1=lambda s: s.k),
     # rank in the generated basis at generic alpha; the true rank is 2 and is
     # witnessed only after the change of variables onto Qn
-    FamilyDef("Cn", _build_Cn, least=6, parity=EVEN, rank=1, gr="Qn", filiform=True,
-              alphas=lambda s: s.n // 2 - 2),
+    FamilyDef("Cn", _build_Cn, least=6, parity=EVEN, rank=1, gr="Qn", filiform=True),
     # type t_1 ----------------------------------------------------------------
-    FamilyDef("LsumC", _build_LsumC, least=4, rank=3, gr="LsumC", tail=lambda s: ((0, 0, 1),)),
-    FamilyDef("QsumC", _build_QsumC, least=7, parity=ODD, rank=3, gr="QsumC",
+    FamilyDef("LsumC", _sum_c, least=4, rank=3, gr="LsumC", model="Ln", tail=lambda s: ((0, 0, 1),)),
+    FamilyDef("QsumC", _sum_c, least=7, parity=ODD, rank=3, gr="QsumC", model="Qn",
               tail=lambda s: ((s.n - 4, 2), (0, 0, 1))),
-    FamilyDef("AsumC", _build_AsumC, least=6, k=lambda s: (2, s.n - 4), rank=2, gr="LsumC",
-              alphas=lambda s: (s.n - s.k) // 2 - 1, model="LsumC", l1=lambda s: s.k),
-    FamilyDef("BsumC", _build_BsumC, least=7, parity=ODD, k=lambda s: (2, s.n - 5), rank=2, gr="QsumC",
-              alphas=lambda s: (s.n - s.k - 1) // 2 - 1, model="QsumC", l1=lambda s: s.k,
-              misprinted_table=True),
-    FamilyDef("LarrC", _build_LarrC, least=5, l=lambda s: (2, s.n - 3), rank=2, gr="LsumC",
-              tail=lambda s: ((s.l,),), misprinted_table=True),
-    FamilyDef("AarrC", _build_AarrC, least=6, k=lambda s: (2, s.n - 4), l=lambda s: (2, s.n - 3),
-              rank=1, gr="LsumC", alphas=lambda s: (s.n - s.k) // 2 - 1, model="LarrC",
-              l1=lambda s: s.k, misprinted_table=True),
-    FamilyDef("QarrCa", _build_QarrCa, least=7, parity=ODD, l=lambda s: (2, s.n - 4), rank=2,
-              gr="QsumC", tail=lambda s: ((s.n - 4, 2), (s.l,)), sound=_odd_l_sound),
-    FamilyDef("BarrCa", _build_BarrCa, least=7, parity=ODD, k=lambda s: (2, s.n - 5),
-              l=lambda s: (2, s.n - 4), rank=1, gr="QsumC", alphas=lambda s: (s.n - s.k - 1) // 2 - 1,
-              model="QarrCa", l1=lambda s: s.k, sound=_odd_l_sound),
-    FamilyDef("QarrCb", _build_QarrCb, least=7, parity=ODD, l=lambda s: (2, s.n - 4), rank=1,
-              gr="QsumC", model="QarrCc", l1=lambda s: Fraction(s.l - s.n + 5, 2),
+    FamilyDef("AsumC", _deformation, least=6, k=lambda s: (2, s.n - 4), rank=2, gr="LsumC",
+              model="LsumC", l1=lambda s: s.k),
+    FamilyDef("BsumC", _deformation, least=7, parity=ODD, k=lambda s: (2, s.n - 5), rank=2, gr="QsumC",
+              model="QsumC", l1=lambda s: s.k, misprinted_table=True),
+    FamilyDef("LarrC", _shifted, least=5, l=lambda s: (2, s.n - 3), rank=2, gr="LsumC", model="LsumC",
+              shift=lambda s: s.l, tail=lambda s: ((s.l,),), misprinted_table=True),
+    FamilyDef("AarrC", _deformation, least=6, k=lambda s: (2, s.n - 4), l=lambda s: (2, s.n - 3),
+              rank=1, gr="LsumC", model="LarrC", l1=lambda s: s.k, misprinted_table=True),
+    FamilyDef("QarrCa", _shifted, least=7, parity=ODD, l=lambda s: (2, s.n - 4), rank=2, gr="QsumC",
+              model="QsumC", shift=lambda s: s.l, tail=lambda s: ((s.n - 4, 2), (s.l,)),
+              sound=_odd_l_sound),
+    FamilyDef("BarrCa", _deformation, least=7, parity=ODD, k=lambda s: (2, s.n - 5),
+              l=lambda s: (2, s.n - 4), rank=1, gr="QsumC", model="QarrCa", l1=lambda s: s.k,
+              sound=_odd_l_sound),
+    FamilyDef("QarrCb", _shifted, least=7, parity=ODD, l=lambda s: (2, s.n - 4), rank=1,
+              gr="QsumC", model="QarrCc", shift=lambda s: s.l, l1=lambda s: Fraction(s.l - s.n + 5, 2),
               misprinted_diagonal=_stray_symbol, sound=_odd_l_sound),
-    FamilyDef("QarrCc", _build_QarrCc, least=7, parity=ODD, rank=2, gr="QsumC",
+    FamilyDef("QarrCc", _central, least=7, parity=ODD, rank=2, gr="QsumC", model="QsumC",
               tail=lambda s: ((s.n - 4, 2), (s.n - 5, 2)), misprinted_diagonal=_product_for_sum),
     # the published rank partition lists this family as rank 2, but with any
     # alpha bracket present the weight system pins w1 = k*w0 and the diagonal
     # family is one-dimensional (and f has distinct eigenvalues, so the torus
     # is exactly that family)
-    FamilyDef("BarrCc", _build_BarrCc, least=7, parity=ODD, k=lambda s: (2, s.n - 5), rank=1,
-              gr="QsumC", alphas=lambda s: (s.n - s.k - 1) // 2 - 1, model="QarrCc", l1=lambda s: s.k),
+    FamilyDef("BarrCc", _deformation, least=7, parity=ODD, k=lambda s: (2, s.n - 5), rank=1,
+              gr="QsumC", model="QarrCc", l1=lambda s: s.k),
     # type t_r ----------------------------------------------------------------
-    FamilyDef("Lnr", _build_Lnr, **_LNR, rank=2, gr="Lnr", tail=lambda s: ((s.r - 2, 2),)),
-    FamilyDef("Qnr", _build_Qnr, **_QNR, rank=2, gr="Qnr",
+    FamilyDef("Lnr", _r_pairs, **_LNR, rank=2, gr="Lnr", model="LsumC", tail=lambda s: ((s.r - 2, 2),)),
+    FamilyDef("Qnr", _r_pairs, **_QNR, rank=2, gr="Qnr", model="QsumC",
               tail=lambda s: ((s.n - 4, 2), (s.r - 2, 2))),
     FamilyDef("Tn4", _build_Tn4, least=7, parity=ODD, rank=2, gr="Tn4",
               tail=lambda s: ((s.n - 5, 2), (s.n - 4, 2), (s.n - 6, 2))),
     FamilyDef("Tn3", _build_Tn3, least=6, parity=EVEN, rank=2, gr="Tn3",
               tail=lambda s: ((s.n - 4, 2), (s.n - 5, 2))),
-    FamilyDef("Cnrk", _build_Cnrk, **_LNR, k=lambda s: (2, s.n - 4), rank=1, gr="Lnr",
-              alphas=lambda s: (s.n - s.k) // 2 - 1, model="Lnr", l1=lambda s: s.k),
-    FamilyDef("Dnrk", _build_Dnrk, **_LNR, k=lambda s: (1, (s.n - s.r - 2) // 2), rank=1, gr="Lnr",
-              model="Lnr", l1=lambda s: Fraction(2 * s.k + 1, 2), sound=_dnrk_sound),
-    FamilyDef("Enrk", _build_Enrk, **_QNR, k=lambda s: (2, s.n - 5), rank=1, gr="Qnr",
-              alphas=lambda s: (s.n - s.k - 1) // 2 - 1, model="Qnr", l1=lambda s: s.k),
-    FamilyDef("Fnrk", _build_Fnrk, **_QNR, k=lambda s: (1, (s.n - s.r - 4) // 2), rank=1, gr="Qnr",
-              model="Qnr", l1=lambda s: Fraction(2 * s.k + 1, 2), sound=_fnrk_sound),
+    FamilyDef("Cnrk", _deformation, **_LNR, k=lambda s: (2, s.n - 4), rank=1, gr="Lnr",
+              model="Lnr", shift=lambda s: 2 * s.k + s.r - 2, l1=lambda s: s.k),
+    FamilyDef("Dnrk", _shifted, **_LNR, k=lambda s: (1, (s.n - s.r - 2) // 2), rank=1, gr="Lnr",
+              model="Lnr", shift=lambda s: 2 * s.k + s.r - 1, l1=lambda s: Fraction(2 * s.k + 1, 2),
+              sound=_dnrk_sound),
+    FamilyDef("Enrk", _deformation, **_QNR, k=lambda s: (2, s.n - 5), rank=1, gr="Qnr",
+              model="Qnr", shift=lambda s: 2 * s.k + s.r - 2, l1=lambda s: s.k),
+    FamilyDef("Fnrk", _shifted, **_QNR, k=lambda s: (1, (s.n - s.r - 4) // 2), rank=1, gr="Qnr",
+              model="Qnr", shift=lambda s: 2 * s.k + s.r - 1, l1=lambda s: Fraction(2 * s.k + 1, 2),
+              sound=_fnrk_sound),
     FamilyDef("Gnrk", _build_Gnrk, least=9, parity=ODD, r=lambda s: (s.n - 4, s.n - 4),
-              k=lambda s: (2, s.n - 6), rank=1, gr="Tn4", alphas=lambda s: (s.n - s.k - 2) // 2 - 1,
-              model="Tn4", l1=lambda s: s.k, misprinted_table=True, validator=_validate_gnrk),
-    FamilyDef("Hnrk", _build_Hnrk, least=8, parity=EVEN, r=lambda s: (s.n - 3, s.n - 3),
-              k=lambda s: (2, s.n - 5), rank=1, gr="Tn3", alphas=lambda s: (s.n - s.k - 1) // 2 - 1,
-              model="Tn3", l1=lambda s: s.k, validator=_validate_hnrk),
+              k=lambda s: (2, s.n - 6), rank=1, gr="Tn4", model="Tn4", l1=lambda s: s.k,
+              misprinted_table=True, validator=_validate_gnrk),
+    FamilyDef("Hnrk", _deformation, least=8, parity=EVEN, r=lambda s: (s.n - 3, s.n - 3),
+              k=lambda s: (2, s.n - 5), rank=1, gr="Tn3", model="Tn3", l1=lambda s: s.k,
+              validator=_validate_hnrk),
     FamilyDef("E951", _build_E951, least=9, fixed=True, rank=1, gr="E951",
               tail=lambda s: ((5,),), l1=lambda s: 1),
     FamilyDef("E952", _build_E952, least=9, fixed=True, rank=1, gr="E952",
@@ -804,18 +660,16 @@ def family_def(token: str) -> FamilyDef:
 
 
 def validate_spec(spec: FamilySpec) -> None:
-    fam = family_def(spec.family)
-    fam.validate(spec)
+    family_def(spec.family).validate(spec)
     if spec.alphas is not None:
-        expected = fam.alpha_count(spec)
+        expected = alpha_count(spec)
         _req(len(spec.alphas) == expected,
              f"{spec.family} at n={spec.n} expects {expected} alpha values, got {len(spec.alphas)}")
 
 
 def alpha_count(spec: FamilySpec) -> int:
-    fam = family_def(spec.family)
-    fam.validate(spec)
-    return fam.alpha_count(spec)
+    """The number of alpha values of the tuple: the parameters of its table."""
+    return len(_symbolic(replace(spec, alphas=None), False).params)
 
 
 def generate(spec: FamilySpec, misprint: bool = False) -> Algebra:
@@ -827,16 +681,24 @@ def generate(spec: FamilySpec, misprint: bool = False) -> Algebra:
     ``misprint=True`` selects the documented known-bad variant where one
     exists (LarrC, AarrC, BsumC, Gnrk) and is rejected otherwise.
     """
-    fam = family_def(spec.family)
     validate_spec(spec)
-    if misprint and not fam.misprinted_table:
-        raise InvalidParametersError(f"{spec.family} has no documented misprint variant")
-    params, table = fam.build(spec, misprint)
-    algebra = Algebra(spec.n, table, params=params)
-    if spec.alphas is not None and params:
-        assignment = {name: value for name, value in zip(params, spec.alphas)}
-        algebra = algebra.specialize(assignment)
+    algebra = _symbolic(replace(spec, alphas=None), bool(misprint))
+    if spec.alphas is not None and algebra.params:
+        algebra = algebra.specialize(dict(zip(algebra.params, spec.alphas)))
     return algebra
+
+
+# The calls on one tuple (its alpha count, table, constraints and weight
+# audit) come one after the other, so a small memo serves them all.
+@lru_cache(maxsize=8)
+def _symbolic(symbolic: FamilySpec, misprint: bool) -> Algebra:
+    """The table of an alpha-free spec, built once and shared (it is immutable)."""
+    fam = family_def(symbolic.family)
+    fam.validate(symbolic)
+    if misprint and not fam.misprinted_table:
+        raise InvalidParametersError(f"{symbolic.family} has no documented misprint variant")
+    params, table = fam.build(symbolic, misprint)
+    return Algebra(symbolic.n, table, params=params)
 
 
 def natural_gr_class(spec: FamilySpec) -> FamilySpec:
@@ -882,7 +744,10 @@ def all_family_tokens() -> tuple[str, ...]:
     return tuple(FAMILIES)
 
 
-NONPARAMETRIC_TOKENS = tuple(token for token, fam in FAMILIES.items() if fam.alphas is None)
+# the families whose least tuple takes no alpha
+NONPARAMETRIC_TOKENS = tuple(
+    token for token, fam in FAMILIES.items()
+    if not alpha_count(next(s for n in itertools.count(fam.least) for s in fam.specs_at(n))))
 
 # the quasi-filiform families admitting a nonzero torus of derivations
 NONZERO_RANK_TOKENS = tuple(token for token, fam in FAMILIES.items() if not fam.filiform)
@@ -940,8 +805,7 @@ def extract_constraints(spec: FamilySpec, misprint: bool = False) -> ConstraintS
 
     The alpha values of ``spec`` are ignored; the result is computed once per
     alpha-free spec and misprint flag and shared (it is immutable)."""
-    return _constraints_of(FamilySpec(spec.family, spec.n, spec.r, spec.k, spec.l, None),
-                           bool(misprint))
+    return _constraints_of(replace(spec, alphas=None), bool(misprint))
 
 
 @lru_cache(maxsize=1024)
@@ -957,15 +821,6 @@ def _constraints_of(symbolic: FamilySpec, misprint: bool) -> ConstraintSet:
             seen[g.terms] = g
     generators = tuple(sorted(seen.values(), key=lambda g: (g.total_degree(), len(g.terms), str(g))))
     return ConstraintSet(algebra.params, generators)
-
-
-# The constraints and the weight audit (``derivations.verify_claimed_weights``)
-# of one tuple read its symbolic table one after the other, so a small memo
-# serves both.
-@lru_cache(maxsize=8)
-def _symbolic(symbolic: FamilySpec, misprint: bool) -> Algebra:
-    """The table of an alpha-free spec, generated once and shared (it is immutable)."""
-    return generate(symbolic, misprint=misprint)
 
 
 _SAMPLE_POOL = (
@@ -1037,10 +892,10 @@ def sample_alphas(spec: FamilySpec, misprint: bool = False) -> tuple[Fraction, .
     for base in ([Fraction(0)] * count, [Fraction(1)] * count):
         for v_idx in range(count):
             name = constraints.params[v_idx]
+            partial = {nm: base[i] for i, nm in enumerate(constraints.params) if i != v_idx}
             roots: set[Fraction] = set()
             ok = True
             for g in constraints.generators:
-                partial = {nm: base[i] for i, nm in enumerate(constraints.params) if i != v_idx}
                 reduced = _substitute_partial(g, partial)
                 if reduced.is_zero():
                     continue
@@ -1125,7 +980,7 @@ def claimed_weights(spec: FamilySpec, misprint: bool = False) -> tuple[Poly, ...
     fam = FAMILIES[spec.family]
     if misprint and fam.misprinted_diagonal is None:
         raise InvalidParametersError(f"{spec.family} has no documented misprinted diagonal")
-    tail_of = FAMILIES[fam.model or fam.token].tail
+    tail_of = fam.tail or (fam.model and FAMILIES[fam.model].tail)
     if tail_of is None:
         raise UnknownFamilyError(f"no claimed diagonal recorded for family {spec.family!r}")
     tail = tail_of(spec)

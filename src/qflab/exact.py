@@ -372,7 +372,7 @@ class RowSpace:
         batch = [row for row in map(_integer_row, rows) if row]
         batch.sort(key=lambda row: (len(row), min(row)))
         for row in batch:
-            self.add(row)
+            self._insert(row)
 
     def _reduce(self, v: dict[int, int]) -> dict[int, int]:
         rows = self._rows
@@ -388,7 +388,11 @@ class RowSpace:
 
     def add(self, vec) -> bool:
         """Insert a dense or sparse ({column: value}) vector; True when the span grew."""
-        v = self._reduce(_integer_row(vec))
+        return self._insert(_integer_row(vec))
+
+    def _insert(self, row: dict[int, int]) -> bool:
+        """``add`` for a row that is already a primitive integer row."""
+        v = self._reduce(row)
         if not v:
             return False
         pivot = min(v)

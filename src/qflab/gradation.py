@@ -123,7 +123,7 @@ def _generator_series(concrete: Algebra) -> tuple | None:
     for i, row in enumerate(concrete.ad):
         for j, targets in row.items():
             if i < j:
-                derived.add([targets.get(t, 0) for t in range(n)])
+                derived.add(targets)
     unit = identity_matrix(n)
     generators = [unit[j] for j in range(n) if j not in derived.pivots]
     ideals = [tuple(tuple(row) for row in unit)]
