@@ -18,12 +18,8 @@ from qflab.liealg import (
     Algebra,
     DimensionMismatchError,
     JacobiReport,
-    ShiftOutOfRangeError,
     abelian,
-    bracket,
     change_of_basis,
-    direct_sum,
-    extend_by_shift,
     jacobi_check,
 )
 from qflab.gradation import (
@@ -58,11 +54,10 @@ __all__ = [
     "Fingerprint", "GradedAlgebra", "InconsistentSystemError",
     "InvalidParametersError", "JacobiReport", "LinearSolution",
     "MissingParameterError", "NonNilpotentError", "Poly", "QflabError",
-    "Rational", "ShiftOutOfRangeError", "SingularMatrixError", "TypeInfo",
-    "TypeVector", "UnknownFamilyError", "abelian", "aij_table", "bracket",
-    "change_of_basis", "classify_gr", "cn_to_qn_transform",
-    "derivation_space", "diagonal_derivations", "direct_sum",
-    "extend_by_shift", "extract_constraints", "fingerprint", "generate",
+    "Rational", "SingularMatrixError", "TypeInfo", "TypeVector",
+    "UnknownFamilyError", "abelian", "aij_table", "change_of_basis",
+    "classify_gr", "cn_to_qn_transform", "derivation_space",
+    "diagonal_derivations", "extract_constraints", "fingerprint", "generate",
     "gr", "jacobi_check", "lower_central_series", "nullspace", "parse_poly",
     "rank_in_basis", "rat", "rat_str", "solve_linear", "spec_for", "type_of",
     "verify_claimed_weights",

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -303,11 +302,6 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    n_cap = os.environ.get("QFLAB_NMAX")
-    try:
-        n_max = args.n_max if n_cap is None else min(args.n_max, int(n_cap))
-    except ValueError:
-        raise UsageError(f"QFLAB_NMAX must be an integer, got {n_cap!r}") from None
     if args.families == "all":
         tokens = list(catalog.all_family_tokens())
     else:
@@ -315,10 +309,10 @@ def _cmd_sweep(args) -> int:
         for t in tokens:
             catalog.family_def(t)  # raises UnknownFamilyError on bad tokens
     failures = 0
-    print(f"sweep n_max={n_max}")
+    print(f"sweep n_max={args.n_max}")
     print(f"{'spec':40s} {'jacobi':8s} {'rank':12s} {'weights':8s} {'gr-class':24s}")
     for token in tokens:
-        specs = catalog.sample_specs(token, n_max)
+        specs = catalog.sample_specs(token, args.n_max)
         for spec in specs:
             algebra = catalog.generate(spec)
             ok_j = jacobi_check(algebra).ok

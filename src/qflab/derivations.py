@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from qflab import catalog
 from qflab.exact import matrix_rank, nullspace
@@ -31,18 +31,23 @@ from qflab.gradation import NonNilpotentError, series_adapted
 from qflab.liealg import Algebra
 
 
-def leibniz_rows(algebra: Algebra) -> list[dict[int, Fraction]]:
-    """Sparse rows of the Leibniz system over the n^2 unknowns D[a][b] -> a*n+b."""
+def leibniz_rows(algebra: Algebra) -> list[dict[int, int]]:
+    """Sparse rows of the Leibniz system over the n^2 unknowns D[a][b] -> a*n+b.
+
+    The rows read ``scaled_ad``, so they are the system times the common
+    denominator of the constants; the system is homogeneous, so its kernel and
+    rank are the same.
+    """
     n = algebra.dim
-    ad = algebra.ad
+    _, ad = algebra.scaled_ad
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            per_b: dict[int, dict[int, Fraction]] = {}
+            per_b: dict[int, dict[int, int]] = {}
 
             def bump(b, col, value):
                 row = per_b.setdefault(b, {})
-                row[col] = row.get(col, Fraction(0)) + value
+                row[col] = row.get(col, 0) + value
 
             for k, c in ad[i].get(j, {}).items():
                 for b in range(n):
@@ -59,9 +64,9 @@ def leibniz_rows(algebra: Algebra) -> list[dict[int, Fraction]]:
     return rows
 
 
-def derivation_space(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None):
+def derivation_space(algebra: Algebra):
     """Exact basis of the derivation algebra as a list of n x n matrices."""
-    concrete = algebra.concrete(assignment)
+    concrete = algebra.concrete()
     n = concrete.dim
     if n == 0:
         return [], 0
@@ -71,9 +76,9 @@ def derivation_space(algebra: Algebra, assignment: Mapping[str, Fraction] | None
     return matrices, len(matrices)
 
 
-def derivation_dim(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> int:
+def derivation_dim(algebra: Algebra) -> int:
     """dim Der, solved in the series-adapted basis (the given one if not nilpotent)."""
-    concrete = algebra.concrete(assignment)
+    concrete = algebra.concrete()
     n = concrete.dim
     if n == 0:
         return 0
@@ -82,43 +87,6 @@ def derivation_dim(algebra: Algebra, assignment: Mapping[str, Fraction] | None =
     except NonNilpotentError:
         pass
     return n * n - matrix_rank(leibniz_rows(concrete), ncols=n * n)
-
-
-def is_derivation(algebra: Algebra, matrix: Sequence[Sequence[Fraction]],
-                  assignment: Mapping[str, Fraction] | None = None) -> bool:
-    """Recheck the Leibniz identity on every basis pair."""
-    concrete = algebra.concrete(assignment)
-    n = concrete.dim
-    ad = concrete.ad
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = [Fraction(0)] * n
-            for k, c in ad[i].get(j, {}).items():
-                for a in range(n):
-                    lhs[a] += c * matrix[a][k]
-            rhs = [Fraction(0)] * n
-            for a in range(n):
-                if matrix[a][i]:
-                    for b, c in ad[a].get(j, {}).items():
-                        rhs[b] += matrix[a][i] * c
-                if matrix[a][j]:
-                    for b, c in ad[i].get(a, {}).items():
-                        rhs[b] += matrix[a][j] * c
-            if lhs != rhs:
-                return False
-    return True
-
-
-def commutator(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = Fraction(0)
-            for k in range(n):
-                s += a[i][k] * b[k][j] - b[i][k] * a[k][j]
-            out[i][j] = s
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -139,36 +107,25 @@ def weight_system_rows(algebra: Algebra) -> list[dict[int, Fraction]]:
     return rows
 
 
-def diagonal_derivations(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None):
-    """Basis of the additive weight systems of the (specialized) algebra.
+def diagonal_derivations(algebra: Algebra):
+    """Basis of the additive weight systems of a concrete algebra.
 
     Each returned vector w is a diagonal derivation diag(w_0, ..., w_{n-1})
     in the given basis.
     """
-    concrete = algebra.concrete(assignment)
+    concrete = algebra.concrete()
     kernel = nullspace(weight_system_rows(concrete), ncols=concrete.dim)
     return kernel, len(kernel)
 
 
-def rank_in_basis(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> int:
+def rank_in_basis(algebra: Algebra) -> int:
     """Dimension of the diagonal derivation space in the given basis.
 
     Equals the rank for catalog algebras generated in their adapted bases;
     for arbitrary bases it is only a lower bound of the true rank.
     """
-    _, dim = diagonal_derivations(algebra, assignment)
+    _, dim = diagonal_derivations(algebra)
     return dim
-
-
-def admits_diagonal(algebra: Algebra, weights: Sequence[Fraction],
-                    assignment: Mapping[str, Fraction] | None = None) -> bool:
-    """Check that diag(weights) is a derivation of the (specialized) algebra."""
-    concrete = algebra.concrete(assignment)
-    for i, j, targets in concrete.brackets():
-        for k in targets:
-            if weights[i] + weights[j] != weights[k]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from qflab.exact import QflabError, RowSpace, identity_matrix
 from qflab.liealg import Algebra, change_of_basis, rational_bracket
@@ -92,14 +92,14 @@ def bracket_span(algebra: Algebra, pairs: Iterable[tuple[Sequence, Sequence]]) -
     return span
 
 
-def lower_central_series(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> Filtration:
+def lower_central_series(algebra: Algebra) -> Filtration:
     """Exact bases of the series g_{k+1} = [g, g_k]; fails on non-nilpotent input.
 
     Built from the generators and checked, as the module docstring says.
     Memoised per concrete algebra together with ``series_adapted``, so
     ``type_of``, ``gr`` and ``derivation_dim`` of one algebra read one series.
     """
-    return _series(algebra.concrete(assignment))[0]
+    return _series(algebra.concrete())[0]
 
 
 # The calls that share one algebra's series (its type, gr and dim Der) come
@@ -119,8 +119,9 @@ def _series(concrete: Algebra) -> tuple[Filtration, Algebra, tuple[int, ...]]:
 def _generator_series(concrete: Algebra) -> tuple | None:
     """The candidate g_2 = span of the targets, g_{k+1} = [V, g_k]; None on a stall."""
     n = concrete.dim
+    _, ad = concrete.scaled_ad
     derived = RowSpace(n)
-    for i, row in enumerate(concrete.ad):
+    for i, row in enumerate(ad):
         for j, targets in row.items():
             if i < j:
                 derived.add(targets)
@@ -148,17 +149,16 @@ def _bracket_series(concrete: Algebra) -> tuple:
             raise NonNilpotentError(nxt.dim)
 
 
-def type_of(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> TypeInfo:
+def type_of(algebra: Algebra) -> TypeInfo:
     """Type vector {p_1,...,p_m} plus the filiform/quasi-filiform predicates.
 
     For quasi-filiform input the returned r-index is 1 when p_1 = 3 and
     otherwise the position r >= 2 of the second jump of size 2.
     """
-    return lower_central_series(algebra, assignment).type_info()
+    return lower_central_series(algebra).type_info()
 
 
-def series_adapted(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None
-                   ) -> tuple[Algebra, tuple[int, ...]]:
+def series_adapted(algebra: Algebra) -> tuple[Algebra, tuple[int, ...]]:
     """The full table in a basis adapted to the lower central series, and its levels.
 
     The basis extends the echelonized basis of g_{i+1} to g_i (deepest level
@@ -166,7 +166,7 @@ def series_adapted(algebra: Algebra, assignment: Mapping[str, Fraction] | None =
     g_{levels[t]}.  Memoised per concrete algebra with its series.  When that
     basis is the given one, the algebra itself is returned.
     """
-    return _series(algebra.concrete(assignment))[1:]
+    return _series(algebra.concrete())[1:]
 
 
 def _adapted(concrete: Algebra, ideals: tuple) -> tuple[Algebra, tuple[int, ...]]:
@@ -184,13 +184,13 @@ def _adapted(concrete: Algebra, ideals: tuple) -> tuple[Algebra, tuple[int, ...]
     return change_of_basis(concrete, basis), levels
 
 
-def gr(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> GradedAlgebra:
+def gr(algebra: Algebra) -> GradedAlgebra:
     """Associated graded algebra of the lower central series.
 
     The leading-degree truncation of ``series_adapted``: the bracket of basis
     vectors of levels i and j keeps only its component of level i + j.
     """
-    adapted, weights = series_adapted(algebra, assignment)
+    adapted, weights = series_adapted(algebra)
     table = {}
     for a, b, targets in adapted.brackets():
         target = weights[a] + weights[b]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from qflab import catalog
 from qflab.exact import identity_matrix, mat_mul, matrix_rank, rat
@@ -138,8 +138,8 @@ def _derived_dims(algebra: Algebra) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def fingerprint(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> Fingerprint:
-    concrete = algebra.concrete(assignment)
+def fingerprint(algebra: Algebra) -> Fingerprint:
+    concrete = algebra.concrete()
     filtration = lower_central_series(concrete)
     ideals = filtration.ideals
     g2 = ideals[1] if len(ideals) > 1 else ()
@@ -182,7 +182,7 @@ def catalog_fingerprint(spec: catalog.FamilySpec) -> Fingerprint:
     return _FINGERPRINT_CACHE[key]
 
 
-def classify_gr(algebra: Algebra, assignment: Mapping[str, Fraction] | None = None) -> ClassifyResult:
+def classify_gr(algebra: Algebra) -> ClassifyResult:
     """Identify gr(algebra) among the naturally graded quasi-filiform catalog.
 
     Matches on the basis-independent fingerprint components first; when
@@ -190,7 +190,7 @@ def classify_gr(algebra: Algebra, assignment: Mapping[str, Fraction] | None = No
     extensions (centralizer of g_2, then the diagonal-derivation dimension,
     both computed in canonical homogeneous bases on each side).
     """
-    graded = gr(algebra, assignment)
+    graded = gr(algebra)
     fp = fingerprint(graded.algebra)
     candidates = catalog.prop4_entries(graded.algebra.dim)
     base_hits = [s for s in candidates if catalog_fingerprint(s).base_key() == fp.base_key()]

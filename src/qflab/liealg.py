@@ -3,8 +3,9 @@
 An algebra stores only the brackets [X_i, X_j] with i < j; the rest follows
 by antisymmetry.  Coefficients are Poly values over the algebra's declared
 parameter universe, so a single representation covers both concrete algebras
-and parametric families.  A concrete algebra also carries ``ad``, a cached
-signed view of both orders that the numeric layers read.
+and parametric families.  A concrete algebra also carries ``scaled_ad``, a
+cached signed integer view of both orders that the numeric layers read;
+``jacobi_check`` is the one reader of parametric tables.
 """
 
 from __future__ import annotations
@@ -15,20 +16,10 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from qflab.exact import (
-    Poly,
-    QflabError,
-    SingularMatrixError,
-    invert_matrix,
-    rat,
-)
+from qflab.exact import Poly, QflabError, invert_matrix, rat
 
 
 class DimensionMismatchError(QflabError):
-    pass
-
-
-class ShiftOutOfRangeError(QflabError):
     pass
 
 
@@ -118,37 +109,33 @@ class Algebra:
                 table[(i, j)] = entry
         return Algebra(self.dim, table, params=())
 
-    def concrete(self, assignment: Mapping[str, Fraction] | None = None) -> "Algebra":
-        """The algebra itself when it has no parameters, else its specialization."""
-        if not self.params:
-            return self
-        if assignment is None:
-            raise QflabError("a concrete parameter assignment is required")
-        return self.specialize(assignment)
-
-    @cached_property
-    def ad(self) -> list[dict[int, dict[int, Fraction]]]:
-        """Signed constants of a concrete algebra: [X_i, X_j] = sum_k ad[i][j][k] X_k.
-
-        Both orders of every nonzero bracket are stored, so ``ad[i]`` is the
-        support of ad(X_i).  Built once per instance and shared; read only.
-        """
+    def concrete(self) -> "Algebra":
+        """The algebra itself; raises on a parametric one, which must be
+        specialized first."""
         if self.params:
-            raise QflabError("the signed constant view needs a concrete algebra")
-        ad: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(self.dim)]
-        for (i, j), targets in self._table.items():
-            ad[i][j] = {k: poly.constant_value() for k, poly in targets.items()}
-            ad[j][i] = {k: -c for k, c in ad[i][j].items()}
-        return ad
+            raise QflabError("a concrete algebra is required; specialize the parameters "
+                             f"{', '.join(self.params)} first")
+        return self
 
     @cached_property
     def scaled_ad(self) -> tuple[int, list[dict[int, dict[int, int]]]]:
-        """``(scale, view)`` with ``ad[i][j][k] == view[i][j][k] / scale`` in ints,
-        ``scale`` the common denominator of the constants."""
-        scale = lcm(*(c.denominator for row in self.ad for targets in row.values()
-                      for c in targets.values()))
-        return scale, [{j: {k: c.numerator * (scale // c.denominator) for k, c in targets.items()}
-                        for j, targets in row.items()} for row in self.ad]
+        """``(scale, view)``: [X_i, X_j] = sum_k view[i][j][k] / scale X_k in ints,
+        ``scale`` the common denominator of the constants of a concrete algebra.
+
+        Both orders of every nonzero bracket are stored, so ``view[i]`` is the
+        support of ad(X_i).  Built once per instance and shared; read only.
+        """
+        table = self.concrete()._table
+        scale = lcm(*(poly.constant_value().denominator
+                      for targets in table.values() for poly in targets.values()))
+        view: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for (i, j), targets in table.items():
+            forward = view[i][j] = {}
+            for k, poly in targets.items():
+                c = poly.constant_value()
+                forward[k] = c.numerator * (scale // c.denominator)
+            view[j][i] = {k: -c for k, c in forward.items()}
+        return scale, view
 
 
 def abelian(dim: int, params: Sequence[str] = ()) -> Algebra:
@@ -160,34 +147,15 @@ def abelian(dim: int, params: Sequence[str] = ()) -> Algebra:
 # ---------------------------------------------------------------------------
 
 
-def bracket(algebra: Algebra, x: Sequence, y: Sequence) -> list[Poly]:
-    """Bilinear extension of the constant table to coefficient vectors."""
-    if len(x) != algebra.dim or len(y) != algebra.dim:
-        raise DimensionMismatchError(
-            f"expected vectors of length {algebra.dim}, got {len(x)} and {len(y)}"
-        )
-    coerce = lambda v: v if isinstance(v, Poly) else Poly.const(algebra.params, v)
-    xs = [coerce(v) for v in x]
-    ys = [coerce(v) for v in y]
-    out = [Poly.zero(algebra.params) for _ in range(algebra.dim)]
-    for (i, j), targets in algebra._table.items():
-        w = xs[i] * ys[j] - xs[j] * ys[i]
-        if w.is_zero():
-            continue
-        for k, c in targets.items():
-            out[k] = out[k] + w * c
-    return out
-
-
 _ZERO = Fraction(0)
 
 
 def rational_bracket(algebra: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
     """Bracket of Fraction coordinate vectors of a concrete algebra.
 
-    Walks only the support of ``u`` through the signed view ``algebra.ad``,
-    in integers: u, v and the constants are scaled by their common
-    denominators, which are divided out once per coordinate at the end.
+    Walks only the support of ``u`` through ``algebra.scaled_ad``, in
+    integers: u and v are scaled by their common denominators, which are
+    divided out with the view's scale once per coordinate at the end.
     """
     scale, ad = algebra.scaled_ad
     du = lcm(*(x.denominator for x in u if x))
@@ -307,94 +275,27 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
 
 
 def change_of_basis(algebra: Algebra, P: Sequence[Sequence[Fraction]]) -> Algebra:
-    """Rewrite the algebra in the basis Y_i = sum_j P[i][j] X_j.
+    """Rewrite a concrete algebra in the basis Y_i = sum_j P[i][j] X_j.
 
     P must be exactly invertible.  Jacobi validity, lower-central-series
     dimensions and the derivation algebra dimension are all preserved.
     """
-    n = algebra.dim
+    n = algebra.concrete().dim
     if len(P) != n or any(len(row) != n for row in P):
         raise DimensionMismatchError("change-of-basis matrix has wrong shape")
     rows = [[rat(x) for x in row] for row in P]
     inverse = invert_matrix(rows)  # raises SingularMatrixError
     inverse_rows = [[(t, c) for t, c in enumerate(row) if c] for row in inverse]
-    if algebra.params:
-        zero, old_bracket, nonzero = Poly.zero(algebra.params), bracket, (lambda p: not p.is_zero())
-    else:
-        zero, old_bracket, nonzero = Fraction(0), rational_bracket, bool
     table: BracketTable = {}
     for a in range(n):
         for b in range(a + 1, n):
             entry = {}
-            for jj, x in enumerate(old_bracket(algebra, rows[a], rows[b])):  # old coordinates
-                if nonzero(x):
+            for jj, x in enumerate(rational_bracket(algebra, rows[a], rows[b])):  # old coordinates
+                if x:
                     for t, c in inverse_rows[jj]:
-                        entry[t] = entry.get(t, zero) + x * c
-            entry = {t: c for t, c in sorted(entry.items()) if nonzero(c)}
+                        entry[t] = entry.get(t, _ZERO) + x * c
+            entry = {t: c for t, c in sorted(entry.items()) if c}
             if entry:
                 table[(a, b)] = entry
-    return Algebra(n, table, params=algebra.params)
+    return Algebra(n, table)
 
-
-def direct_sum(a: Algebra, b: Algebra) -> Algebra:
-    """Block sum; brackets between the two blocks vanish."""
-    if a.params == b.params:
-        params = a.params
-        lift_a = lift_b = lambda p: p
-    elif not b.params:
-        params = a.params
-        lift_a = lambda p: p
-        lift_b = lambda p: p.lift(params)
-    elif not a.params:
-        params = b.params
-        lift_a = lambda p: p.lift(params)
-        lift_b = lambda p: p
-    else:
-        if set(a.params) & set(b.params):
-            raise ValueError("parameter universes overlap but differ")
-        params = a.params + b.params
-        lift_a = lambda p: p.lift(params)
-        lift_b = lambda p: p.lift(params)
-    table: BracketTable = {}
-    for (i, j), targets in a._table.items():
-        table[(i, j)] = {k: lift_a(c) for k, c in targets.items()}
-    off = a.dim
-    for (i, j), targets in b._table.items():
-        table[(i + off, j + off)] = {k + off: lift_b(c) for k, c in targets.items()}
-    return Algebra(a.dim + b.dim, table, params=params)
-
-
-def chain_indices(algebra: Algebra) -> list[int]:
-    """Longest run 1, 2, ... along which [X0, X_i] = X_{i+1} exactly."""
-    one = Poly.const(algebra.params, 1)
-    chain = [1] if algebra.dim > 1 else []
-    i = 1
-    while i + 1 < algebra.dim:
-        entry = algebra.bracket_of(0, i)
-        if entry == {i + 1: one}:
-            chain.append(i + 1)
-            i += 1
-        else:
-            break
-    return chain
-
-
-def extend_by_shift(algebra: Algebra, shift: int) -> Algebra:
-    """Append a generator acting on the canonical chain by an index shift.
-
-    The new element Y (last basis index) satisfies [X_i, Y] = X_{i+shift} for
-    every chain index i with i + shift still on the chain.  For shifts past
-    the chain length every appended bracket vanishes and the result is the
-    plain direct sum with a one-dimensional center summand.
-    """
-    if shift < 2:
-        raise ShiftOutOfRangeError(f"shift must be at least 2, got {shift}")
-    chain = set(chain_indices(algebra))
-    n = algebra.dim + 1
-    new = n - 1
-    table = {pair: dict(targets) for pair, targets in algebra._table.items()}
-    one = Poly.const(algebra.params, 1)
-    for i in sorted(chain):
-        if i + shift in chain:
-            table[(i, new)] = {i + shift: one}
-    return Algebra(n, table, params=algebra.params)

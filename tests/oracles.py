@@ -2,8 +2,8 @@
 
 These are deliberately written with no code shared with the package: plain
 dense Gaussian elimination, a dense fraction-free rank, naive span growing,
-and a dense derivation-space eliminator.  They exist to cross-check the
-production routines.
+a dense derivation-space eliminator, a Leibniz check and a block sum of raw
+tables.  They exist to cross-check the production routines.
 """
 
 from __future__ import annotations
@@ -128,6 +128,34 @@ def bracket_of_vectors(table, n, u, v):
         for k, c in targets.items():
             out[k] += w * Fraction(c)
     return out
+
+
+def block_sum(table_a, dim_a, table_b):
+    """Raw table of the block sum: table_b's indices shifted past dim_a, and
+    every bracket between the two blocks zero."""
+    out = {pair: dict(targets) for pair, targets in table_a.items()}
+    for (i, j), targets in table_b.items():
+        out[(i + dim_a, j + dim_a)] = {k + dim_a: c for k, c in targets.items()}
+    return out
+
+
+def leibniz_holds(table, n, D):
+    """Whether the matrix D (columnwise: D X_j = sum_a D[a][j] X_a) satisfies
+    D[x, y] = [Dx, y] + [x, Dy] on every pair of basis vectors."""
+    unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    columns = [[Fraction(D[a][j]) for a in range(n)] for j in range(n)]
+
+    def apply(x):
+        return [sum((D[a][b] * x[b] for b in range(n)), Fraction(0)) for a in range(n)]
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = apply(bracket_of_vectors(table, n, unit[i], unit[j]))
+            left = bracket_of_vectors(table, n, columns[i], unit[j])
+            right = bracket_of_vectors(table, n, unit[i], columns[j])
+            if lhs != [x + y for x, y in zip(left, right)]:
+                return False
+    return True
 
 
 def naive_lcs(table, n):

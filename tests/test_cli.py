@@ -136,21 +136,15 @@ def test_gr_roundtrip(tmp_path, capsys):
     assert code == 0 and stdout.strip() == "Lnr(n=9,r=3)"
 
 
-def test_sweep_deterministic(capsys, monkeypatch):
-    args = ("sweep", "--families", "Lnr,E73,Dnrk", "--n-max", "8")
+def test_sweep_deterministic(capsys):
+    args = ("sweep", "--families", "Lnr,E73,Dnrk", "--n-max", "6")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip().endswith("SWEEP OK")
-
-
-def test_sweep_respects_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("QFLAB_NMAX", "6")
-    code, stdout, _ = run(capsys, "sweep", "--families", "Lnr", "--n-max", "9")
-    assert code == 0
-    assert "sweep n_max=6" in stdout
-    assert "Lnr(n=7" not in stdout
+    assert out1.startswith("sweep n_max=6\n")
+    assert "Lnr(n=6,r=3)" in out1 and "Lnr(n=7" not in out1
 
 
 def test_document_format_sorted_and_stable():
@@ -186,13 +180,6 @@ def test_document_with_repeated_pair_is_a_usage_error(tmp_path, capsys):
         code, stdout, err = run(capsys, "jacobi", _write_doc(tmp_path, brackets))
         assert code == 2 and stdout == ""
         _usage_error_line(err)
-
-
-def test_sweep_rejects_non_integer_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("QFLAB_NMAX", "abc")
-    code, stdout, err = run(capsys, "sweep", "--families", "Lnr", "--n-max", "9")
-    assert code == 2 and stdout == ""
-    _usage_error_line(err)
 
 
 def test_document_with_zero_denominator_is_a_usage_error(tmp_path, capsys):

@@ -6,19 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from qflab import catalog
 from qflab.derivations import (
-    admits_diagonal,
-    commutator,
     derivation_dim,
     derivation_space,
     diagonal_derivations,
-    is_derivation,
     rank_in_basis,
     verify_claimed_weights,
 )
-from qflab.exact import RowSpace
+from qflab.exact import RowSpace, identity_matrix, mat_mul
 from qflab.gradation import NonNilpotentError, lower_central_series
 from qflab.liealg import Algebra, abelian, change_of_basis
-from oracles import dense_derivation_dim
+from oracles import dense_derivation_dim, leibniz_holds
 from test_liealg import random_unimodular
 
 
@@ -96,18 +93,23 @@ def test_derivation_dim_of_non_nilpotent_algebra():
 
 def test_every_basis_element_satisfies_leibniz():
     a = gen("Qnr", 9, r=3)
+    table = rational_table(a)
     basis, dim = derivation_space(a)
     assert dim == derivation_dim(a)
     for d in basis:
-        assert is_derivation(a, d)
+        assert leibniz_holds(table, 9, d)
+    assert not leibniz_holds(table, 9, identity_matrix(9))  # D[x,y] = [x,y], not 2[x,y]
 
 
 def test_derivation_space_closed_under_commutator():
     a = gen("Tn3", 6)
+    table = rational_table(a)
     basis, _ = derivation_space(a)
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            assert is_derivation(a, commutator(basis[i], basis[j]))
+            ab, ba = mat_mul(basis[i], basis[j]), mat_mul(basis[j], basis[i])
+            commutator = [[x - y for x, y in zip(r, q)] for r, q in zip(ab, ba)]
+            assert leibniz_holds(table, 6, commutator)
 
 
 def test_diagonal_dim_at_most_der_dim():
@@ -133,7 +135,7 @@ def test_ln_weight_space_is_expected_span():
 def test_e953_contains_printed_diagonal():
     a = gen("E953", 9)
     w = [Fraction(c) for c in (1, 1, 2, 3, 4, 5, 6, 7, 5)]
-    assert admits_diagonal(a, w)
+    assert all(w[i] + w[j] == w[k] for i, j, targets in a.brackets() for k in targets)
     basis, dim = diagonal_derivations(a)
     assert dim == 1
     assert RowSpace(9, basis).contains(w)

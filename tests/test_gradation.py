@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflab import catalog
-from qflab.exact import QflabError, RowSpace
+from qflab.exact import QflabError, RowSpace, identity_matrix
 from qflab.gradation import NonNilpotentError, gr, lower_central_series, series_adapted, type_of
-from qflab.liealg import Algebra, abelian, bracket, change_of_basis, direct_sum, jacobi_check
-from qflab.isomorphy import fingerprint
+from qflab.liealg import Algebra, abelian, change_of_basis, jacobi_check
+from qflab.derivations import derivation_dim, derivation_space, diagonal_derivations, rank_in_basis
+from qflab.isomorphy import classify_gr, fingerprint
 from oracles import NaiveSpan, naive_lcs, naive_lcs_dims
 from test_derivations import anticommutative_tables, rational_table
-from test_liealg import random_unimodular
+from test_liealg import block_sum, random_unimodular
 
 
 def gen(token, n, **kw):
@@ -61,7 +62,7 @@ def series_inputs(draw):
         algebra = abelian(0)
         for block in draw(st.lists(st.sampled_from(LIE_BLOCKS), min_size=2, max_size=3)):
             if algebra.dim + block.dim <= 7:
-                algebra = direct_sum(algebra, block)
+                algebra = block_sum(algebra, block)
         return algebra
     n, table = draw(anticommutative_tables(max_dim=7))
     return Algebra(n, table)
@@ -92,7 +93,7 @@ def test_series_matches_naive_oracle_on_random_tables(algebra, seed):
 def test_series_of_sl2_plus_line_stalls_at_sl2():
     # the line is a complement of [g, g] = sl2 and brackets to 0, so the
     # generator shortcut ends at 0; its check fails and the series stalls
-    a = direct_sum(SL2, abelian(1))
+    a = block_sum(SL2, abelian(1))
     for algebra in (a, change_of_basis(a, random_unimodular(4, random.Random(11)))):
         with pytest.raises(NonNilpotentError) as caught:
             lower_central_series(algebra)
@@ -230,9 +231,13 @@ def test_series_adapted_basis_spans_the_series():
 
 def test_parametric_requires_assignment():
     a = gen("Ank", 7, k=2)
-    with pytest.raises(Exception):
-        lower_central_series(a)
-    assert lower_central_series(a, {"a1": Fraction(1), "a2": Fraction(0)}).dims[0] == 7
+    assert a.params
+    for entry_point in (derivation_space, derivation_dim, diagonal_derivations, rank_in_basis,
+                        lower_central_series, type_of, series_adapted, gr, fingerprint,
+                        classify_gr, lambda b: change_of_basis(b, identity_matrix(7))):
+        with pytest.raises(QflabError):
+            entry_point(a)
+    assert lower_central_series(a.specialize({"a1": Fraction(1), "a2": Fraction(0)})).dims[0] == 7
 
 
 def test_deformation_families_match_class_type():
