@@ -143,7 +143,6 @@ def leibniz_holds(table, n, D):
     """Whether the matrix D (columnwise: D X_j = sum_a D[a][j] X_a) satisfies
     D[x, y] = [Dx, y] + [x, Dy] on every pair of basis vectors."""
     unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    columns = [[Fraction(D[a][j]) for a in range(n)] for j in range(n)]
 
     def apply(x):
         return [sum((D[a][b] * x[b] for b in range(n)), Fraction(0)) for a in range(n)]
@@ -151,8 +150,8 @@ def leibniz_holds(table, n, D):
     for i in range(n):
         for j in range(i + 1, n):
             lhs = apply(bracket_of_vectors(table, n, unit[i], unit[j]))
-            left = bracket_of_vectors(table, n, columns[i], unit[j])
-            right = bracket_of_vectors(table, n, unit[i], columns[j])
+            left = bracket_of_vectors(table, n, apply(unit[i]), unit[j])
+            right = bracket_of_vectors(table, n, unit[i], apply(unit[j]))
             if lhs != [x + y for x, y in zip(left, right)]:
                 return False
     return True

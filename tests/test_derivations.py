@@ -16,16 +16,11 @@ from qflab.exact import RowSpace, identity_matrix, mat_mul
 from qflab.gradation import NonNilpotentError, lower_central_series
 from qflab.liealg import Algebra, abelian, change_of_basis
 from oracles import dense_derivation_dim, leibniz_holds
-from test_liealg import random_unimodular
+from test_liealg import constants as rational_table, random_unimodular
 
 
 def gen(token, n, **kw):
     return catalog.generate(catalog.spec_for(token, n, **kw))
-
-
-def rational_table(a):
-    return {pair: {k: c.constant_value() for k, c in t.items()}
-            for pair, t in a.table().items()}
 
 
 def test_abelian_derivations():
