@@ -442,3 +442,58 @@ def test_generated_tables_golden():
     for token in catalog.all_family_tokens():
         for spec in catalog.valid_tuples(token, 17):
             assert catalog.alpha_count(spec) == len(catalog.generate(spec).params), spec
+
+
+# One sha256 per family over the generators of ``extract_constraints`` on every
+# valid tuple with n <= 13 and the alphas ``sample_alphas`` finds on every sound
+# one, the documented misprint variant included where one exists.
+CONSTRAINTS_SHA256 = {
+    "Ln": "8f1b646007b2d277b1ca35da9e5d4e23a5e3f36c78a4e96ce32e0bca3c58405f",
+    "Qn": "11c5061f5265fcfee1240787be93bbee95abc322d36174682519443f759c0364",
+    "Ank": "5494c4d7219ade77ed63e30ac7b232a5375803bebfecb96f2ff017fa81a4b174",
+    "Bnk": "2dcc89076e16540bbddc11bb6a14ddbd07ffbc13b6be13187581f8d1f23ce5b1",
+    "Cn": "43734bec7db7a2555365f29dce6297fa90e714fbb364ae0ce6919c097420c9f8",
+    "LsumC": "f6415031da8ebc96ce8c15b54c3aa9696573a47f73754d5a2ee2dcdf5b975c4b",
+    "QsumC": "5fb1a36d42e58a6833a392ce367e54eb0f2b3104d6d7649bce064889899af5e8",
+    "AsumC": "1b7c35746dccdfcaa05e9defc7e46eacf69f88a516725559109b337587be8f08",
+    "BsumC": "13d504c5dab69caff202ba6c9100ced5cf8a928b8b46e7c39702dfad21357ab9",
+    "LarrC": "e61b0d8392920eb3fe55ef436dee09f8b9a981892991edb810c72d720b44f7ea",
+    "AarrC": "08ca9730b7161e26f84509eef523fb128903802c44b4196bfec914a580bbe36d",
+    "QarrCa": "a7bd305368552e73c16f34098249f020f271f067475cbdde854a72732a870b38",
+    "BarrCa": "5dae29e561a40ed721772dc608967e3d10b61eded0b040cffeb8b6b8ff465926",
+    "QarrCb": "278f2e92ed19ea3431640d5d56766b58ff9185763700f108b4f842801202c3a4",
+    "QarrCc": "a5c6ecacba686a54f4f1140e4b12bc3e149d2d392e0770ac2d506a02db3639c1",
+    "BarrCc": "46039e057506a4072446e0b144f83ed8a142ac92bdc6cb10d60245ffbaa9988c",
+    "Lnr": "82e8165602eb61c42e033c99eae711de2db76daffd079d529ed7b0601da154ca",
+    "Qnr": "291ffcaf2f45ea92be4abad26fd7fc917ddff0d93b8a7617c231755349413af3",
+    "Tn4": "1a380b84c662f7fa190cfb4407f84f3efb19b8b47af8a45d51c8f600bf04d167",
+    "Tn3": "9c9067baf1bb9fd6340660082048dbf74e06e9a02397581a29c0e777881399a0",
+    "Cnrk": "d6bbbbd24426c4976541130907d6dcf16e56005f6783fdbcddb68f184e8bfa28",
+    "Dnrk": "65e29f6bdd7e91f8791d9f298d5cdb2ec6fce3c8e7de21e13a6bebe32152a8e9",
+    "Enrk": "84e80a62c38bebf5acc5cdba1cc6bf7fa68e933fbdad65b897c79bb5e99460d0",
+    "Fnrk": "49c75ea2425a9f741d71e694ad23cabce5fe4d6364872073bac53d10b05d640d",
+    "Gnrk": "06be5e928e509fad108b4eabfe15b0c89d4a46bffeec58c578959b562b8461bc",
+    "Hnrk": "3dc68db2d953f5a8d4d3079398ebf93d03d304f3d5c91e172bed46bf48069584",
+    "E951": "52ad3066fd7529f7b7f84e3ae943f43bfbfd0d3f961d102b996dc5c24bf156ee",
+    "E952": "2815b29fcf7071679beb7313c4bb2882ced347462accc3d48c01a8f13254fb50",
+    "E953": "3fe7652f023a3554dfd4e1bdc8ba30584104c328cdf587726c3ff12ba974e71c",
+    "E73": "165054b354eeac20f37632a7d3abb3358b5307c143d79e1bb9ff94410f7f713d",
+}
+
+
+def test_constraints_golden():
+    def alphas(spec, misprint):
+        found = catalog.sample_alphas(spec, misprint=misprint)
+        return None if found is None else [str(a) for a in found]
+
+    got = {}
+    for token in catalog.all_family_tokens():
+        variants = (False, True) if catalog.family_def(token).misprinted_table else (False,)
+        text = "".join(
+            f"{spec} misprint={misprint} "
+            f"{[str(g) for g in catalog.extract_constraints(spec, misprint=misprint).generators]!r}\n"
+            for spec in catalog.valid_tuples(token, 13) for misprint in variants)
+        text += "".join(f"{spec} misprint={misprint} alphas={alphas(spec, misprint)!r}\n"
+                        for spec in catalog.sound_tuples(token, 13) for misprint in variants)
+        got[token] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == CONSTRAINTS_SHA256
