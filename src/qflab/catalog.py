@@ -56,7 +56,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Callable, Iterator, Mapping, Sequence
 
 from qflab.exact import Poly, QflabError, rat, rat_str
@@ -140,7 +140,7 @@ class AijTable:
         return self.values.get((i, j), Poly.zero(self.params))
 
 
-def aij_table(range_bound: int, t: int, params: Sequence[str] | None = None) -> AijTable:
+def aij_table(range_bound: int, t: int) -> AijTable:
     """Build the a_{i,j} table for pairs with i + j <= range_bound.
 
     ``t`` controls the superdiagonal seeds: a_{i,i+1} = a_i for i <= t - 1 and
@@ -150,9 +150,7 @@ def aij_table(range_bound: int, t: int, params: Sequence[str] | None = None) -> 
     """
     if t < 1:
         raise InvalidParametersError("t must be at least 1")
-    if params is None:
-        params = alpha_names(t - 1)
-    params = tuple(params)
+    params = alpha_names(t - 1)
     zero = Poly.zero(params)
     values: dict[tuple[int, int], Poly] = {}
 
@@ -721,18 +719,6 @@ def valid_tuples(token: str, n_max: int) -> Iterator[FamilySpec]:
     return family_def(token).tuples(n_max)
 
 
-def is_sound(spec: FamilySpec) -> bool:
-    """Whether the tuple lies in the family's Lie-sound subdomain.
-
-    For most families this is the whole printed range; for the shifted
-    Q-extensions it additionally requires l odd, for Dnrk it pins (r, k), and
-    for Fnrk it is empty (see the family notes).
-    """
-    fam = family_def(spec.family)
-    fam.validate(spec)
-    return fam.sound(spec)
-
-
 def sound_tuples(token: str, n_max: int) -> Iterator[FamilySpec]:
     """The printed tuples on which the table is (or can be, for parametric
     families) an actual Lie algebra."""
@@ -779,25 +765,6 @@ class ConstraintSet:
         assignment = {name: rat(v) for name, v in zip(self.params, alphas)}
         return all(g.evaluate(assignment) == 0 for g in self.generators)
 
-    def has_constant_generator(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.generators)
-
-    def vanishes_at_zero(self) -> bool:
-        return all(g.constant_term() == 0 for g in self.generators)
-
-
-def _canonical_generator(poly: Poly) -> Poly:
-    """The nonzero ``poly`` scaled to coprime integer coefficients with a
-    positive leading one.  Scaling by a nonzero constant keeps the terms in
-    canonical order, so they are rewritten in place."""
-    denominator_lcm = lcm(*(c.denominator for _, c in poly.terms))
-    numerator_gcd = gcd(*(c.numerator for _, c in poly.terms))
-    if poly.terms[0][1] < 0:
-        numerator_gcd = -numerator_gcd
-    return Poly(poly.params, tuple(
-        (m, Fraction(c.numerator * (denominator_lcm // c.denominator) // numerator_gcd))
-        for m, c in poly.terms))
-
 
 def extract_constraints(spec: FamilySpec, misprint: bool = False) -> ConstraintSet:
     """Deduplicated polynomial generators whose common zeros are exactly the
@@ -813,14 +780,17 @@ def _constraints_of(symbolic: FamilySpec, misprint: bool) -> ConstraintSet:
     from qflab.liealg import jacobi_check
 
     algebra = _symbolic(symbolic, misprint)
-    report = jacobi_check(algebra)
-    seen = {}
-    for components in report.residuals.values():
-        for poly in components.values():
-            g = _canonical_generator(poly)
-            seen[g.terms] = g
-    generators = tuple(sorted(seen.values(), key=lambda g: (g.total_degree(), len(g.terms), str(g))))
-    return ConstraintSet(algebra.params, generators)
+    seen = set()
+    for components in jacobi_check(algebra).scaled.values():
+        for coeffs in components.values():
+            # primitive: coprime integer coefficients, the leading grlex one positive
+            content = gcd(*coeffs.values())
+            if coeffs[max(coeffs, key=lambda m: (sum(m), m))] < 0:
+                content = -content
+            seen.add(frozenset((m, c // content) for m, c in coeffs.items()))
+    generators = (Poly.from_map(algebra.params, dict(g)) for g in seen)
+    return ConstraintSet(algebra.params, tuple(sorted(
+        generators, key=lambda g: (g.total_degree(), len(g.terms), str(g)))))
 
 
 _SAMPLE_POOL = (
@@ -833,20 +803,25 @@ _SAMPLE_POOL = (
 )
 
 
-def _rational_roots(poly: Poly, name: str) -> list[Fraction]:
-    """Rational roots of a polynomial of degree 1 or 2 in ``name`` alone.
-
-    Returns no candidates for a polynomial in other parameters too, for a
-    constant, and for degree 3 or more: the search has no exact solver there,
-    and reading only the low coefficients would solve a truncation instead
-    (x^3 - x is not x).  No catalog constraint has degree above 2.
-    """
-    coeffs = {}
-    idx = poly.params.index(name)
+def _univariate(poly: Poly, idx: int, base: Fraction) -> dict[int, Fraction]:
+    """The nonzero coefficients ``{degree: c}`` of ``poly`` as a polynomial in
+    its parameter ``idx``, with ``base`` put for every other parameter."""
+    coeffs: dict[int, Fraction] = {}
     for mono, c in poly.terms:
-        if any(e and i != idx for i, e in enumerate(mono)):
-            return []
-        coeffs[mono[idx]] = coeffs.get(mono[idx], Fraction(0)) + c
+        d = mono[idx]
+        coeffs[d] = coeffs.get(d, 0) + c * base ** (sum(mono) - d)
+    return {d: c for d, c in coeffs.items() if c}
+
+
+def _rational_roots(coeffs: Mapping[int, Fraction]) -> list[Fraction]:
+    """Rational roots of the univariate polynomial with the nonzero
+    coefficients ``{degree: c}`` when its degree is 1 or 2.
+
+    Returns no candidates for a constant and for degree 3 or more: the
+    search has no exact solver there, and reading only the low coefficients
+    would solve a truncation instead (x^3 - x is not x).  No catalog
+    constraint has degree above 2.
+    """
     deg = max(coeffs, default=0)
     a2, a1, a0 = coeffs.get(2, Fraction(0)), coeffs.get(1, Fraction(0)), coeffs.get(0, Fraction(0))
     if not 1 <= deg <= 2:
@@ -889,17 +864,15 @@ def sample_alphas(spec: FamilySpec, misprint: bool = False) -> tuple[Fraction, .
             continue
         if constraints.is_satisfied_by(values):
             return tuple(values)
-    for base in ([Fraction(0)] * count, [Fraction(1)] * count):
+    for base in (Fraction(0), Fraction(1)):
         for v_idx in range(count):
-            name = constraints.params[v_idx]
-            partial = {nm: base[i] for i, nm in enumerate(constraints.params) if i != v_idx}
             roots: set[Fraction] = set()
             ok = True
             for g in constraints.generators:
-                reduced = _substitute_partial(g, partial)
-                if reduced.is_zero():
+                coeffs = _univariate(g, v_idx, base)
+                if not coeffs:
                     continue
-                r = _rational_roots(reduced, name)
+                r = _rational_roots(coeffs)
                 if not r:
                     ok = False
                     break
@@ -909,33 +882,14 @@ def sample_alphas(spec: FamilySpec, misprint: bool = False) -> tuple[Fraction, .
                     break
             if ok and roots:
                 for root in sorted(roots):
-                    values = list(base)
+                    values = [base] * count
                     values[v_idx] = root
                     if any(values) and constraints.is_satisfied_by(values):
                         return tuple(values)
     return None
 
 
-def _substitute_partial(poly: Poly, assignment: Mapping[str, Fraction]) -> Poly:
-    """Substitute the assigned parameters; the others stay symbolic."""
-    known = [(i, assignment[name]) for i, name in enumerate(poly.params) if name in assignment]
-    acc: dict[tuple, Fraction] = {}
-    for mono, coeff in poly.terms:
-        value = coeff
-        new = list(mono)
-        for i, v in known:
-            if mono[i]:
-                value *= v ** mono[i]
-                new[i] = 0
-        key = tuple(new)
-        if key in acc:
-            acc[key] += value
-        else:
-            acc[key] = value
-    return Poly.from_map(poly.params, acc)
-
-
-def sample_specs(token: str, n_max: int, per_family: int | None = None) -> list[FamilySpec]:
+def sample_specs(token: str, n_max: int) -> list[FamilySpec]:
     """Concrete, Jacobi-valid representatives of a family up to n_max.
 
     Enumerates the Lie-sound tuples; parametric tuples get the first searched
@@ -948,8 +902,6 @@ def sample_specs(token: str, n_max: int, per_family: int | None = None) -> list[
         if alphas is None:
             continue
         out.append(spec.with_alphas(alphas) if alphas else spec)
-        if per_family is not None and len(out) >= per_family:
-            break
     return out
 
 

@@ -361,10 +361,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (catalog.InvalidParametersError, catalog.UnknownFamilyError) as exc:
+    except (UsageError, catalog.InvalidParametersError, catalog.UnknownFamilyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except QflabError as exc:

@@ -152,12 +152,6 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(m) for m, _ in self.terms), default=0)
 
-    def constant_term(self) -> Fraction:
-        for m, c in self.terms:
-            if sum(m) == 0:
-                return c
-        return Fraction(0)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
@@ -210,14 +204,6 @@ class Poly:
         return _canonical(self.params, acc.items())
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = Poly.const(self.params, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         """Substitute rationals for every parameter occurring in the polynomial."""

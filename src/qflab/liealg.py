@@ -157,6 +157,9 @@ def rational_bracket(algebra: Algebra, u: Sequence[Fraction], v: Sequence[Fracti
     integers: u and v are scaled by their common denominators, which are
     divided out with the view's scale once per coordinate at the end.
     """
+    if len(u) != algebra.dim or len(v) != algebra.dim:
+        raise DimensionMismatchError(
+            f"vectors of length {len(u)} and {len(v)} for an algebra of dimension {algebra.dim}")
     scale, ad = algebra.scaled_ad
     du = lcm(*(x.denominator for x in u if x))
     dv = lcm(*(x.denominator for x in v if x))
@@ -177,18 +180,32 @@ def rational_bracket(algebra: Algebra, u: Sequence[Fraction], v: Sequence[Fracti
 
 
 class JacobiReport:
-    """Nonzero residuals of the Jacobi identity, keyed by basis triple i<j<k."""
+    """Nonzero residuals of the Jacobi identity, keyed by basis triple i<j<k.
 
-    def __init__(self, dim: int, residuals: Mapping):
-        self.dim = dim
-        self.residuals = {triple: dict(components) for triple, components in residuals.items()}
+    ``scaled[triple][b]`` maps each monomial in ``params`` to the integer
+    coefficient of X_b in the residual times ``square``; no component is
+    zero.  ``residuals`` is the same report as ``{triple: {b: Poly}}``, built
+    only when it is read.
+    """
+
+    def __init__(self, params: tuple[str, ...], scaled: Mapping, square: int):
+        self.params = params
+        self.scaled = scaled
+        self.square = square
+
+    @cached_property
+    def residuals(self) -> dict[tuple, dict[int, Poly]]:
+        return {triple: {b: Poly.from_map(self.params, {m: Fraction(c, self.square)
+                                                        for m, c in coeffs.items()})
+                         for b, coeffs in components.items()}
+                for triple, components in self.scaled.items()}
 
     @property
     def ok(self) -> bool:
-        return not self.residuals
+        return not self.scaled
 
     def __len__(self):
-        return len(self.residuals)
+        return len(self.scaled)
 
     def lines(self) -> list[str]:
         out = []
@@ -198,7 +215,7 @@ class JacobiReport:
         return out
 
     def __repr__(self):
-        return "JacobiReport(ok)" if self.ok else f"JacobiReport({len(self.residuals)} bad triples)"
+        return "JacobiReport(ok)" if self.ok else f"JacobiReport({len(self.scaled)} bad triples)"
 
 
 def _jacobi_terms(view: dict, pairs: Iterable[tuple[int, int]]):
@@ -247,7 +264,6 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     """
     scale = lcm(*(c.denominator for targets in algebra._table.values()
                   for poly in targets.values() for _, c in poly.terms))
-    square = scale * scale
     acc: dict[tuple, dict[int, dict]] = {}
     for triple, negate, coeff, outer in _jacobi_terms(_signed_view(algebra, scale), algebra._table):
         component = acc.setdefault(triple, {})
@@ -259,14 +275,16 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
                 for m2, c2 in d.items():
                     mono = tuple(map(add, m1, m2))
                     poly[mono] = poly.get(mono, 0) + c1 * c2
-    residuals = {}
+    scaled = {}
     for triple, component in sorted(acc.items()):
-        polys = {e: Poly.from_map(algebra.params, {m: Fraction(c, square) for m, c in v.items()})
-                 for e, v in sorted(component.items())}
-        polys = {e: poly for e, poly in polys.items() if not poly.is_zero()}
-        if polys:
-            residuals[triple] = polys
-    return JacobiReport(algebra.dim, residuals)
+        nonzero = {}
+        for e, coeffs in sorted(component.items()):
+            coeffs = {m: c for m, c in coeffs.items() if c}
+            if coeffs:
+                nonzero[e] = coeffs
+        if nonzero:
+            scaled[triple] = nonzero
+    return JacobiReport(algebra.params, scaled, scale * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -137,14 +138,16 @@ def test_gr_roundtrip(tmp_path, capsys):
 
 
 def test_sweep_deterministic(capsys):
-    args = ("sweep", "--families", "Lnr,E73,Dnrk", "--n-max", "6")
+    args = ("sweep", "--families", "Lnr,E73,Dnrk", "--n-max", "7")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.strip().endswith("SWEEP OK")
-    assert out1.startswith("sweep n_max=6\n")
-    assert "Lnr(n=6,r=3)" in out1 and "Lnr(n=7" not in out1
+    assert out1.startswith("sweep n_max=7\n")
+    rows = out1.splitlines()[2:-1]
+    assert {row.split("(")[0] for row in rows} == {"Lnr", "E73", "Dnrk"}
+    assert max(int(re.search(r"\(n=(\d+)", row).group(1)) for row in rows) == 7
 
 
 def test_document_format_sorted_and_stable():

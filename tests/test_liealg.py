@@ -70,6 +70,12 @@ def test_change_of_basis_dimension_mismatch():
         change_of_basis(L(4), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(DimensionMismatchError):
         change_of_basis(L(4), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1]])
+    # a vector of the wrong length, on either side of the bracket
+    for u, v in (([1, 0, 0], [0, 1, 0, 0]), ([1, 0, 0, 0], [0, 1, 0, 0, 0])):
+        u, v = [Fraction(x) for x in u], [Fraction(x) for x in v]
+        for args in ((u, v), (v, u)):
+            with pytest.raises(DimensionMismatchError):
+                rational_bracket(L(4), *args)
 
 
 def test_basis_antisymmetry_identity():
