@@ -1,7 +1,9 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qflab import catalog
 from qflab.catalog import spec_for
@@ -11,13 +13,16 @@ from qflab.isomorphy import (
     cn_to_qn_transform,
     fingerprint,
 )
-from qflab.liealg import change_of_basis, jacobi_check
+from qflab.liealg import Algebra, change_of_basis, jacobi_check, rational_bracket
 from oracles import (
+    bracket_of_vectors,
     dense_derivation_dim,
     naive_centralizer_dim,
     naive_derived_dims,
     naive_lcs,
 )
+from test_derivations import anticommutative_tables
+from test_liealg import random_unimodular
 
 
 def gen(token, n, **kw):
@@ -57,8 +62,6 @@ def test_cn_transform_rejects_bad_input():
 
 
 def test_fingerprint_base_invariant_under_basis_change():
-    from test_liealg import random_unimodular
-
     rng = random.Random(4)
     a = gen("Qnr", 9, r=5)
     fp = fingerprint(a)
@@ -83,8 +86,6 @@ def assert_fingerprint_matches_oracles(algebra):
 
 
 def test_fingerprint_separates_l73_q73():
-    from test_liealg import random_unimodular
-
     fa = fingerprint(gen("Lnr", 7, r=3))
     fb = fingerprint(gen("Qnr", 7, r=3))
     assert fa.base_key() != fb.base_key()
@@ -96,6 +97,46 @@ def test_fingerprint_separates_l73_q73():
             algebra = catalog.generate(spec)
             assert_fingerprint_matches_oracles(algebra)
             assert_fingerprint_matches_oracles(change_of_basis(algebra, random_unimodular(n, rng)))
+
+
+@given(anticommutative_tables(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bracket_and_centralizers_match_oracles_on_rational_tables(drawn, data):
+    # structure constants with denominators up to 3 and vectors with their own
+    # denominators, zero vectors included, through the integer bracket kernel
+    n, table = drawn
+    algebra = Algebra(n, table)
+    vector = st.one_of(
+        st.just([Fraction(0)] * n),
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=4), min_size=n, max_size=n))
+    u, v = data.draw(vector), data.draw(vector)
+    assert rational_bracket(algebra, u, v) == bracket_of_vectors(table, n, u, v)
+    lcs = naive_lcs(table, n)
+    if lcs[-1]:  # the series stalls above 0: not nilpotent
+        return
+    fp = fingerprint(algebra)
+    unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    assert list(fp.derived_dims) == naive_derived_dims(table, n)
+    assert fp.center_dim == naive_centralizer_dim(table, n, unit)
+    assert fp.centralizer_g2_dim == naive_centralizer_dim(table, n, lcs[1] if len(lcs) > 1 else [])
+    assert fp.centralizer_g3_dim == naive_centralizer_dim(table, n, lcs[2] if len(lcs) > 2 else [])
+
+
+# sha256 over the fingerprint of every naturally graded catalog entry with
+# 4 <= n <= 17, and over one seeded moved basis of each entry with n <= 10
+FINGERPRINTS_SHA256 = "fa7453440e820bee56e5b8dc958f059fec8d413c13da8ce6c00f3c18ca605ace"
+MOVED_FINGERPRINTS_SHA256 = "8e61d8cf6a358d7ab14de418c6544e9188c132ab2f8a18283d6cdef99125a3d5"
+
+
+def test_fingerprints_golden():
+    entries = [spec for n in range(4, 18) for spec in catalog.prop4_entries(n)]
+    text = "".join(f"{spec} {fingerprint(catalog.generate(spec))!r}\n" for spec in entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == FINGERPRINTS_SHA256
+    rng = random.Random(10)
+    moved = "".join(
+        f"{spec} {fingerprint(change_of_basis(catalog.generate(spec), random_unimodular(spec.n, rng)))!r}\n"
+        for spec in entries if spec.n <= 10)
+    assert hashlib.sha256(moved.encode()).hexdigest() == MOVED_FINGERPRINTS_SHA256
 
 
 def test_fingerprint_cn_matches_qn():
@@ -126,8 +167,6 @@ def test_classify_fixes_prop4_entries():
 
 
 def test_classify_survives_basis_change():
-    from test_liealg import random_unimodular
-
     rng = random.Random(8)
     a = gen("Cnrk", 9, r=5, k=3, alphas=[Fraction(1), Fraction(1)])
     moved = change_of_basis(a, random_unimodular(9, rng))
