@@ -809,7 +809,12 @@ def _univariate(poly: Poly, idx: int, base: Fraction) -> dict[int, Fraction]:
     coeffs: dict[int, Fraction] = {}
     for mono, c in poly.terms:
         d = mono[idx]
-        coeffs[d] = coeffs.get(d, 0) + c * base ** (sum(mono) - d)
+        rest = sum(mono) - d  # the degree in the other parameters
+        if rest and base != 1:
+            if not base:
+                continue
+            c *= base ** rest
+        coeffs[d] = coeffs.get(d, 0) + c
     return {d: c for d, c in coeffs.items() if c}
 
 

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import re
 from bisect import insort
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -207,7 +207,7 @@ class Poly:
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         """Substitute rationals for every parameter occurring in the polynomial."""
-        values = [assignment.get(name) for name in self.params]
+        values = [None if (v := assignment.get(name)) is None else rat(v) for name in self.params]
         total = Fraction(0)
         for mono, coeff in self.terms:
             value = coeff
@@ -215,7 +215,7 @@ class Poly:
                 if exp:
                     if v is None:
                         raise MissingParameterError(f"no value assigned to {name}")
-                    value *= rat(v) ** exp
+                    value *= v if exp == 1 else v ** exp
             total += value
         return total
 
@@ -400,6 +400,13 @@ class RowSpace:
             rows[p] = row
         return rows
 
+    def integer_basis(self) -> list[dict[int, int]]:
+        """The reduced row echelon form as primitive integer rows, lowest pivot
+        first; each is a nonzero multiple of the matching row of ``basis``.
+        The rows are the space's own: read only."""
+        rows = self._reduced()
+        return [rows[p] for p in self.pivots]
+
     def basis(self) -> list[tuple[Fraction, ...]]:
         """The reduced row echelon form, lowest pivot first."""
         zero, rows = Fraction(0), self._reduced()
@@ -418,10 +425,13 @@ class RowSpace:
 
 
 def _integer_row(vec) -> dict[int, int]:
-    """A dense or sparse rational vector as a primitive integer row {column: value}."""
+    """A dense or sparse rational vector as a primitive integer row {column: value};
+    a row of ints is only made primitive."""
     pairs = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
-    items = [(col, x if isinstance(x, int) else rat(x)) for col, x in pairs]
-    items = [(col, q) for col, q in items if q]
+    row = {col: x for col, x in pairs if x}
+    if all(type(x) is int for x in row.values()):
+        return _primitive(row)
+    items = [(col, q) for col, q in ((col, rat(x)) for col, x in row.items()) if q]
     scale = lcm(*(q.denominator for _, q in items))
     return _primitive({col: q.numerator * (scale // q.denominator) for col, q in items})
 

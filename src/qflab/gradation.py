@@ -14,6 +14,12 @@ Where the check fails or the candidate stalls above 0 (non-Lie or
 non-nilpotent input), the series is built from every bracket [e_i, v]; only
 that path finds the dimension at which a non-nilpotent series stabilizes.
 Both paths give the same spans in canonical echelon form.
+
+Both paths bracket sparse integer rows ``{col: int}``: the generators are
+unit rows ``{j: 1}`` and each g_k is read as the integer rows of its
+``RowSpace``.  A bracket comes out as a nonzero multiple of the rational one,
+which no span changes; the Fraction bases of ``Filtration.ideals`` are read
+once per term from ``RowSpace.basis()``.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 from qflab.exact import QflabError, RowSpace, identity_matrix
-from qflab.liealg import Algebra, change_of_basis, rational_bracket
+from qflab.liealg import Algebra, _int_bracket, change_of_basis
 
 
 class NonNilpotentError(QflabError):
@@ -82,12 +88,14 @@ class GradedAlgebra:
     weights: tuple[int, ...]  # homogeneous degree of each basis vector
 
 
-def bracket_span(algebra: Algebra, pairs: Iterable[tuple[Sequence, Sequence]]) -> RowSpace:
-    """Span of the brackets [u, v] over the given pairs of a concrete algebra."""
+def bracket_span(algebra: Algebra, pairs: Iterable[tuple[Mapping[int, int], Mapping[int, int]]]) -> RowSpace:
+    """Span of the brackets [u, v] of a concrete algebra over the given pairs
+    of integer rows ({col: int})."""
+    _, ad = algebra.scaled_ad
     span = RowSpace(algebra.dim)
     for u, v in pairs:
-        w = rational_bracket(algebra, u, v)
-        if any(w):
+        w = _int_bracket(ad, u, v)
+        if w:
             span.add(w)
     return span
 
@@ -120,33 +128,37 @@ def _generator_series(concrete: Algebra) -> tuple | None:
     """The candidate g_2 = span of the targets, g_{k+1} = [V, g_k]; None on a stall."""
     n = concrete.dim
     _, ad = concrete.scaled_ad
-    derived = RowSpace(n)
+    span = RowSpace(n)
     for i, row in enumerate(ad):
         for j, targets in row.items():
             if i < j:
-                derived.add(targets)
-    unit = identity_matrix(n)
-    generators = [unit[j] for j in range(n) if j not in derived.pivots]
-    ideals = [tuple(tuple(row) for row in unit)]
-    span = derived
+                span.add(targets)
+    generators = [{j: 1} for j in range(n) if j not in span.pivots]
+    ideals = [_unit_basis(n)]
     while span.dim < len(ideals[-1]):
         ideals.append(tuple(span.basis()))
         if span.dim == 0:
             return tuple(ideals)
-        span = bracket_span(concrete, ((v, w) for w in ideals[-1] for v in generators))
+        span = bracket_span(concrete, ((v, w) for w in span.integer_basis() for v in generators))
     return None
 
 
 def _bracket_series(concrete: Algebra) -> tuple:
-    unit = identity_matrix(concrete.dim)
-    ideals = [tuple(tuple(row) for row in unit)]
+    unit = [{j: 1} for j in range(concrete.dim)]
+    ideals = [_unit_basis(concrete.dim)]
+    rows = unit
     while True:
-        nxt = bracket_span(concrete, ((e, v) for v in ideals[-1] for e in unit))
+        nxt = bracket_span(concrete, ((e, v) for v in rows for e in unit))
         ideals.append(tuple(nxt.basis()))
         if nxt.dim == 0:
             return tuple(ideals)
         if nxt.dim == len(ideals[-2]):
             raise NonNilpotentError(nxt.dim)
+        rows = nxt.integer_basis()
+
+
+def _unit_basis(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(row) for row in identity_matrix(n))
 
 
 def type_of(algebra: Algebra) -> TypeInfo:
@@ -179,7 +191,7 @@ def _adapted(concrete: Algebra, ideals: tuple) -> tuple[Algebra, tuple[int, ...]
     chosen.sort(key=lambda pair: pair[1])  # stable: keeps pivot order within a level
     basis = [row for row, _ in chosen]
     levels = tuple(level for _, level in chosen)
-    if basis == [tuple(row) for row in identity_matrix(concrete.dim)]:
+    if tuple(basis) == _unit_basis(concrete.dim):
         return concrete, levels
     return change_of_basis(concrete, basis), levels
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from qflab import catalog
-from qflab.exact import identity_matrix, mat_mul, matrix_rank, rat
+from qflab.exact import RowSpace, identity_matrix, mat_mul, matrix_rank, rat
 from qflab.gradation import bracket_span, gr, lower_central_series
-from qflab.liealg import Algebra, change_of_basis, rational_bracket
+from qflab.liealg import Algebra, _int_bracket, change_of_basis
 from qflab.derivations import derivation_dim, diagonal_derivations
 
 
@@ -114,45 +114,49 @@ class Fingerprint:
 
 
 def _centralizer_dim(algebra: Algebra, vectors) -> int:
-    """Dimension of {x : [x, v] = 0 for every v}, as one stacked exact system."""
+    """Dimension of {x : [x, v] = 0 for every v}, as one stacked exact system
+    over the integer rows ``vectors``: row ``coord`` of v's block holds the
+    coordinate ``coord`` of [e_x, v] at column x."""
     n = algebra.dim
-    unit = identity_matrix(n)
+    _, ad = algebra.scaled_ad
     stacked = []
     for v in vectors:
-        columns = [rational_bracket(algebra, unit[x], v) for x in range(n)]
-        for coord in range(n):
-            row = {x: w[coord] for x, w in enumerate(columns) if w[coord]}
-            if row:
-                stacked.append(row)
+        block: dict[int, dict[int, int]] = {}
+        for x in range(n):
+            for coord, c in _int_bracket(ad, {x: 1}, v).items():
+                block.setdefault(coord, {})[x] = c
+        stacked.extend(block.values())
     return n - matrix_rank(stacked, ncols=n)
 
 
 def _derived_dims(algebra: Algebra) -> tuple[int, ...]:
-    current = lower_central_series(algebra).ideals[1]  # D^1 = [g, g] = g_2
-    dims = [algebra.dim, len(current)]
+    n = algebra.dim
+    current = RowSpace(n, lower_central_series(algebra).ideals[1]).integer_basis()  # D^1 = g_2
+    dims = [n, len(current)]
     while dims[-1] and dims[-1] != dims[-2]:
         current = bracket_span(algebra, ((current[a], current[b])
                                          for a in range(len(current))
-                                         for b in range(a + 1, len(current)))).basis()
+                                         for b in range(a + 1, len(current)))).integer_basis()
         dims.append(len(current))
     return tuple(dims)
 
 
 def fingerprint(algebra: Algebra) -> Fingerprint:
     concrete = algebra.concrete()
+    n = concrete.dim
     filtration = lower_central_series(concrete)
     ideals = filtration.ideals
     g2 = ideals[1] if len(ideals) > 1 else ()
     g3 = ideals[2] if len(ideals) > 2 else ()
     return Fingerprint(
-        dim=concrete.dim,
+        dim=n,
         type_vector=filtration.type_info().type_vector.p,
         lcs_dims=filtration.dims,
         derived_dims=_derived_dims(concrete),
-        center_dim=_centralizer_dim(concrete, identity_matrix(concrete.dim)),
+        center_dim=_centralizer_dim(concrete, [{x: 1} for x in range(n)]),
         der_dim=derivation_dim(concrete),
-        centralizer_g2_dim=_centralizer_dim(concrete, g2),
-        centralizer_g3_dim=_centralizer_dim(concrete, g3),
+        centralizer_g2_dim=_centralizer_dim(concrete, RowSpace(n, g2).integer_basis()),
+        centralizer_g3_dim=_centralizer_dim(concrete, RowSpace(n, g3).integer_basis()),
         rank_in_adapted_basis=diagonal_derivations(concrete)[1],
     )
 

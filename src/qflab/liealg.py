@@ -6,6 +6,16 @@ parameter universe, so a single representation covers both concrete algebras
 and parametric families.  A concrete algebra also carries ``scaled_ad``, a
 cached signed integer view of both orders that the numeric layers read;
 ``jacobi_check`` is the one reader of parametric tables.
+
+The numeric layers keep their vectors as sparse integer rows ``{col: int}``
+from ``scaled_ad`` to the eliminator ``RowSpace``, and bracket them with the
+private kernel ``_int_bracket``, which returns the bracket times a positive
+integer (the view's scale times the rows' own factors).  That is safe because
+every consumer there reads a span, a rank or the kernel of a homogeneous
+system, none of which a nonzero factor per vector changes; printed values
+come from ``RowSpace.basis()``, the canonical reduced echelon form.
+``rational_bracket`` is the exact ``Fraction`` view over the same kernel, and
+``change_of_basis`` divides the factors out once per structure constant.
 """
 
 from __future__ import annotations
@@ -150,33 +160,46 @@ def abelian(dim: int, params: Sequence[str] = ()) -> Algebra:
 _ZERO = Fraction(0)
 
 
+def _int_bracket(ad: list[dict[int, dict[int, int]]], u: Mapping[int, int],
+                 v: Mapping[int, int]) -> dict[int, int]:
+    """The nonzero entries of sum u_i v_j view[i][j] for integer rows u and v
+    ({col: int}) and the view of ``scaled_ad``: the bracket [u, v] times the
+    view's scale.  Walks only the support of ``u``."""
+    out: dict[int, int] = {}
+    for i, ui in u.items():
+        for j, targets in ad[i].items():
+            vj = v.get(j)
+            if vj:
+                w = ui * vj
+                for k, c in targets.items():
+                    out[k] = out.get(k, 0) + w * c
+    return {k: x for k, x in out.items() if x}
+
+
+def _integer_vector(u: Sequence[Fraction]) -> tuple[int, dict[int, int]]:
+    """``(d, row)`` with u = row / d, d the common denominator of u."""
+    d = lcm(*(x.denominator for x in u if x))
+    return d, {i: x.numerator * (d // x.denominator) for i, x in enumerate(u) if x}
+
+
 def rational_bracket(algebra: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
     """Bracket of Fraction coordinate vectors of a concrete algebra.
 
-    Walks only the support of ``u`` through ``algebra.scaled_ad``, in
-    integers: u and v are scaled by their common denominators, which are
-    divided out with the view's scale once per coordinate at the end.
+    u and v are scaled to integer rows by their common denominators and
+    bracketed by the integer kernel; the scales are divided out once per
+    coordinate at the end.
     """
     if len(u) != algebra.dim or len(v) != algebra.dim:
         raise DimensionMismatchError(
             f"vectors of length {len(u)} and {len(v)} for an algebra of dimension {algebra.dim}")
     scale, ad = algebra.scaled_ad
-    du = lcm(*(x.denominator for x in u if x))
-    dv = lcm(*(x.denominator for x in v if x))
-    out = [0] * algebra.dim
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
-        ui = ui.numerator * (du // ui.denominator)
-        for j, targets in ad[i].items():
-            vj = v[j]
-            if not vj:
-                continue
-            w = ui * vj.numerator * (dv // vj.denominator)
-            for k, c in targets.items():
-                out[k] += w * c
+    du, iu = _integer_vector(u)
+    dv, iv = _integer_vector(v)
     scale *= du * dv
-    return [Fraction(x, scale) if x else _ZERO for x in out]
+    out = [_ZERO] * algebra.dim
+    for k, x in _int_bracket(ad, iu, iv).items():
+        out[k] = Fraction(x, scale)
+    return out
 
 
 class JacobiReport:
@@ -303,17 +326,23 @@ def change_of_basis(algebra: Algebra, P: Sequence[Sequence[Fraction]]) -> Algebr
         raise DimensionMismatchError("change-of-basis matrix has wrong shape")
     rows = [[rat(x) for x in row] for row in P]
     inverse = invert_matrix(rows)  # raises SingularMatrixError
-    inverse_rows = [[(t, c) for t, c in enumerate(row) if c] for row in inverse]
+    # every structure constant is an integer over scale * d_a * d_b * d_inv
+    scale, ad = algebra.scaled_ad
+    d_inv = lcm(*(c.denominator for row in inverse for c in row if c))
+    inverse_rows = [[(t, c.numerator * (d_inv // c.denominator)) for t, c in enumerate(row) if c]
+                    for row in inverse]
+    vectors = [_integer_vector(row) for row in rows]
     table: BracketTable = {}
     for a in range(n):
+        d_a, u = vectors[a]
         for b in range(a + 1, n):
-            entry = {}
-            for jj, x in enumerate(rational_bracket(algebra, rows[a], rows[b])):  # old coordinates
-                if x:
-                    for t, c in inverse_rows[jj]:
-                        entry[t] = entry.get(t, _ZERO) + x * c
-            entry = {t: c for t, c in sorted(entry.items()) if c}
+            d_b, v = vectors[b]
+            entry: dict[int, int] = {}
+            for jj, x in _int_bracket(ad, u, v).items():  # old coordinates
+                for t, c in inverse_rows[jj]:
+                    entry[t] = entry.get(t, 0) + x * c
+            den = scale * d_a * d_b * d_inv
+            entry = {t: Fraction(c, den) for t, c in sorted(entry.items()) if c}
             if entry:
                 table[(a, b)] = entry
     return Algebra(n, table)
-
