@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflab import catalog
+from qflab.cli import algebra_to_doc, dump_doc
 from qflab.exact import QflabError, RowSpace, identity_matrix
 from qflab.gradation import NonNilpotentError, gr, lower_central_series, series_adapted, type_of
 from qflab.liealg import Algebra, abelian, change_of_basis, jacobi_check
@@ -266,3 +268,31 @@ def test_type_vector_invariants():
         p = type_of(a).type_vector.p
         assert sum(p) == a.dim
         assert p[0] >= 2
+
+
+# sha256 over the series of every naturally graded catalog entry with
+# 4 <= n <= 11 and of one seeded moved basis of each: the echelon bases of
+# the ideals, the adapted table with its levels and the gr document.  The
+# tests above check spans; this pins which basis ``series_adapted`` picks.
+SERIES_SHA256 = "156b9abd00c1d8a688dfdd6f216d05939340495c8f8721673a6b5babd296c5d6"
+
+
+def _series_record(algebra):
+    ideals = [[[str(x) for x in row] for row in basis] for basis in lower_central_series(algebra).ideals]
+    adapted, levels = series_adapted(algebra)
+    graded = gr(algebra)
+    doc = algebra_to_doc(graded.algebra)
+    doc["metadata"] = {"weights": list(graded.weights)}
+    return f"{ideals}\n{dump_doc(algebra_to_doc(adapted))}{list(levels)}\n{dump_doc(doc)}"
+
+
+def test_series_golden():
+    rng = random.Random(14)
+    text = ""
+    for spec in (spec for n in range(4, 12) for spec in catalog.prop4_entries(n)):
+        algebra = catalog.generate(spec)
+        moved = change_of_basis(algebra, random_unimodular(spec.n, rng))
+        text += f"{spec}\n{_series_record(algebra)}{_series_record(moved)}"
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIES_SHA256
+    assert lower_central_series(abelian(0)).dims == (0, 0)
+    assert lower_central_series(abelian(1)).dims == (1, 0)
