@@ -95,7 +95,7 @@ def _load_algebra(path: str) -> Algebra:
             doc = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     return doc_to_algebra(doc)
 

@@ -20,7 +20,6 @@ diagonally there); for other bases it is only a lower bound for the rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import add
 from typing import Sequence
@@ -94,16 +93,14 @@ def derivation_dim(algebra: Algebra) -> int:
 # ---------------------------------------------------------------------------
 
 
-def weight_system_rows(algebra: Algebra) -> list[dict[int, Fraction]]:
+def weight_system_rows(algebra: Algebra) -> list[dict[int, int]]:
+    """One integer row w_i + w_j - w_k per nonzero constant c_ij^k (i < j)."""
     rows = []
     for i, j, targets in algebra.brackets():
         for k in targets:
-            row: dict[int, Fraction] = {}
-            for col, v in ((i, 1), (j, 1), (k, -1)):
-                row[col] = row.get(col, Fraction(0)) + v
-            row = {c: v for c, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
+            row = {i: 1, j: 1}
+            row[k] = row.get(k, 0) - 1
+            rows.append({col: v for col, v in row.items() if v})
     return rows
 
 

@@ -5,21 +5,26 @@ any complement V of [g, g], and then g_{k+1} = [V, g_k] (Goze and
 Khakimdjanov, *Nilpotent Lie Algebras*, 1996, ch. 1).  So g_2 is the span of
 the table's target vectors, V consists of the unit vectors at the non-pivot
 columns of its echelon basis, and each later term takes dim V brackets per
-basis vector of g_k instead of n.  The identity rests on the Jacobi identity, which input
-need not satisfy, so the candidate is checked.  Each of its terms lies in the
-matching g_k by bilinearity alone.  When it ends at 0 and every structure
-constant c_ab^t of its adapted table has level(t) > max(level(a), level(b)),
-it is a central series, so it also contains each g_k and is the series.
+basis vector of g_k instead of n.  The identity rests on the Jacobi
+identity, which input need not satisfy, so the candidate is checked.  Each
+of its terms lies in the matching g_k by bilinearity alone.  When it ends at
+0 and every structure constant c_ab^t of its adapted table has
+level(t) > max(level(a), level(b)), it is a central series, so it also
+contains each g_k and is the series.
 Where the check fails or the candidate stalls above 0 (non-Lie or
 non-nilpotent input), the series is built from every bracket [e_i, v]; only
 that path finds the dimension at which a non-nilpotent series stabilizes.
 Both paths give the same spans in canonical echelon form.
 
-Both paths bracket sparse integer rows ``{col: int}``: the generators are
-unit rows ``{j: 1}`` and each g_k is read as the integer rows of its
-``RowSpace``.  A bracket comes out as a nonzero multiple of the rational one,
-which no span changes; the Fraction bases of ``Filtration.ideals`` are read
-once per term from ``RowSpace.basis()``.
+One loop, ``_terms``, runs both paths: from g_1 and the shared g_2 it
+brackets the integer rows ``{col: int}`` of the last term with its partners
+(the generators, or every unit row) until a term is 0 or stalls.  A bracket
+comes out as a nonzero multiple of the rational one, which no span changes.
+Each term stays the ``RowSpace`` that built it, and its readers take its
+integer rows: the next term, the flag of the adapted basis and the derived
+series and centralizers of the fingerprint.  ``Fraction`` rows come from
+``RowSpace.basis()`` only where values are needed: the adapted basis handed
+to ``change_of_basis`` and ``Filtration.ideals``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from qflab.exact import QflabError, RowSpace, identity_matrix
+from qflab.exact import QflabError, RowSpace
 from qflab.liealg import Algebra, _int_bracket, change_of_basis
 
 
@@ -41,17 +46,23 @@ class NonNilpotentError(QflabError):
 
 @dataclass(frozen=True)
 class Filtration:
-    """Echelonized bases of g_1 >= g_2 >= ... >= g_{m+1} = 0."""
+    """The terms g_1 >= g_2 >= ... >= g_{m+1} = 0, each kept as the
+    ``RowSpace`` that built it; read only."""
 
-    ideals: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    spaces: tuple[RowSpace, ...]
+
+    @property
+    def ideals(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The echelonized basis of each term, read off ``RowSpace.basis()``."""
+        return tuple(tuple(space.basis()) for space in self.spaces)
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(len(basis) for basis in self.ideals)
+        return tuple(space.dim for space in self.spaces)
 
     @property
     def nilindex(self) -> int:
-        return len(self.ideals) - 1
+        return len(self.spaces) - 1
 
     def type_info(self) -> TypeInfo:
         """The type of the algebra this is the series of; see ``type_of``."""
@@ -114,51 +125,32 @@ def lower_central_series(algebra: Algebra) -> Filtration:
 # close together, so a small memo serves them; a larger one only holds memory.
 @functools.lru_cache(maxsize=16)
 def _series(concrete: Algebra) -> tuple[Filtration, Algebra, tuple[int, ...]]:
-    ideals = _generator_series(concrete)
-    if ideals is not None:
-        adapted, levels = _adapted(concrete, ideals)
-        if all(levels[t] > max(levels[a], levels[b])
-               for a, b, targets in adapted.brackets() for t in targets):
-            return Filtration(ideals), adapted, levels
-    ideals = _bracket_series(concrete)
-    return (Filtration(ideals), *_adapted(concrete, ideals))
-
-
-def _generator_series(concrete: Algebra) -> tuple | None:
-    """The candidate g_2 = span of the targets, g_{k+1} = [V, g_k]; None on a stall."""
     n = concrete.dim
     _, ad = concrete.scaled_ad
-    span = RowSpace(n)
+    g2 = RowSpace(n)
     for i, row in enumerate(ad):
         for j, targets in row.items():
             if i < j:
-                span.add(targets)
-    generators = [{j: 1} for j in range(n) if j not in span.pivots]
-    ideals = [_unit_basis(n)]
-    while span.dim < len(ideals[-1]):
-        ideals.append(tuple(span.basis()))
-        if span.dim == 0:
-            return tuple(ideals)
-        span = bracket_span(concrete, ((v, w) for w in span.integer_basis() for v in generators))
-    return None
+                g2.add(targets)
+    spaces = _terms(concrete, g2, [{j: 1} for j in range(n) if j not in g2.pivots])
+    if not spaces[-1].dim:
+        adapted, levels = _adapted(concrete, spaces)
+        if all(levels[t] > max(levels[a], levels[b])
+               for a, b, targets in adapted.brackets() for t in targets):
+            return Filtration(tuple(spaces)), adapted, levels
+    spaces = _terms(concrete, g2, [{j: 1} for j in range(n)])
+    if spaces[-1].dim:
+        raise NonNilpotentError(spaces[-1].dim)
+    return (Filtration(tuple(spaces)), *_adapted(concrete, spaces))
 
 
-def _bracket_series(concrete: Algebra) -> tuple:
-    unit = [{j: 1} for j in range(concrete.dim)]
-    ideals = [_unit_basis(concrete.dim)]
-    rows = unit
-    while True:
-        nxt = bracket_span(concrete, ((e, v) for v in rows for e in unit))
-        ideals.append(tuple(nxt.basis()))
-        if nxt.dim == 0:
-            return tuple(ideals)
-        if nxt.dim == len(ideals[-2]):
-            raise NonNilpotentError(nxt.dim)
-        rows = nxt.integer_basis()
-
-
-def _unit_basis(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in identity_matrix(n))
+def _terms(concrete: Algebra, g2: RowSpace, partners: list[dict[int, int]]) -> list[RowSpace]:
+    """g_1, g_2 and each [partners, g_k] after it, until a term is 0 or stalls."""
+    spaces = [RowSpace(concrete.dim, ({j: 1} for j in range(concrete.dim))), g2]
+    while 0 < spaces[-1].dim < spaces[-2].dim:
+        spaces.append(bracket_span(concrete, ((u, w) for w in spaces[-1].integer_basis()
+                                              for u in partners)))
+    return spaces
 
 
 def type_of(algebra: Algebra) -> TypeInfo:
@@ -181,19 +173,19 @@ def series_adapted(algebra: Algebra) -> tuple[Algebra, tuple[int, ...]]:
     return _series(algebra.concrete())[1:]
 
 
-def _adapted(concrete: Algebra, ideals: tuple) -> tuple[Algebra, tuple[int, ...]]:
+def _adapted(concrete: Algebra, spaces: list[RowSpace]) -> tuple[Algebra, tuple[int, ...]]:
     flag = RowSpace(concrete.dim)
-    chosen: list[tuple[tuple[Fraction, ...], int]] = []
-    for level in range(len(ideals) - 1, 0, -1):
-        for row in ideals[level - 1]:
+    chosen: list[tuple[dict[int, int], tuple[Fraction, ...], int]] = []
+    for level in range(len(spaces) - 1, 0, -1):
+        space = spaces[level - 1]
+        for row, vec in zip(space.integer_basis(), space.basis()):
             if flag.add(row):
-                chosen.append((row, level))
-    chosen.sort(key=lambda pair: pair[1])  # stable: keeps pivot order within a level
-    basis = [row for row, _ in chosen]
-    levels = tuple(level for _, level in chosen)
-    if tuple(basis) == _unit_basis(concrete.dim):
+                chosen.append((row, vec, level))
+    chosen.sort(key=lambda entry: entry[2])  # stable: keeps pivot order within a level
+    levels = tuple(level for _, _, level in chosen)
+    if all(len(row) == 1 and t in row for t, (row, _, _) in enumerate(chosen)):
         return concrete, levels
-    return change_of_basis(concrete, basis), levels
+    return change_of_basis(concrete, [vec for _, vec, _ in chosen]), levels
 
 
 def gr(algebra: Algebra) -> GradedAlgebra:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from qflab import catalog
-from qflab.exact import RowSpace, identity_matrix, mat_mul, matrix_rank, rat
+from qflab.exact import identity_matrix, mat_mul, matrix_rank, rat
 from qflab.gradation import bracket_span, gr, lower_central_series
 from qflab.liealg import Algebra, _int_bracket, change_of_basis
 from qflab.derivations import derivation_dim, diagonal_derivations
@@ -130,9 +130,8 @@ def _centralizer_dim(algebra: Algebra, vectors) -> int:
 
 
 def _derived_dims(algebra: Algebra) -> tuple[int, ...]:
-    n = algebra.dim
-    current = RowSpace(n, lower_central_series(algebra).ideals[1]).integer_basis()  # D^1 = g_2
-    dims = [n, len(current)]
+    current = lower_central_series(algebra).spaces[1].integer_basis()  # D^1 = g_2
+    dims = [algebra.dim, len(current)]
     while dims[-1] and dims[-1] != dims[-2]:
         current = bracket_span(algebra, ((current[a], current[b])
                                          for a in range(len(current))
@@ -145,9 +144,8 @@ def fingerprint(algebra: Algebra) -> Fingerprint:
     concrete = algebra.concrete()
     n = concrete.dim
     filtration = lower_central_series(concrete)
-    ideals = filtration.ideals
-    g2 = ideals[1] if len(ideals) > 1 else ()
-    g3 = ideals[2] if len(ideals) > 2 else ()
+    spaces = filtration.spaces
+    g3 = spaces[2].integer_basis() if len(spaces) > 2 else []
     return Fingerprint(
         dim=n,
         type_vector=filtration.type_info().type_vector.p,
@@ -155,8 +153,8 @@ def fingerprint(algebra: Algebra) -> Fingerprint:
         derived_dims=_derived_dims(concrete),
         center_dim=_centralizer_dim(concrete, [{x: 1} for x in range(n)]),
         der_dim=derivation_dim(concrete),
-        centralizer_g2_dim=_centralizer_dim(concrete, RowSpace(n, g2).integer_basis()),
-        centralizer_g3_dim=_centralizer_dim(concrete, RowSpace(n, g3).integer_basis()),
+        centralizer_g2_dim=_centralizer_dim(concrete, spaces[1].integer_basis()),
+        centralizer_g3_dim=_centralizer_dim(concrete, g3),
         rank_in_adapted_basis=diagonal_derivations(concrete)[1],
     )
 

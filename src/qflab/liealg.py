@@ -4,18 +4,19 @@ An algebra stores only the brackets [X_i, X_j] with i < j; the rest follows
 by antisymmetry.  Coefficients are Poly values over the algebra's declared
 parameter universe, so a single representation covers both concrete algebras
 and parametric families.  A concrete algebra also carries ``scaled_ad``, a
-cached signed integer view of both orders that the numeric layers read;
-``jacobi_check`` is the one reader of parametric tables.
+cached signed integer view of both orders that the numeric layers read.
+``jacobi_check`` is the one check that takes a parametric table; the numeric
+entry points call ``concrete()``, so a family is specialized first.
 
 The numeric layers keep their vectors as sparse integer rows ``{col: int}``
 from ``scaled_ad`` to the eliminator ``RowSpace``, and bracket them with the
-private kernel ``_int_bracket``, which returns the bracket times a positive
-integer (the view's scale times the rows' own factors).  That is safe because
-every consumer there reads a span, a rank or the kernel of a homogeneous
-system, none of which a nonzero factor per vector changes; printed values
-come from ``RowSpace.basis()``, the canonical reduced echelon form.
-``rational_bracket`` is the exact ``Fraction`` view over the same kernel, and
-``change_of_basis`` divides the factors out once per structure constant.
+private kernel ``_int_bracket``, which returns the bracket of two integer
+rows times the view's scale.  Such a row may be any nonzero multiple of the
+rational vector it stands for.  That is safe wherever a span, a rank or the
+kernel of a homogeneous system is read, since no factor per vector changes
+them.  Values are read exactly elsewhere: ``rational_bracket`` is the
+``Fraction`` view over the same kernel, and ``change_of_basis`` divides the
+factors out once per structure constant.
 """
 
 from __future__ import annotations
