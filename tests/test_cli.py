@@ -37,6 +37,10 @@ def run_python(*argv, timeout, **env):
                           env=env, timeout=timeout)
 
 
+# run_python arguments that call the CLI entry point with the arguments after them
+CLI = ("-c", "import sys; from qflab.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
 def test_document_roundtrip_on_catalog():
     for token, kw in (("Qn", dict(n=8)), ("Cnrk", dict(n=9, r=5, k=3)),
                       ("E951", dict(n=9)), ("Tn4", dict(n=9)),
@@ -144,8 +148,7 @@ def test_sweep_deterministic(capsys):
     args = ("sweep", "--families", "Lnr,E73,Dnrk", "--n-max", "7")
     code1, out1, _ = run(capsys, *args)
     seed = "0" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
-    done = run_python("-c", "import sys; from qflab.cli import main; sys.exit(main(sys.argv[1:]))",
-                      *args, timeout=120, PYTHONHASHSEED=seed)
+    done = run_python(*CLI, *args, timeout=120, PYTHONHASHSEED=seed)
     assert code1 == done.returncode == 0, done.stderr
     assert out1 == done.stdout
     assert out1.strip().endswith("SWEEP OK")
@@ -284,8 +287,7 @@ def test_jacobi_on_a_large_sparse_document(tmp_path, brackets):
     # large dim with few brackets is cheap
     path = tmp_path / "large.json"
     path.write_text(json.dumps({"dim": 2000, "brackets": brackets}))
-    done = run_python("-c", "import sys; from qflab.cli import main; sys.exit(main(sys.argv[1:]))",
-                      "jacobi", str(path), timeout=30)
+    done = run_python(*CLI, "jacobi", str(path), timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "JACOBI OK"
 
