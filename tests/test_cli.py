@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -156,6 +157,19 @@ def test_sweep_deterministic(capsys):
     rows = out1.splitlines()[2:-1]
     assert {row.split("(")[0] for row in rows} == {"Lnr", "E73", "Dnrk"}
     assert max(int(re.search(r"\(n=(\d+)", row).group(1)) for row in rows) == 7
+
+
+# sha256 of the stdout of `sweep --families all --n-max 9`.  It pins today's
+# output, 32 FAIL rows included; fixing those rows (ROADMAP item 4) changes
+# the digest, and the new one is recorded in CHANGES.md.
+SWEEP_9_SHA256 = "7f55e91627de0c226a522de1c988fb36688afdf8881c87318e6c6a0c9acffd12"
+
+
+def test_sweep_golden(capsys):
+    code, stdout, _ = run(capsys, "sweep", "--families", "all", "--n-max", "9")
+    assert code == 1
+    assert stdout.splitlines()[-1] == "SWEEP FAIL (32 rows)"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == SWEEP_9_SHA256
 
 
 def test_document_format_sorted_and_stable():
