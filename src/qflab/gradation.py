@@ -24,7 +24,10 @@ Each term stays the ``RowSpace`` that built it, and its readers take its
 integer rows: the next term, the flag of the adapted basis and the derived
 series and centralizers of the fingerprint.  ``Fraction`` rows come from
 ``RowSpace.basis()`` only where values are needed: the adapted basis handed
-to ``change_of_basis`` and ``Filtration.ideals``.
+to ``change_of_basis`` and ``Filtration.ideals``.  An adapted basis made of
+unit rows only permutes the given one; its table is the stored one
+relabelled, so neither an inverse nor a ``Fraction`` is computed for it.
+The zero algebra's series is g_1 = 0 alone, with nilindex 0.
 """
 
 from __future__ import annotations
@@ -126,6 +129,8 @@ def lower_central_series(algebra: Algebra) -> Filtration:
 @functools.lru_cache(maxsize=16)
 def _series(concrete: Algebra) -> tuple[Filtration, Algebra, tuple[int, ...]]:
     n = concrete.dim
+    if not n:
+        return Filtration((RowSpace(0),)), concrete, ()
     _, ad = concrete.scaled_ad
     g2 = RowSpace(n)
     for i, row in enumerate(ad):
@@ -168,7 +173,8 @@ def series_adapted(algebra: Algebra) -> tuple[Algebra, tuple[int, ...]]:
     The basis extends the echelonized basis of g_{i+1} to g_i (deepest level
     first, lowest pivot first) and lists it by level; basis vector t lies in
     g_{levels[t]}.  Memoised per concrete algebra with its series.  When that
-    basis is the given one, the algebra itself is returned.
+    basis is the given one, the algebra itself is returned; when it permutes
+    the given one, the stored table is relabelled.
     """
     return _series(algebra.concrete())[1:]
 
@@ -183,9 +189,23 @@ def _adapted(concrete: Algebra, spaces: list[RowSpace]) -> tuple[Algebra, tuple[
                 chosen.append((row, vec, level))
     chosen.sort(key=lambda entry: entry[2])  # stable: keeps pivot order within a level
     levels = tuple(level for _, _, level in chosen)
-    if all(len(row) == 1 and t in row for t, (row, _, _) in enumerate(chosen)):
-        return concrete, levels
+    if all(len(row) == 1 for row, _, _ in chosen):
+        perm = [min(row) for row, _, _ in chosen]
+        return (concrete if perm == list(range(concrete.dim)) else _relabel(concrete, perm)), levels
     return change_of_basis(concrete, [vec for _, vec, _ in chosen]), levels
+
+
+def _relabel(concrete: Algebra, perm: list[int]) -> Algebra:
+    """The table in the basis Y_t = X_{perm[t]}: each constant moves to its
+    relabelled pair and target, and changes sign where the pair swaps order."""
+    position = {x: t for t, x in enumerate(perm)}
+    table = {}
+    for i, j, targets in concrete.brackets():
+        a, b = position[i], position[j]
+        if a > b:
+            a, b, targets = b, a, {k: -c for k, c in targets.items()}
+        table[(a, b)] = {position[k]: c for k, c in targets.items()}
+    return Algebra(concrete.dim, table)
 
 
 def gr(algebra: Algebra) -> GradedAlgebra:

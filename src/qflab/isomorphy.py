@@ -6,10 +6,15 @@ basis-dependent extensions used to split ties inside the naturally graded
 catalog.  Fingerprint matching replaces general isomorphism testing; on the
 finite catalog it is made sufficient by the separation property checked in
 the test suite.
+
+Fingerprints are memoised per table: ``fingerprint`` reads a private memo
+keyed on the concrete ``Algebra``, whose equality is its canonical table, so
+the rows of a sweep that share a gr algebra compute its fingerprint once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -129,9 +134,10 @@ def _centralizer_dim(algebra: Algebra, vectors) -> int:
     return n - matrix_rank(stacked, ncols=n)
 
 
-def _derived_dims(algebra: Algebra) -> tuple[int, ...]:
-    current = lower_central_series(algebra).spaces[1].integer_basis()  # D^1 = g_2
-    dims = [algebra.dim, len(current)]
+def _derived_dims(algebra: Algebra, spaces) -> tuple[int, ...]:
+    head = spaces[:2]  # D^0 = g_1 and D^1 = g_2; the zero algebra has g_1 alone
+    dims = [space.dim for space in head]
+    current = head[-1].integer_basis()
     while dims[-1] and dims[-1] != dims[-2]:
         current = bracket_span(algebra, ((current[a], current[b])
                                          for a in range(len(current))
@@ -141,20 +147,31 @@ def _derived_dims(algebra: Algebra) -> tuple[int, ...]:
 
 
 def fingerprint(algebra: Algebra) -> Fingerprint:
-    concrete = algebra.concrete()
+    """The fingerprint of a concrete algebra, memoised per table."""
+    return _fingerprint(algebra.concrete())
+
+
+# Rows that share a gr table lie far apart in a sweep (each family visits
+# every n), so the memo holds every distinct table of one: at --n-max 13 that
+# is 136, the 80 gr tables and the catalog entries they are matched against.
+@functools.lru_cache(maxsize=1024)
+def _fingerprint(concrete: Algebra) -> Fingerprint:
     n = concrete.dim
     filtration = lower_central_series(concrete)
     spaces = filtration.spaces
-    g3 = spaces[2].integer_basis() if len(spaces) > 2 else []
+
+    def term(k):  # integer rows of g_k, none past the end of the series
+        return spaces[k - 1].integer_basis() if k <= len(spaces) else []
+
     return Fingerprint(
         dim=n,
         type_vector=filtration.type_info().type_vector.p,
         lcs_dims=filtration.dims,
-        derived_dims=_derived_dims(concrete),
+        derived_dims=_derived_dims(concrete, spaces),
         center_dim=_centralizer_dim(concrete, [{x: 1} for x in range(n)]),
         der_dim=derivation_dim(concrete),
-        centralizer_g2_dim=_centralizer_dim(concrete, spaces[1].integer_basis()),
-        centralizer_g3_dim=_centralizer_dim(concrete, g3),
+        centralizer_g2_dim=_centralizer_dim(concrete, term(2)),
+        centralizer_g3_dim=_centralizer_dim(concrete, term(3)),
         rank_in_adapted_basis=diagonal_derivations(concrete)[1],
     )
 

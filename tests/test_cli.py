@@ -191,6 +191,26 @@ def _write_doc(tmp_path, brackets, dim=3):
     return str(path)
 
 
+def test_every_numeric_command_on_the_zero_algebra(tmp_path, capsys):
+    # g_1 = 0 is the whole series, so the nilindex is 0; the zero algebra
+    # is in no catalog class
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dim": 0, "brackets": []}))
+    expected = {
+        "jacobi": (0, "JACOBI OK\n"),
+        "series": (0, "dims 0\ntype {}\nnilindex 0\nfiliform no\nquasifiliform no\n"),
+        "rank": (0, "0\n"),
+        "derivations": (0, "dimension 0\n"),
+        "classify": (1, "UNCLASSIFIED\n"),
+    }
+    for command, want in expected.items():
+        code, stdout, err = run(capsys, command, str(path))
+        assert (code, stdout, err) == (*want, ""), command
+    code, stdout, err = run(capsys, "gr", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(stdout) == {"brackets": [], "dim": 0, "metadata": {"weights": []}, "params": []}
+
+
 def test_document_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "bin.json"
     path.write_bytes(b"\xff\xfe")

@@ -231,6 +231,32 @@ def test_series_adapted_basis_spans_the_series():
         assert span.dim == len(ideal) and all(span.contains(list(v)) for v in ideal)
 
 
+def test_permuted_basis_is_relabelled_like_change_of_basis():
+    # in a permuted basis the adapted basis is made of unit vectors, and
+    # series_adapted relabels the table instead of calling change_of_basis;
+    # the relabelled table must be the one change_of_basis gives
+    rng = random.Random(15)
+    moved_bases = 0
+    for spec in (spec for n in range(4, 11) for spec in catalog.prop4_entries(n)):
+        n = spec.n
+        order = list(range(n))
+        rng.shuffle(order)
+        moved = change_of_basis(catalog.generate(spec),
+                                [[Fraction(int(j == order[i])) for j in range(n)] for i in range(n)])
+        ideals = lower_central_series(moved).ideals
+        flag, chosen = RowSpace(n), []
+        for level in range(len(ideals) - 1, 0, -1):  # deepest term first
+            chosen += [(level, vec) for vec in ideals[level - 1] if flag.add(list(vec))]
+        chosen.sort(key=lambda entry: entry[0])
+        basis = [vec for _, vec in chosen]
+        assert all(sorted(vec) == [0] * (n - 1) + [1] for vec in basis), spec
+        moved_bases += [list(vec) for vec in basis] != identity_matrix(n)
+        adapted, levels = series_adapted(moved)
+        assert adapted == change_of_basis(moved, basis), spec
+        assert list(levels) == [level for level, _ in chosen]
+    assert moved_bases > 30
+
+
 def test_parametric_requires_assignment():
     a = gen("Ank", 7, k=2)
     assert a.params
@@ -294,5 +320,6 @@ def test_series_golden():
         moved = change_of_basis(algebra, random_unimodular(spec.n, rng))
         text += f"{spec}\n{_series_record(algebra)}{_series_record(moved)}"
     assert hashlib.sha256(text.encode()).hexdigest() == SERIES_SHA256
-    assert lower_central_series(abelian(0)).dims == (0, 0)
+    assert lower_central_series(abelian(0)).dims == (0,)
+    assert lower_central_series(abelian(0)).nilindex == 0
     assert lower_central_series(abelian(1)).dims == (1, 0)

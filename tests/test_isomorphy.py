@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from qflab import catalog
 from qflab.catalog import spec_for
+from qflab import isomorphy
+from qflab.gradation import gr
 from qflab.isomorphy import (
+    Fingerprint,
     catalog_fingerprint,
     classify_gr,
     cn_to_qn_transform,
@@ -97,6 +100,48 @@ def test_fingerprint_separates_l73_q73():
             algebra = catalog.generate(spec)
             assert_fingerprint_matches_oracles(algebra)
             assert_fingerprint_matches_oracles(change_of_basis(algebra, random_unimodular(n, rng)))
+
+
+def test_memoised_fingerprint_equals_a_fresh_one():
+    # the gr algebras of the --n-max 7 sweep share tables, so the memo
+    # answers some rows; each answer must be what a fresh computation gives
+    rows = [gr(catalog.generate(spec)).algebra for token in catalog.all_family_tokens()
+            for spec in catalog.sample_specs(token, 7)]
+    fresh = {}
+    for algebra in rows:
+        isomorphy._fingerprint.cache_clear()
+        fresh[algebra] = fingerprint(algebra)
+    assert len(fresh) < len(rows)
+    isomorphy._fingerprint.cache_clear()
+    assert [fingerprint(algebra) for algebra in rows] == [fresh[algebra] for algebra in rows]
+    assert isomorphy._fingerprint.cache_info().hits == len(rows) - len(fresh)
+
+
+def test_equal_tables_share_one_memo_entry():
+    table = {(0, 1): {2: 1}, (0, 2): {3: Fraction(1, 2)}, (1, 2): {3: -2}}
+    a = Algebra(4, table)
+    b = Algebra(4, {(1, 2): {3: "-2"}, (0, 2): {3: "1/2"}, (0, 1): {2: Fraction(1)}})
+    assert a is not b and a == b
+    isomorphy._fingerprint.cache_clear()
+    assert fingerprint(a) is fingerprint(b)
+    info = isomorphy._fingerprint.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+
+
+def test_memo_keeps_l73_q73_apart_in_either_order():
+    lnr, qnr = gen("Lnr", 7, r=3), gen("Qnr", 7, r=3)
+    isomorphy._fingerprint.cache_clear()
+    first = fingerprint(lnr), fingerprint(qnr)
+    isomorphy._fingerprint.cache_clear()
+    fq = fingerprint(qnr)
+    assert (fingerprint(lnr), fq) == first
+    assert first[0] != first[1]
+
+
+def test_fingerprint_of_the_zero_algebra():
+    assert fingerprint(Algebra(0)) == Fingerprint(
+        dim=0, type_vector=(), lcs_dims=(0,), derived_dims=(0,), center_dim=0, der_dim=0,
+        centralizer_g2_dim=0, centralizer_g3_dim=0, rank_in_adapted_basis=0)
 
 
 @given(anticommutative_tables(), st.data())
