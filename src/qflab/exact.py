@@ -409,19 +409,22 @@ class RowSpace:
 
     def basis(self) -> list[tuple[Fraction, ...]]:
         """The reduced row echelon form, lowest pivot first."""
-        zero, rows = Fraction(0), self._reduced()
-        out = []
-        for p in self.pivots:
-            row = rows[p]
-            vec = [zero] * self.ncols
-            for col, x in row.items():
-                vec[col] = Fraction(x, row[p])
-            out.append(tuple(vec))
-        return out
+        rows = self._reduced()
+        return [_pivot_one(rows[p], self.ncols) for p in self.pivots]
 
     @property
     def rows(self) -> list[tuple[Fraction, ...]]:
         return self.basis()
+
+
+def _pivot_one(row: Mapping[int, int], ncols: int) -> tuple[Fraction, ...]:
+    """A nonzero integer row as a ``Fraction`` vector of length ``ncols``,
+    scaled to 1 at its pivot (its lowest column)."""
+    vec = [Fraction(0)] * ncols
+    pivot = row[min(row)]
+    for col, x in row.items():
+        vec[col] = Fraction(x, pivot)
+    return tuple(vec)
 
 
 def _integer_row(vec) -> dict[int, int]:

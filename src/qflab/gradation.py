@@ -22,9 +22,9 @@ brackets the integer rows ``{col: int}`` of the last term with its partners
 comes out as a nonzero multiple of the rational one, which no span changes.
 Each term stays the ``RowSpace`` that built it, and its readers take its
 integer rows: the next term, the flag of the adapted basis and the derived
-series and centralizers of the fingerprint.  ``Fraction`` rows come from
-``RowSpace.basis()`` only where values are needed: the adapted basis handed
-to ``change_of_basis`` and ``Filtration.ideals``.  An adapted basis made of
+series and centralizers of the fingerprint.  ``Fraction`` rows are built
+only where values are needed: the adapted basis handed to
+``change_of_basis`` and ``Filtration.ideals``.  An adapted basis made of
 unit rows only permutes the given one; its table is the stored one
 relabelled, so neither an inverse nor a ``Fraction`` is computed for it.
 The zero algebra's series is g_1 = 0 alone, with nilindex 0.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from qflab.exact import QflabError, RowSpace
+from qflab.exact import QflabError, RowSpace, _pivot_one
 from qflab.liealg import Algebra, _int_bracket, change_of_basis
 
 
@@ -180,19 +180,21 @@ def series_adapted(algebra: Algebra) -> tuple[Algebra, tuple[int, ...]]:
 
 
 def _adapted(concrete: Algebra, spaces: list[RowSpace]) -> tuple[Algebra, tuple[int, ...]]:
-    flag = RowSpace(concrete.dim)
-    chosen: list[tuple[dict[int, int], tuple[Fraction, ...], int]] = []
+    n = concrete.dim
+    flag = RowSpace(n)
+    chosen: list[tuple[dict[int, int], int]] = []
     for level in range(len(spaces) - 1, 0, -1):
-        space = spaces[level - 1]
-        for row, vec in zip(space.integer_basis(), space.basis()):
+        for row in spaces[level - 1].integer_basis():
             if flag.add(row):
-                chosen.append((row, vec, level))
-    chosen.sort(key=lambda entry: entry[2])  # stable: keeps pivot order within a level
-    levels = tuple(level for _, _, level in chosen)
-    if all(len(row) == 1 for row, _, _ in chosen):
-        perm = [min(row) for row, _, _ in chosen]
-        return (concrete if perm == list(range(concrete.dim)) else _relabel(concrete, perm)), levels
-    return change_of_basis(concrete, [vec for _, vec, _ in chosen]), levels
+                chosen.append((row, level))
+    chosen.sort(key=lambda entry: entry[1])  # stable: keeps pivot order within a level
+    levels = tuple(level for _, level in chosen)
+    if all(len(row) == 1 for row, _ in chosen):
+        perm = [min(row) for row, _ in chosen]
+        return (concrete if perm == list(range(n)) else _relabel(concrete, perm)), levels
+    # each chosen row is a row of its term's echelon form, so scaled to 1 at
+    # its pivot it is the matching row of that term's basis()
+    return change_of_basis(concrete, [_pivot_one(row, n) for row, _ in chosen]), levels
 
 
 def _relabel(concrete: Algebra, perm: list[int]) -> Algebra:
