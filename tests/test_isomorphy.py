@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflab import catalog
+from qflab import catalog, isomorphy
 from qflab.catalog import spec_for
-from qflab import isomorphy
 from qflab.gradation import gr
 from qflab.isomorphy import (
     Fingerprint,
