@@ -894,20 +894,18 @@ def sample_alphas(spec: FamilySpec, misprint: bool = False) -> tuple[Fraction, .
     return None
 
 
-def sample_specs(token: str, n_max: int) -> list[FamilySpec]:
+def sample_specs(token: str, n_max: int) -> Iterator[FamilySpec]:
     """Concrete, Jacobi-valid representatives of a family up to n_max.
 
     Enumerates the Lie-sound tuples; parametric tuples get the first searched
     assignment that satisfies the constraint set (tuples where the search
-    fails are skipped).
+    fails are skipped).  Each tuple is sampled only when it is drawn, so a
+    caller that generates it at once finds its table still in the memo.
     """
-    out: list[FamilySpec] = []
     for spec in sound_tuples(token, n_max):
         alphas = sample_alphas(spec)
-        if alphas is None:
-            continue
-        out.append(spec.with_alphas(alphas) if alphas else spec)
-    return out
+        if alphas is not None:
+            yield spec.with_alphas(alphas) if alphas else spec
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ An algebra stores only the brackets [X_i, X_j] with i < j; the rest follows
 by antisymmetry.  Coefficients are Poly values over the algebra's declared
 parameter universe, so a single representation covers both concrete algebras
 and parametric families.  A concrete algebra also carries ``scaled_ad``, a
-cached signed integer view of both orders that the numeric layers read.
-``jacobi_check`` is the one check that takes a parametric table; the numeric
-entry points call ``concrete()``, so a family is specialized first.
+cached signed integer view of both orders, one row per dimension, that every
+concrete reader shares, ``jacobi_check`` included.  ``jacobi_check`` is the
+one check that also takes a parametric table, which it reads through a view
+keyed by monomials that holds rows only for indices in some bracket; the
+numeric entry points call ``concrete()``, so a family is specialized first.
 
 The numeric layers keep their vectors as sparse integer rows ``{col: int}``
 from ``scaled_ad`` to the eliminator ``RowSpace``, and bracket them with the
@@ -265,8 +267,9 @@ def _jacobi_terms(view: dict, pairs: Iterable[tuple[int, int]]):
 
 def _signed_view(algebra: Algebra, scale: int) -> dict[int, dict]:
     """view[i][j] = {k: {monomial: scale * coefficient}} (an int) for both
-    orders of every bracket; an index in no bracket has no row, so nothing is
-    allocated per dimension."""
+    orders of every bracket of a parametric table; an index in no bracket has
+    no row, so nothing is allocated per dimension.  A concrete table is read
+    from ``scaled_ad`` instead."""
     view: dict[int, dict] = {}
     for (i, j), targets in algebra._table.items():
         forward = view.setdefault(i, {})[j] = {
@@ -285,7 +288,26 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     nonzero products of structure constants, not to dim^3.  The products are
     taken in integers: every coefficient is multiplied by the common
     denominator of the table, so each residual comes out scaled by its square.
+    A concrete table runs on ``scaled_ad`` (built once, one row per
+    dimension) and sums plain ints, wrapping each component as the constant
+    monomial ``{(): c}`` only for the report; a parametric table runs on the
+    monomial view of ``_signed_view``.  Both walk ``_jacobi_terms``.
     """
+    if not algebra.params:
+        scale, ad = algebra.scaled_ad
+        sums: dict[tuple, dict[int, int]] = {}
+        for triple, negate, coeff, outer in _jacobi_terms(dict(enumerate(ad)), algebra._table):
+            component = sums.setdefault(triple, {})
+            if negate:
+                coeff = -coeff
+            for e, d in outer.items():
+                component[e] = component.get(e, 0) + coeff * d
+        scaled = {}
+        for triple, component in sorted(sums.items()):
+            nonzero = {e: {(): c} for e, c in sorted(component.items()) if c}
+            if nonzero:
+                scaled[triple] = nonzero
+        return JacobiReport((), scaled, scale * scale)
     scale = lcm(*(c.denominator for targets in algebra._table.values()
                   for poly in targets.values() for _, c in poly.terms))
     acc: dict[tuple, dict[int, dict]] = {}

@@ -172,6 +172,23 @@ def test_sweep_golden(capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == SWEEP_9_SHA256
 
 
+def test_sweep_builds_each_table_once(capsys, monkeypatch):
+    # each tuple is sampled right before its row, so the small table memo
+    # still holds it when the row generates it; these families' tuples are
+    # not gr-catalog entries, which classify_gr builds at other times
+    memo = catalog._symbolic
+    keys = set()
+
+    def recording(symbolic, misprint):
+        keys.add((symbolic, misprint))
+        return memo(symbolic, misprint)
+
+    monkeypatch.setattr(catalog, "_symbolic", recording)
+    memo.cache_clear()
+    run(capsys, "sweep", "--families", "Ank,Bnk", "--n-max", "8")
+    assert memo.cache_info().misses == len(keys) > 8
+
+
 def test_document_format_sorted_and_stable():
     a = catalog.generate(spec_for("Qn", 6))
     text = dump_doc(algebra_to_doc(a, family="Qn(n=6)"))
@@ -311,16 +328,21 @@ def test_random_documents_never_end_in_a_traceback(doc):
             assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
-@pytest.mark.parametrize("brackets", [
-    [],
-    [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "1"}]},
-     {"i": 0, "j": 1998, "terms": [{"k": 1999, "coeff": "-1/2"}]}],
+@pytest.mark.parametrize("dim, brackets", [
+    pytest.param(2000, [], id="brackets0"),
+    pytest.param(2000, [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "1"}]},
+                        {"i": 0, "j": 1998, "terms": [{"k": 1999, "coeff": "-1/2"}]}],
+                 id="brackets1"),
+    pytest.param(MAX_DIM, [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "1"}]},
+                           {"i": 0, "j": MAX_DIM - 2, "terms": [{"k": MAX_DIM - 1, "coeff": "-1/2"}]}],
+                 id="max_dim"),
 ])
-def test_jacobi_on_a_large_sparse_document(tmp_path, brackets):
+def test_jacobi_on_a_large_sparse_document(tmp_path, dim, brackets):
     # the check visits only nonzero products of structure constants, so a
-    # large dim with few brackets is cheap
+    # large dim with few brackets is cheap; a concrete table allocates one
+    # bracket row per dimension, up to the largest document allowed
     path = tmp_path / "large.json"
-    path.write_text(json.dumps({"dim": 2000, "brackets": brackets}))
+    path.write_text(json.dumps({"dim": dim, "brackets": brackets}))
     done = run_python(*CLI, "jacobi", str(path), timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "JACOBI OK"

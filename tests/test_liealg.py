@@ -288,3 +288,73 @@ def test_concrete_change_of_basis_matches_oracle_bracket():
                         for x in range(n):
                             got[x] += c.constant_value() * p[t][x]
                     assert got == bracket_of_vectors(raw, n, p[a], p[b]), (spec, a, b)
+
+
+def random_rational_basis(n, rng):
+    """A seeded invertible rational matrix with a non-integer entry, so not
+    unimodular: the moved table has denominators."""
+    while True:
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if oracles.dense_rank(m) == n and any(x.denominator > 1 for row in m for x in row):
+            return m
+
+
+def test_concrete_jacobi_matches_oracle_on_moved_broken_tables():
+    # dense, rational tables that fail Jacobi: one constant of each catalog
+    # entry corrupted, then moved through a rational basis
+    from oracles import naive_jacobi
+
+    rng = random.Random(16)
+    checked = 0
+    for n in range(1, 9):
+        for spec in catalog.prop4_entries(n):
+            while True:  # until the oracle sees the corrupted table fail
+                table = catalog.generate(spec).table()
+                i, j = sorted(rng.sample(range(n), 2))
+                targets = table.setdefault((i, j), {})
+                k = rng.randrange(n)
+                targets[k] = targets.get(k, 0) + Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+                if naive_jacobi(_raw_table(Algebra(n, table)), n):
+                    break
+            moved = change_of_basis(Algebra(n, table), random_rational_basis(n, rng))
+            report = jacobi_check(moved)
+            assert not report.ok and report.square > 1, spec
+            assert _raw_residuals(moved) == naive_jacobi(_raw_table(moved), n), spec
+            checked += 1
+    assert checked == sum(len(catalog.prop4_entries(n)) for n in range(1, 9)) > 10
+
+
+def test_concrete_and_parametric_jacobi_agree_at_alpha_points():
+    # the concrete report of a specialised table is the parametric report
+    # evaluated there, zero components and triples dropped
+    def points(count, spec):
+        yield [Fraction(1)] * count
+        yield [Fraction((-1) ** i * (i + 2), 3) for i in range(count)]
+        yield [Fraction(0)] * (count - 1) + [Fraction(5, 2)]
+        sampled = catalog.sample_alphas(spec)
+        if sampled:
+            yield list(sampled)
+
+    outcomes = set()
+    for token in catalog.all_family_tokens():
+        if token in catalog.NONPARAMETRIC_TOKENS:
+            continue
+        for spec in catalog.valid_tuples(token, 10):
+            count = catalog.alpha_count(spec)
+            if not count:
+                continue
+            parametric = jacobi_check(catalog.generate(spec)).residuals
+            for alphas in points(count, spec):
+                at = dict(zip(catalog.generate(spec).params, alphas))
+                expected = {}
+                for triple, components in parametric.items():
+                    values = {b: poly.evaluate(at) for b, poly in components.items()}
+                    values = {b: v for b, v in values.items() if v}
+                    if values:
+                        expected[triple] = values
+                concrete = jacobi_check(catalog.generate(spec.with_alphas(alphas)))
+                got = {triple: {b: poly.constant_value() for b, poly in components.items()}
+                       for triple, components in concrete.residuals.items()}
+                assert got == expected, (spec, alphas)
+                outcomes.add(concrete.ok)
+    assert outcomes == {True, False}
