@@ -6,7 +6,6 @@ from qflab.exact import (
     MissingParameterError,
     Poly,
     QflabError,
-    Rational,
     SingularMatrixError,
     nullspace,
     parse_poly,
@@ -54,7 +53,7 @@ __all__ = [
     "Fingerprint", "GradedAlgebra", "InconsistentSystemError",
     "InvalidParametersError", "JacobiReport", "LinearSolution",
     "MissingParameterError", "NonNilpotentError", "Poly", "QflabError",
-    "Rational", "SingularMatrixError", "TypeInfo", "TypeVector",
+    "SingularMatrixError", "TypeInfo", "TypeVector",
     "UnknownFamilyError", "abelian", "aij_table", "change_of_basis",
     "classify_gr", "cn_to_qn_transform", "derivation_space",
     "diagonal_derivations", "extract_constraints", "fingerprint", "generate",

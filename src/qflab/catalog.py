@@ -43,11 +43,11 @@ one piece to it; e below is the end of the model's chain [Y0, Y_i] = Y_{i+1}:
 QarrCc adds [Y0, Y_{n-1}] = Y_{n-2} to QsumC, and Gnrk adds [Y1, Y_{n-1}] =
 Y_{n-2} at k = 2 to its line.
 
-A few families circulate with misprinted tables or diagonals; the corrected
-versions are generated by default and the known-bad variants are available
-through ``misprint=True`` so the weight audit can demonstrate detection.  Each
-table misprint lives in the one piece it corrupts: the shift of LarrC (and so
-of AarrC over it), the line of BsumC and Tn4's deepest pair line under Gnrk.
+``DISCREPANCIES`` records every disagreement with the source.  The misprinted
+tables and diagonals among them are generated corrected, and ``misprint=True``
+builds the printed variant.  Each table misprint lives in the one piece it
+corrupts: the shift of LarrC (and so of AarrC over it), the line of BsumC and
+Tn4's deepest pair line under Gnrk.
 """
 
 from __future__ import annotations
@@ -552,7 +552,6 @@ def _validate_hnrk(s: FamilySpec) -> None:
 
 
 def _stray_symbol(s: FamilySpec, weights: list) -> list:
-    # QarrCb circulates with an unrelated symbol in one slot
     params = W2 + ("kp",)
     weights = [w.lift(params) for w in weights]
     weights[2] = Poly.variable(params, "kp") * Poly.variable(params, "l0") + Poly.variable(params, "l0")
@@ -560,7 +559,6 @@ def _stray_symbol(s: FamilySpec, weights: list) -> list:
 
 
 def _product_for_sum(s: FamilySpec, weights: list) -> list:
-    # QarrCc circulates with a product where the sum (n-4)*l0 + l1 belongs
     weights[s.n - 3] = (Poly.variable(W2, "l0") * Poly.variable(W2, "l1")) * (s.n - 4)
     return weights
 
@@ -604,10 +602,7 @@ FAMILIES: dict[str, FamilyDef] = {fam.token: fam for fam in (
               misprinted_diagonal=_stray_symbol, sound=_odd_l_sound),
     FamilyDef("QarrCc", _central, least=7, parity=ODD, rank=2, gr="QsumC", model="QsumC",
               tail=lambda s: ((s.n - 4, 2), (s.n - 5, 2)), misprinted_diagonal=_product_for_sum),
-    # the published rank partition lists this family as rank 2, but with any
-    # alpha bracket present the weight system pins w1 = k*w0 and the diagonal
-    # family is one-dimensional (and f has distinct eigenvalues, so the torus
-    # is exactly that family)
+    # any alpha bracket pins w1 = k*w0: rank 1, not the published 2 (see DISCREPANCIES)
     FamilyDef("BarrCc", _deformation, least=7, parity=ODD, k=lambda s: (2, s.n - 5), rank=1,
               gr="QsumC", model="QarrCc", l1=lambda s: s.k),
     # type t_r ----------------------------------------------------------------
@@ -643,6 +638,45 @@ FAMILIES: dict[str, FamilyDef] = {fam.token: fam for fam in (
     FamilyDef("E73", _build_E73, least=7, fixed=True, rank=1, gr="E73",
               tail=lambda s: ((3,),), l1=lambda s: 1),
 )}
+
+
+# ---------------------------------------------------------------------------
+# The discrepancy registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Discrepancy:
+    """One disagreement with the source: its ``kind``, the published ``claim``, the ``tuples``
+    that ``derivations.certify`` re-checks, and for a rank entry the published ``rank``."""
+
+    families: tuple[str, ...]
+    kind: str
+    claim: str
+    tuples: tuple[FamilySpec, ...]
+    rank: int | None = None
+
+
+DISCREPANCIES: tuple[Discrepancy, ...] = (
+    *(Discrepancy((spec.family,), "misprint", claim, (spec,)) for spec, claim in (
+        (spec_for("LarrC", 9, l=3), "[Y_i, Y_{n-1}] = Y_{i+l-2}: the extension shifts the chain by l-2"),
+        (spec_for("AarrC", 9, k=2, l=3), "the LarrC extension with target Y_{i+l-2} under the a_{i,j} line"),
+        (spec_for("BsumC", 9, k=2), "[Y_i, Y_{i+1}] = a_i Y_{2i+k-1}, one step short of Y_{2i+k}"),
+        (spec_for("QarrCb", 9, l=3), "a stray symbol in the diagonal: w2 = kp*l0 + l0"),
+        (spec_for("QarrCc", 9), "the weight of Y_{n-3} is (n-4)*l0*l1, where (n-4)*l0 + l1 belongs"),
+        (spec_for("Gnrk", 9, r=5, k=3), "Tn4's deepest pair line reads (n-2-i)/2 for (n-3-i)/2"),
+    )),
+    Discrepancy(("QarrCa", "BarrCa", "QarrCb"), "range", "the extension shift l runs over [2, n-4]",
+                tuple(s for t in ("QarrCa", "BarrCa", "QarrCb") for s in FAMILIES[t].tuples(9))),
+    Discrepancy(("Dnrk",), "range", "k runs over [1, (n-r-2)/2] for every odd r",
+                tuple(FAMILIES["Dnrk"].tuples(11))),
+    Discrepancy(("Fnrk",), "unrealizable", "a Lie algebra for every k in [1, (n-r-4)/2]",
+                tuple(FAMILIES["Fnrk"].tuples(13))),
+    Discrepancy(("BarrCc",), "rank", "rank 2 in the published rank partition",
+                tuple(spec_for("BarrCc", 2 * k + 3, k=k) for k in (2, 3, 4)), rank=2),
+    Discrepancy(("Bnk",), "degenerate tuple", "k runs over [2, n-3]",
+                tuple(spec_for("Bnk", n, k=n - 3) for n in range(6, 17, 2))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -927,9 +961,8 @@ def claimed_weights(spec: FamilySpec, misprint: bool = False) -> tuple[Poly, ...
     """The classification's diagonal derivation for the family, as linear
     forms in the free eigenvalues (l0, l1 and, for rank-3 families, lx).
 
-    ``misprint=True`` returns the documented bad diagonals for QarrCb (a
-    stray unrelated symbol in one slot) and QarrCc (a product where a sum
-    belongs); other families reject the flag.
+    ``misprint=True`` returns the documented bad diagonal of QarrCb or QarrCc
+    (see ``DISCREPANCIES``); other families reject the flag.
     """
     validate_spec(spec)
     fam = FAMILIES[spec.family]

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from qflab import catalog
-from qflab.derivations import derivation_space, rank_in_basis, verify_claimed_weights
+from qflab.derivations import certify, derivation_space, rank_in_basis, verify_claimed_weights
 from qflab.exact import QflabError, parse_poly, rat, rat_str
 from qflab.gradation import NonNilpotentError, gr, lower_central_series, type_of
 from qflab.isomorphy import classify_gr, cn_to_qn_transform
@@ -59,7 +59,10 @@ def doc_to_algebra(doc: dict) -> Algebra:
         dim = _integer(doc["dim"])
         if dim > MAX_DIM:
             raise ValueError(f"dim {dim} is above the largest supported dim {MAX_DIM}")
-        params = tuple(str(p) for p in doc.get("params", []))
+        params = doc.get("params", [])
+        if not isinstance(params, list) or len(set(map(str, params))) != len(params):
+            raise ValueError(f"params must be a list of distinct names, got {params!r}")
+        params = tuple(str(p) for p in params)
         table = {}
         for entry in doc.get("brackets", []):
             i, j = _integer(entry["i"]), _integer(entry["j"])
@@ -188,6 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--misprint", action="store_true",
                    help="audit the documented known-bad variant instead")
 
+    sub.add_parser("audit", help="re-check the certificate of every documented discrepancy")
+
     return parser
 
 
@@ -308,6 +313,8 @@ def _cmd_sweep(args) -> int:
         tokens = [t.strip() for t in args.families.split(",") if t.strip()]
         for t in tokens:
             catalog.family_def(t)  # raises UnknownFamilyError on bad tokens
+    if not any(next(catalog.sound_tuples(t, args.n_max), None) for t in tokens):
+        raise UsageError(f"nothing to sweep: no sound tuple of {args.families!r} has n <= {args.n_max}")
     failures = 0
     print(f"sweep n_max={args.n_max}")
     print(f"{'spec':40s} {'jacobi':8s} {'rank':12s} {'weights':8s} {'gr-class':24s}")
@@ -338,6 +345,18 @@ def _cmd_sweep(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _cmd_audit(args) -> int:
+    failures = 0
+    for entry in catalog.DISCREPANCIES:
+        checks = [certify(entry, spec) for spec in entry.tuples]
+        holds = bool(checks) and all(ok for _, ok in checks)
+        failures += not holds
+        print(f"{entry.kind} {', '.join(entry.families)}: {'OK' if holds else 'FAIL'}",
+              f"published: {entry.claim}", *(line for line, _ in checks), sep="\n  ")
+    print(f"AUDIT {'OK' if failures == 0 else f'FAIL ({failures} entries)'}")
+    return 0 if failures == 0 else 1
+
+
 _COMMANDS = {
     "gen": _cmd_gen,
     "jacobi": _cmd_jacobi,
@@ -350,6 +369,7 @@ _COMMANDS = {
     "iso-cn": _cmd_iso_cn,
     "sweep": _cmd_sweep,
     "weights": _cmd_weights,
+    "audit": _cmd_audit,
 }
 
 

@@ -19,7 +19,7 @@ diagonally there); for other bases it is only a lower bound for the rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
 from operator import add
 from typing import Sequence
@@ -126,14 +126,12 @@ def rank_in_basis(algebra: Algebra) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Symbolic audit of the classification's printed diagonals
+# Symbolic audit of the printed diagonals, and the discrepancy registry's checks
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class WeightAudit:
-    spec: catalog.FamilySpec
-    misprint: bool
     violations: tuple  # ((i, j, k), delta Poly) entries
 
     @property
@@ -152,17 +150,15 @@ def verify_claimed_weights(spec: catalog.FamilySpec, misprint: bool = False) -> 
 
     The check is generic in the alpha parameters: a structure constant that
     is a nonzero polynomial counts as present.  With ``misprint=True`` the
-    documented bad variant of the family's table or diagonal is audited
-    instead, which is expected to fail.
+    printed variant of the family's table or diagonal is audited instead.
     """
-    symbolic = catalog.FamilySpec(spec.family, spec.n, spec.r, spec.k, spec.l, None)
+    symbolic = replace(spec, alphas=None)
     fam = catalog.family_def(spec.family)
     table_misprint = misprint and fam.misprinted_table
     weight_misprint = misprint and fam.misprinted_diagonal is not None
     if misprint and not (table_misprint or weight_misprint):
-        raise catalog.InvalidParametersError(
-            f"{spec.family} has no documented misprint to audit")
-    algebra = catalog._symbolic(symbolic, bool(table_misprint))
+        raise catalog.InvalidParametersError(f"{spec.family} has no documented misprint to audit")
+    algebra = catalog.generate(symbolic, misprint=table_misprint)
     weights = catalog.claimed_weights(symbolic, misprint=weight_misprint)
     scaled = _scaled_weights(weights)
     violations = []
@@ -170,7 +166,7 @@ def verify_claimed_weights(spec: catalog.FamilySpec, misprint: bool = False) -> 
         for k in targets:
             if tuple(map(add, scaled[i], scaled[j])) != scaled[k]:
                 violations.append(((i, j, k), weights[i] + weights[j] - weights[k]))
-    return WeightAudit(symbolic, misprint, tuple(violations))
+    return WeightAudit(tuple(violations))
 
 
 def _scaled_weights(weights: Sequence) -> list[tuple[int, ...]]:
@@ -187,3 +183,54 @@ def _scaled_weights(weights: Sequence) -> list[tuple[int, ...]]:
             row[column[m]] = c.numerator * (scale // c.denominator)
         scaled.append(tuple(row))
     return scaled
+
+
+def _constants(spec: catalog.FamilySpec, misprint: bool = False) -> list[str]:
+    """['1'] when no alpha makes the tuple's table a Lie algebra, else []."""
+    return [str(g) for g in catalog.extract_constraints(spec, misprint).generators if g.is_constant()]
+
+
+def _check_misprint(entry, spec):
+    # either check may catch the printed variant; the weight audit misses Gnrk's
+    printed = verify_claimed_weights(spec, misprint=True)
+    constants = _constants(spec, True) if catalog.family_def(spec.family).misprinted_table else []
+    corrected = verify_claimed_weights(spec).ok and not _constants(spec)
+    return (f"{spec}: printed {len(printed.violations)} violated brackets, constant Jacobi "
+            f"generators {constants}; corrected {'OK' if corrected else 'FAIL'}",
+            (not printed.ok or bool(constants)) and corrected)
+
+
+def _check_sound(entry, spec):
+    sound, constants = catalog.family_def(spec.family).sound(spec), _constants(spec)
+    return (f"{spec}: {'sound' if sound else 'unsound'}, constant Jacobi generators {constants}",
+            sound != bool(constants))
+
+
+# rank_in_basis is a lower bound of the rank.  If it is the proved rank and no two basis
+# vectors share a weight on every generator, the diagonal space is its own centralizer
+# in Der, a maximal torus, so (maximal tori being conjugate, Mostow 1956) it is the rank.
+def _check_rank(entry, spec):
+    if spec.alphas is None and catalog.alpha_count(spec):
+        spec = spec.with_alphas(catalog.sample_alphas(spec))
+    basis, dim = diagonal_derivations(catalog.generate(spec))
+    columns = list(zip(*basis))
+    distinct = len(set(columns)) == len(columns)
+    generators = "; ".join(f"diag({', '.join(str(x / next(filter(None, w))) for x in w)})" for w in basis)
+    return (f"{spec}: rank_in_basis={dim} (published {entry.rank}), generators {generators}, "
+            f"entries pairwise distinct: {distinct}",
+            dim == catalog.family_def(spec.family).rank != entry.rank and distinct)
+
+
+def _check_degenerate(entry, spec):
+    model = catalog.FamilySpec(catalog.family_def(spec.family).model, spec.n)
+    equal = catalog.generate(spec) == catalog.generate(model)
+    return f"{spec}: table {'equals' if equal else 'differs from'} {model}", equal
+
+
+_CHECKS = {"misprint": _check_misprint, "range": _check_sound, "unrealizable": _check_sound,
+           "rank": _check_rank, "degenerate tuple": _check_degenerate}
+
+
+def certify(entry: catalog.Discrepancy, spec: catalog.FamilySpec) -> tuple[str, bool]:
+    """``entry``'s certificate on one tuple: a printable line, and whether it holds."""
+    return _CHECKS[entry.kind](entry, spec)

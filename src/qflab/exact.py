@@ -44,8 +44,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-Rational = Fraction
-
 Monomial = tuple  # exponent vector, one entry per declared parameter
 
 
@@ -411,10 +409,6 @@ class RowSpace:
         """The reduced row echelon form, lowest pivot first."""
         rows = self._reduced()
         return [_pivot_one(rows[p], self.ncols) for p in self.pivots]
-
-    @property
-    def rows(self) -> list[tuple[Fraction, ...]]:
-        return self.basis()
 
 
 def _pivot_one(row: Mapping[int, int], ncols: int) -> tuple[Fraction, ...]:

@@ -1,13 +1,10 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Scale: everything runs at n <= 17 in exact arithmetic.  Criterion 2 keeps
-the published rank partition verbatim and asserts its one documented
-discrepancy (BarrCc, published rank 2): any nonzero alpha bracket pins
-w1 = k*w0, so the diagonal derivations are spanned by one generator, and
-its entries are pairwise distinct.  Its centralizer in Der is then that
-line, so the line is a maximal torus and, maximal tori being conjugate,
-the rank is 1.  Criterion 2 checks this certificate on every sampled
-tuple; see the README's known-discrepancies section.
+the published rank partition verbatim; a family that leaves it needs a rank
+entry in ``catalog.DISCREPANCIES`` (today BarrCc, published rank 2, proved
+rank 1), whose maximal-torus certificate criterion 2 checks on every sampled
+tuple.  Criterion 6 re-checks the registry's misprint entries.
 """
 
 import random
@@ -17,7 +14,7 @@ import pytest
 
 from qflab import catalog
 from qflab.catalog import spec_for
-from qflab.derivations import diagonal_derivations, rank_in_basis, verify_claimed_weights
+from qflab.derivations import certify, diagonal_derivations, rank_in_basis, verify_claimed_weights
 from qflab.exact import RowSpace
 from qflab.gradation import gr, lower_central_series, type_of
 from qflab.isomorphy import catalog_fingerprint, classify_gr, cn_to_qn_transform, fingerprint
@@ -100,54 +97,40 @@ def _rank_specs(token, n_max):
     return _concrete_samples(token, n_max)
 
 
-# Documented disagreements with the published partition (README, "Known
-# discrepancies"): family -> the rank proved for the generated table.
-RANK_DISCREPANCIES = {"BarrCc": 1}
-
-
-def _torus_certificate(algebra, rank):
-    """Failures of the certificate that the rank is exactly the given value.
-
-    The in-basis count (what rank_in_basis returns) is only a lower bound of
-    the rank.  If it equals the given value and no two basis vectors carry
-    the same weight on every generator, a generic diagonal derivation has
-    pairwise distinct eigenvalues; its centralizer in Der is then the
-    diagonal space itself, which is therefore a maximal torus, and by the
-    conjugacy of maximal tori its dimension is the rank.
-    """
-    basis, dim = diagonal_derivations(algebra)
-    if dim != rank:
-        return [f"rank {dim} in basis, proved {rank}"]
-    columns = list(zip(*basis))
-    if len(set(columns)) != len(columns):
-        return [f"generators {[list(map(str, w)) for w in basis]} repeat a weight, "
-                "so the torus may not be maximal"]
-    return []
+def _entries(kind):
+    return [entry for entry in catalog.DISCREPANCIES if entry.kind == kind]
 
 
 def test_criterion_2_rank_partition():
     failures = []
+    rank_entries = {token: entry for entry in _entries("rank") for token in entry.families}
     for expected, tokens in ((3, RANK_3_FAMILIES), (2, RANK_2_FAMILIES), (1, RANK_1_FAMILIES)):
         for token in tokens:
             specs = _rank_specs(token, N_MAX)
             if not specs:
                 failures.append(f"{token}: no testable tuples")
                 continue
-            proved = RANK_DISCREPANCIES.get(token)
-            if proved == expected:
-                failures.append(f"{token}: listed as a discrepancy, but the published rank is {proved}")
+            entry = rank_entries.get(token)
+            if entry is not None and entry.rank != expected:
+                failures.append(f"{token}: registry says published rank {entry.rank}, "
+                                f"the partition {expected}")
+            if entry is not None and catalog.FAMILIES[token].rank == expected:
+                failures.append(f"{token}: listed as a discrepancy, but the proved rank "
+                                f"is the published {expected}")
             for spec in specs:
-                algebra = catalog.generate(spec)
-                if proved is not None:
-                    failures += [f"{spec.canonical()}: {f}" for f in _torus_certificate(algebra, proved)]
+                if entry is not None:
+                    line, holds = certify(entry, spec)
+                    if not holds:
+                        failures.append(f"certificate fails: {line}")
                     continue
-                rank = rank_in_basis(algebra)
+                rank = rank_in_basis(catalog.generate(spec))
                 if rank != expected:
                     failures.append(
                         f"{spec.canonical()}: rank {rank}, published partition says {expected}")
-            if proved is not None:
-                print(f"\nDISCREPANCY {token}: published rank {expected}, proved rank {proved} "
-                      f"on {len(specs)} tuples (maximal-torus certificate checked)")
+            if entry is not None:
+                print(f"\nDISCREPANCY {token}: published rank {expected}, proved rank "
+                      f"{catalog.FAMILIES[token].rank} on {len(specs)} tuples "
+                      "(maximal-torus certificate checked)")
     _report("criterion 2 (rank partition)", failures)
 
 
@@ -226,14 +209,20 @@ def test_criterion_6_weight_audit():
             audit = verify_claimed_weights(spec)
             if not audit.ok:
                 failures.append(f"{spec.canonical()}: normalized audit fails {audit.lines()[:2]}")
-    # the documented misprinted variants must be caught
-    bad_variants = (
-        spec_for("LarrC", 9, l=3), spec_for("AarrC", 9, k=2, l=3),
-        spec_for("BsumC", 9, k=2), spec_for("QarrCb", 9, l=3), spec_for("QarrCc", 9),
-    )
-    for spec in bad_variants:
-        if verify_claimed_weights(spec, misprint=True).ok:
-            failures.append(f"{spec.canonical()}: misprinted variant not detected")
+    # every registered misprint is caught, and the weight audit itself
+    # catches at least these five
+    caught = set()
+    for entry in _entries("misprint"):
+        for spec in entry.tuples:
+            line, holds = certify(entry, spec)
+            if not holds:
+                failures.append(f"certificate fails: {line}")
+            if not verify_claimed_weights(spec, misprint=True).ok:
+                caught.add(spec.canonical())
+    for name in ("LarrC(n=9,l=3)", "AarrC(n=9,k=2,l=3)", "BsumC(n=9,k=2)",
+                 "QarrCb(n=9,l=3)", "QarrCc(n=9)"):
+        if name not in caught:
+            failures.append(f"{name}: misprinted variant not detected by the weight audit")
     _report("criterion 6 (weight audit)", failures)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +307,32 @@ def test_token_partition_consistency():
         count = catalog.alpha_count(spec)
         assert (count > 0) == (token in parametric), token
         assert (token in catalog.NONPARAMETRIC_TOKENS) == (token not in parametric)
+
+
+def test_discrepancy_registry_matches_the_family_fields():
+    # a misprint field goes with a misprint entry, a narrowed sound range with
+    # a range or unrealizable entry, and the other way round
+    always_sound = catalog.family_def("Ln").sound
+    fields = {
+        ("misprint",): lambda fam: fam.misprinted_table or fam.misprinted_diagonal is not None,
+        ("range", "unrealizable"): lambda fam: fam.sound is not always_sound,
+    }
+    for kinds, has_field in fields.items():
+        flagged = {token for token, fam in catalog.FAMILIES.items() if has_field(fam)}
+        entered = {token for entry in catalog.DISCREPANCIES if entry.kind in kinds
+                   for token in entry.families}
+        assert flagged == entered, kinds
+    for entry in catalog.DISCREPANCIES:
+        assert entry.tuples and {spec.family for spec in entry.tuples} == set(entry.families)
+        assert (entry.rank is not None) == (entry.kind == "rank")
+
+
+def test_every_discrepancy_is_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Known discrepancies", 1)[1].split("\n## ", 1)[0]
+    for entry in catalog.DISCREPANCIES:
+        for token in entry.families:
+            assert f"`{token}`" in section, token
 
 
 # Golden values of the registry: one claimed diagonal per family, the two

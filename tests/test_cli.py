@@ -159,6 +159,15 @@ def test_sweep_deterministic(capsys):
     assert max(int(re.search(r"\(n=(\d+)", row).group(1)) for row in rows) == 7
 
 
+def test_empty_sweep_is_a_usage_error(capsys):
+    # each of these checked nothing and printed SWEEP OK before
+    for args in (("--n-max", "-5"), ("--n-max", "2"), ("--families", ","),
+                 ("--families", "Fnrk", "--n-max", "13")):
+        code, stdout, err = run(capsys, "sweep", *args)
+        assert code == 2 and stdout == "", args
+        _usage_error_line(err)
+
+
 # sha256 of the stdout of `sweep --families all --n-max 9`.  It pins today's
 # output, 32 FAIL rows included; fixing those rows (ROADMAP item 4) changes
 # the digest, and the new one is recorded in CHANGES.md.
@@ -250,6 +259,17 @@ def test_document_with_repeated_pair_is_a_usage_error(tmp_path, capsys):
                      [{"i": 0, "j": 1, "terms": [once, {"k": 2, "coeff": "2"}]}]):
         code, stdout, err = run(capsys, "jacobi", _write_doc(tmp_path, brackets))
         assert code == 2 and stdout == ""
+        _usage_error_line(err)
+
+
+def test_document_with_malformed_params_is_a_usage_error(tmp_path, capsys):
+    # "ab" was read as the two parameters a and b, and a repeated name passed
+    brackets = [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "a"}]}]
+    for params in ("ab", ["a", "a"], {"a": 1}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 3, "params": params, "brackets": brackets}))
+        code, stdout, err = run(capsys, "jacobi", str(path))
+        assert code == 2 and stdout == "", params
         _usage_error_line(err)
 
 
@@ -348,13 +368,29 @@ def test_jacobi_on_a_large_sparse_document(tmp_path, dim, brackets):
     assert done.stdout.strip() == "JACOBI OK"
 
 
-def test_audit_findings_script_prints_its_certificates():
-    done = run_python(str(REPO / "scripts" / "audit_findings.py"), timeout=300)
+def test_audit_prints_every_certificate():
+    done = run_python(*CLI, "audit", timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert "constant Jacobi generators of the variant: ['1']" in lines
-    barrcc = [line for line in lines if line.startswith("BarrCc(")]
-    assert len(barrcc) == 3 and all("rank_in_basis=1" in line for line in barrcc)
-    generators = [line for line in lines if line.startswith("    generator (w0 = 1): diag(")]
-    assert len(generators) == 3
-    assert all(line.endswith("entries pairwise distinct: True") for line in generators)
+    verdicts = [line for line in lines if not line.startswith(" ")]
+    assert verdicts[-1] == "AUDIT OK"
+    assert len(verdicts) - 1 == len(catalog.DISCREPANCIES) == 11
+    assert all(line.endswith(": OK") for line in verdicts[:-1])
+    gnrk = [line for line in lines if line.startswith("  Gnrk(")]
+    assert len(gnrk) == 1 and "constant Jacobi generators ['1']" in gnrk[0]
+    barrcc = [line for line in lines if line.startswith("  BarrCc(")]
+    assert len(barrcc) == 3 and all("rank_in_basis=1 " in line for line in barrcc)
+    assert all(line.count("diag(") == 1 and line.endswith("entries pairwise distinct: True")
+               for line in barrcc)
+
+
+def test_audit_fails_on_a_certificate_that_does_not_hold(capsys, monkeypatch):
+    # Bnk below its last k deforms Qn, so the table-equality certificate fails
+    wrong = catalog.Discrepancy(("Bnk",), "degenerate tuple", "k runs over [2, n-3]",
+                                (spec_for("Bnk", 8, k=4),))
+    monkeypatch.setattr(catalog, "DISCREPANCIES", catalog.DISCREPANCIES + (wrong,))
+    code, stdout, err = run(capsys, "audit")
+    assert code == 1 and err == ""
+    assert "degenerate tuple Bnk: FAIL\n  published: k runs over [2, n-3]\n" \
+           "  Bnk(n=8,k=4): table differs from Qn(n=8)\n" in stdout
+    assert stdout.endswith("AUDIT FAIL (1 entries)\n")

@@ -275,6 +275,6 @@ def test_rowspace_rref_deterministic():
     assert s.add([1, 1, 0, 0])
     assert not s.add([1, 2, 1, 0])
     assert s.pivots == [0, 1]
-    assert s.rows[0][0] == 1 and s.rows[0][1] == 0
+    assert s.basis()[0][0] == 1 and s.basis()[0][1] == 0
     assert s.contains([2, 3, 1, 0])
     assert not s.contains([0, 0, 0, 1])
