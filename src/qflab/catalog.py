@@ -166,17 +166,13 @@ def aij_table(range_bound: int, t: int) -> AijTable:
                 values[(i, i + 1)] = v
     gap = 2
     while 2 + gap <= range_bound:
-        placed = False
         for i in range(1, range_bound):
             j = i + gap
             if i + j > range_bound:
                 break
-            placed = True
             v = values.get((i, j - 1), zero) - values.get((i + 1, j - 1), zero)
             if not v.is_zero():
                 values[(i, j)] = v
-        if not placed:
-            break
         gap += 1
     return AijTable(range_bound, t, params, values)
 
@@ -773,11 +769,15 @@ NONPARAMETRIC_TOKENS = tuple(
 NONZERO_RANK_TOKENS = tuple(token for token, fam in FAMILIES.items() if not fam.filiform)
 
 
+def graded_models(n: int) -> list[FamilySpec]:
+    """The naturally graded models at a fixed dimension: the families that
+    are their own gr-class, the filiform Ln and Qn included."""
+    return [spec for token, fam in FAMILIES.items() if fam.gr == token for spec in fam.specs_at(n)]
+
+
 def prop4_entries(n: int) -> list[FamilySpec]:
-    """The naturally graded quasi-filiform catalog at a fixed dimension: the
-    non-filiform families that are their own gr-class."""
-    return [spec for token, fam in FAMILIES.items() if not fam.filiform and fam.gr == token
-            for spec in fam.specs_at(n)]
+    """The naturally graded quasi-filiform catalog: the non-filiform models."""
+    return [spec for spec in graded_models(n) if not FAMILIES[spec.family].filiform]
 
 
 # ---------------------------------------------------------------------------

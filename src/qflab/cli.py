@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="diagonal-derivation dimension in the given basis")
     p.add_argument("file")
 
-    p = sub.add_parser("classify", help="identify gr(A) within the naturally graded catalog")
+    p = sub.add_parser("classify", help="identify gr(A) among the naturally graded models")
     p.add_argument("file")
 
     p = sub.add_parser("constraints", help="Jacobi constraints of a parametric family")
@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="audit the claimed diagonal of a family")
     _add_family_arguments(p, with_alpha=False)
     p.add_argument("--misprint", action="store_true",
-                   help="audit the documented known-bad variant instead")
+                   help="audit only the diagonal of the documented known-bad variant; a table "
+                   "misprint that keeps every weight (Gnrk's) shows only in 'qflab audit'")
 
     sub.add_parser("audit", help="re-check the certificate of every documented discrepancy")
 

@@ -7,9 +7,10 @@ catalog.  Fingerprint matching replaces general isomorphism testing; on the
 finite catalog it is made sufficient by the separation property checked in
 the test suite.
 
-Fingerprints are memoised per table: ``fingerprint`` reads a private memo
-keyed on the concrete ``Algebra``, whose equality is its canonical table, so
-the rows of a sweep that share a gr algebra compute its fingerprint once.
+``classify_gr`` reads one index per dimension, built once: the fingerprints
+of ``catalog.graded_models(n)``.  ``fingerprint`` reads a private memo keyed on
+the concrete ``Algebra`` (equality is its canonical table), so the rows of a
+sweep that share a gr algebra compute its fingerprint once.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ def fingerprint(algebra: Algebra) -> Fingerprint:
 
 
 # Rows that share a gr table lie far apart in a sweep (each family visits
-# every n), so the memo holds every distinct table of one: at --n-max 13 that
-# is 136, the 80 gr tables and the catalog entries they are matched against.
+# every n), so the memo holds every distinct gr table of one: 80 at --n-max 13.
+# The graded models are fingerprinted once each, through the index below.
 @functools.lru_cache(maxsize=1024)
 def _fingerprint(concrete: Algebra) -> Fingerprint:
     n = concrete.dim
@@ -177,7 +178,7 @@ def _fingerprint(concrete: Algebra) -> Fingerprint:
 
 
 # ---------------------------------------------------------------------------
-# gr-class identification within the naturally graded catalog
+# gr-class identification among the naturally graded models
 # ---------------------------------------------------------------------------
 
 
@@ -191,31 +192,29 @@ class ClassifyResult:
         return self.match is not None
 
 
-_FINGERPRINT_CACHE: dict[str, Fingerprint] = {}
-
-
 def catalog_fingerprint(spec: catalog.FamilySpec) -> Fingerprint:
-    key = spec.canonical()
-    if key not in _FINGERPRINT_CACHE:
-        _FINGERPRINT_CACHE[key] = fingerprint(catalog.generate(spec))
-    return _FINGERPRINT_CACHE[key]
+    return fingerprint(catalog.generate(spec))
+
+
+@functools.lru_cache(maxsize=None)
+def _graded_index(n: int) -> tuple[tuple[catalog.FamilySpec, Fingerprint], ...]:
+    return tuple((spec, catalog_fingerprint(spec)) for spec in catalog.graded_models(n))
 
 
 def classify_gr(algebra: Algebra) -> ClassifyResult:
-    """Identify gr(algebra) among the naturally graded quasi-filiform catalog.
+    """Identify gr(algebra) among the naturally graded models.
 
-    Matches on the basis-independent fingerprint components first; when
-    several catalog entries collide there, refines with the documented
-    extensions (centralizer of g_2, then the diagonal-derivation dimension,
-    both computed in canonical homogeneous bases on each side).
+    Matches on the basis-independent fingerprint components first; when several
+    models collide there, refines with the documented extensions (centralizer of
+    g_2, then the diagonal-derivation dimension, in canonical homogeneous bases).
     """
-    graded = gr(algebra)
-    fp = fingerprint(graded.algebra)
-    candidates = catalog.prop4_entries(graded.algebra.dim)
-    base_hits = [s for s in candidates if catalog_fingerprint(s).base_key() == fp.base_key()]
+    graded = gr(algebra).algebra
+    fp = fingerprint(graded)
+    base_hits = [(s, f) for s, f in _graded_index(graded.dim) if f.base_key() == fp.base_key()]
     if len(base_hits) == 1:
-        return ClassifyResult(base_hits[0], ())
-    hits = [s for s in base_hits if catalog_fingerprint(s).full_key() == fp.full_key()]
+        return ClassifyResult(base_hits[0][0], ())
+    near = tuple(s.canonical() for s, _ in base_hits)
+    hits = [s for s, f in base_hits if f.full_key() == fp.full_key()]
     if len(hits) == 1:
-        return ClassifyResult(hits[0], tuple(s.canonical() for s in base_hits))
-    return ClassifyResult(None, tuple(s.canonical() for s in (hits or base_hits)))
+        return ClassifyResult(hits[0], near)
+    return ClassifyResult(None, tuple(s.canonical() for s in hits) or near)

@@ -246,6 +246,13 @@ def test_prop4_entries_inventory():
     assert all(s.family != "Tn3" for s in catalog.prop4_entries(7))
 
 
+def test_every_gr_class_is_a_graded_model():
+    models = {n: set(catalog.graded_models(n)) for n in range(1, 18)}
+    for token in catalog.all_family_tokens():
+        for spec in catalog.valid_tuples(token, 17):
+            assert catalog.natural_gr_class(spec) in models[spec.n], spec.canonical()
+
+
 def test_cn_is_lie_for_random_alphas():
     import random
 

@@ -169,16 +169,32 @@ def test_empty_sweep_is_a_usage_error(capsys):
 
 
 # sha256 of the stdout of `sweep --families all --n-max 9`.  It pins today's
-# output, 32 FAIL rows included; fixing those rows (ROADMAP item 4) changes
-# the digest, and the new one is recorded in CHANGES.md.
-SWEEP_9_SHA256 = "7f55e91627de0c226a522de1c988fb36688afdf8881c87318e6c6a0c9acffd12"
+# output, its 2 FAIL rows included (`Bnk(n, k=n-3)`, the registered degenerate
+# tuple); closing them (ROADMAP item 1) changes the digest, and the new one is
+# recorded in CHANGES.md.
+SWEEP_9_SHA256 = "256b5f83d57924f30adef6f6a7a77be0c4c9ec6742576f155a86618c947d5f92"
 
 
 def test_sweep_golden(capsys):
     code, stdout, _ = run(capsys, "sweep", "--families", "all", "--n-max", "9")
     assert code == 1
-    assert stdout.splitlines()[-1] == "SWEEP FAIL (32 rows)"
+    assert stdout.splitlines()[-1] == "SWEEP FAIL (2 rows)"
     assert hashlib.sha256(stdout.encode()).hexdigest() == SWEEP_9_SHA256
+
+
+def test_every_sweep_failure_is_a_registered_discrepancy(capsys):
+    # a failing row must name a tuple whose certificate catalog.DISCREPANCIES
+    # holds, so no sweep failure goes unexplained
+    code, stdout, _ = run(capsys, "sweep", "--families", "all", "--n-max", "9")
+    registered = {spec.canonical() for entry in catalog.DISCREPANCIES for spec in entry.tuples}
+    failing = []
+    for row in stdout.splitlines()[2:-1]:
+        spec, jacobi, rank, weights, gr_cell = row.split()
+        got, expected = rank.rstrip(")").split("(")
+        if "FAIL" in (jacobi, weights) or got != expected or "!=" in gr_cell:
+            failing.append(spec)
+    assert code == (1 if failing else 0)
+    assert set(failing) <= registered, sorted(set(failing) - registered)
 
 
 def test_sweep_builds_each_table_once(capsys, monkeypatch):

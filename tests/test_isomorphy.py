@@ -218,19 +218,28 @@ def test_classify_survives_basis_change():
     assert res.match == spec_for("Lnr", 9, r=5)
 
 
-def test_classify_unclassified_for_filiform():
-    # a filiform algebra matches nothing in the quasi-filiform catalog
-    res = classify_gr(gen("Ln", 8))
-    assert not res.classified
+def test_classify_filiform_models():
+    # the graded models include the filiform Ln and Qn, so a filiform algebra
+    # classifies as its gr-class, in the given basis and in a moved one
+    assert classify_gr(gen("Ln", 8)).match == spec_for("Ln", 8)
+    assert classify_gr(gen("Qn", 8)).match == spec_for("Qn", 8)
+    rng = random.Random(18)
+    for source, target in ((gen("Ank", 9, k=2, alphas=[1, 1, 1]), spec_for("Ln", 9)),
+                           (gen("Cn", 8, alphas=[Fraction(1, 2), 3]), spec_for("Qn", 8))):
+        assert jacobi_check(source).ok
+        moved = change_of_basis(source, random_unimodular(source.dim, rng))
+        assert classify_gr(moved).match == target
 
 
 def test_prop4_separation_gate_to_17():
-    # the fingerprint must separate the naturally graded catalog at every
-    # fixed dimension; this is the gate that makes fingerprint matching a
-    # sufficient classifier on the catalog
-    for n in range(4, 18):
+    # the fingerprint must separate the naturally graded models at every
+    # fixed dimension, the quasi-filiform catalog prop4_entries(n) and the
+    # filiform Ln, Qn; this is the gate that makes fingerprint matching a
+    # sufficient classifier on them
+    for n in range(3, 18):
+        assert set(catalog.prop4_entries(n)) <= set(catalog.graded_models(n))
         seen = {}
-        for spec in catalog.prop4_entries(n):
+        for spec in catalog.graded_models(n):
             key = catalog_fingerprint(spec).full_key()
             assert key not in seen, (spec.canonical(), seen[key])
             seen[key] = spec.canonical()
