@@ -44,10 +44,10 @@ QarrCc adds [Y0, Y_{n-1}] = Y_{n-2} to QsumC, and Gnrk adds [Y1, Y_{n-1}] =
 Y_{n-2} at k = 2 to its line.
 
 ``DISCREPANCIES`` records every disagreement with the source.  The misprinted
-tables and diagonals among them are generated corrected, and ``misprint=True``
-builds the printed variant.  Each table misprint lives in the one piece it
-corrupts: the shift of LarrC (and so of AarrC over it), the line of BsumC and
-Tn4's deepest pair line under Gnrk.
+tables and diagonals among them are generated corrected, and a tuple with
+``misprint=True`` is the variant the source prints.  Each table misprint lives
+in the one piece it corrupts: the shift of LarrC (and so of AarrC over it), the
+line of BsumC and Tn4's deepest pair line under Gnrk.
 """
 
 from __future__ import annotations
@@ -73,7 +73,11 @@ class UnknownFamilyError(QflabError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family token plus its integer parameters and optional alpha values."""
+    """A family token plus its integer parameters and optional alpha values.
+
+    ``misprint`` selects the variant the source prints, for the families with a
+    documented misprint: its table where the table is misprinted, its diagonal
+    where the diagonal is, and the corrected one otherwise."""
 
     family: str
     n: int
@@ -81,6 +85,7 @@ class FamilySpec:
     k: int | None = None
     l: int | None = None
     alphas: tuple[Fraction, ...] | None = None
+    misprint: bool = False
 
     def canonical(self) -> str:
         parts = [f"n={self.n}"]
@@ -92,11 +97,12 @@ class FamilySpec:
             parts.append(f"l={self.l}")
         if self.alphas is not None:
             parts.append("alpha=[" + ",".join(rat_str(a) for a in self.alphas) + "]")
+        if self.misprint:
+            parts.append("misprint")
         return f"{self.family}(" + ",".join(parts) + ")"
 
     def with_alphas(self, alphas: Sequence) -> "FamilySpec":
-        return FamilySpec(self.family, self.n, self.r, self.k, self.l,
-                          tuple(rat(a) for a in alphas))
+        return replace(self, alphas=tuple(rat(a) for a in alphas))
 
     def __str__(self):
         return self.canonical()
@@ -128,7 +134,6 @@ class AijTable:
     """
 
     range_bound: int
-    t: int
     params: tuple[str, ...]
     values: Mapping
 
@@ -140,30 +145,19 @@ class AijTable:
         return self.values.get((i, j), Poly.zero(self.params))
 
 
-def aij_table(range_bound: int, t: int) -> AijTable:
+def aij_table(range_bound: int) -> AijTable:
     """Build the a_{i,j} table for pairs with i + j <= range_bound.
 
-    ``t`` controls the superdiagonal seeds: a_{i,i+1} = a_i for i <= t - 1 and
-    0 beyond.  Values are computed by increasing gap via
-    a_{i,j+1} = a_{i,j} - a_{i+1,j}, which solves the recurrence exactly on
-    the imposed shells.
+    The superdiagonal seeds are a_{i,i+1} = a_i, one per pair in the range,
+    so i <= t - 1 with t = (range_bound + 1) // 2.  Values are computed by
+    increasing gap via a_{i,j+1} = a_{i,j} - a_{i+1,j}, which solves the
+    recurrence exactly on the imposed shells.
     """
-    if t < 1:
-        raise InvalidParametersError("t must be at least 1")
-    params = alpha_names(t - 1)
+    if range_bound < 1:
+        raise InvalidParametersError("range_bound must be at least 1")
+    params = alpha_names((range_bound - 1) // 2)
     zero = Poly.zero(params)
-    values: dict[tuple[int, int], Poly] = {}
-
-    def seed(i: int) -> Poly:
-        if 1 <= i <= t - 1:
-            return Poly.variable(params, f"a{i}")
-        return zero
-
-    for i in range(1, max(range_bound, 0)):
-        if 2 * i + 1 <= range_bound:
-            v = seed(i)
-            if not v.is_zero():
-                values[(i, i + 1)] = v
+    values = {(i, i + 1): Poly.variable(params, name) for i, name in enumerate(params, 1)}
     gap = 2
     while 2 + gap <= range_bound:
         for i in range(1, range_bound):
@@ -174,7 +168,7 @@ def aij_table(range_bound: int, t: int) -> AijTable:
             if not v.is_zero():
                 values[(i, j)] = v
         gap += 1
-    return AijTable(range_bound, t, params, values)
+    return AijTable(range_bound, params, values)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +225,13 @@ def _half(x: int) -> Fraction:
 # -- the models --------------------------------------------------------------
 
 
-def _build_Ln(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _build_Ln(s: FamilySpec) -> tuple[tuple, Table]:
     t: Table = {}
     _chain(t, s.n - 2)
     return (), t
 
 
-def _build_Qn(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _build_Qn(s: FamilySpec) -> tuple[tuple, Table]:
     n = s.n
     t: Table = {}
     _chain(t, n - 3)
@@ -245,7 +239,7 @@ def _build_Qn(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     return (), t
 
 
-def _build_Cn(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _build_Cn(s: FamilySpec) -> tuple[tuple, Table]:
     n = s.n
     m = n // 2
     params = alpha_names(m - 2)
@@ -262,7 +256,7 @@ def _build_Cn(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     return params, t
 
 
-def _build_Tn4(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _build_Tn4(s: FamilySpec) -> tuple[tuple, Table]:
     n = s.n
     t: Table = {}
     _chain(t, n - 5)
@@ -272,12 +266,12 @@ def _build_Tn4(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
     _sum_pairs(t, n - 3, n - 3, (n - 5) // 2, lambda i: _sign(i) * _half(n - 3 - 2 * i))
     # the known-bad Gnrk reads (n-2-i)/2 in the deepest pair line, which
     # breaks the Jacobi identity by a constant; Tn4 itself has no such variant
-    top = n - 2 if misprint else n - 3
+    top = n - 2 if s.misprint else n - 3
     _sum_pairs(t, n - 2, n - 2, (n - 3) // 2, lambda i: ((-1) ** i) * (i - 1) * _half(top - i))
     return (), t
 
 
-def _build_Tn3(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _build_Tn3(s: FamilySpec) -> tuple[tuple, Table]:
     n = s.n
     t: Table = {}
     _chain(t, n - 4)
@@ -290,21 +284,20 @@ def _build_Tn3(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
 # -- the pieces added to a model ---------------------------------------------
 
 
-def _model(s: FamilySpec, misprint: bool, n: int | None = None) -> tuple[tuple, Table]:
+def _model(s: FamilySpec, n: int | None = None) -> tuple[tuple, Table]:
     """A fresh table of the registry model of ``s``'s family, in dimension
-    ``n`` (default ``s.n``), with the same r, k and l."""
+    ``n`` (default ``s.n``), with the same r, k, l and misprint."""
     model = FAMILIES[s.family].model
-    return FAMILIES[model].build(FamilySpec(model, s.n if n is None else n, s.r, s.k, s.l), misprint)
+    return FAMILIES[model].build(replace(s, family=model, n=s.n if n is None else n))
 
 
-def _line(s: FamilySpec, table: Table, misprint: bool = False) -> tuple[str, ...]:
+def _line(s: FamilySpec, table: Table) -> tuple[str, ...]:
     """Add [Y_i, Y_j] = a_{i,j} Y_{i+j+k-1} for i + j <= e+1-k, where e ends
     the chain (so every such j lies below e); return the alpha parameters."""
-    bound = _chain_end(table) + 1 - s.k
-    aij = aij_table(bound, (bound + 1) // 2)
+    aij = aij_table(_chain_end(table) + 1 - s.k)
     for (i, j), coeff in aij.values.items():
         # the known-bad BsumC lands the superdiagonal brackets one step short
-        short = misprint and j == i + 1
+        short = s.misprint and j == i + 1
         _add(table, i, j, i + j + s.k - 1 - short, coeff)
     return aij.params
 
@@ -315,56 +308,55 @@ def _shift(s: FamilySpec, table: Table, shift: int) -> None:
         _add(table, i, s.n - 1, i + shift, 1)
 
 
-def _sum_c(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _sum_c(s: FamilySpec) -> tuple[tuple, Table]:
     # the model in dimension n-1, and Y_{n-1} central
-    return _model(s, False, s.n - 1)
+    return _model(s, s.n - 1)
 
 
-def _r_pairs(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _r_pairs(s: FamilySpec) -> tuple[tuple, Table]:
     # [Y_i, Y_{r-i}] = (-1)^(i-1) Y_{n-1} on the sum with C
-    params, t = _model(s, False)
+    params, t = _model(s)
     _sum_pairs(t, s.r, s.n - 1, (s.r - 1) // 2, _sign)
     return params, t
 
 
-def _central(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _central(s: FamilySpec) -> tuple[tuple, Table]:
     # [Y0, Y_{n-1}] = Y_{n-2} on the sum with C
-    params, t = _model(s, False)
+    params, t = _model(s)
     _add(t, 0, s.n - 1, s.n - 2, 1)
     return params, t
 
 
-def _shifted(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _shifted(s: FamilySpec) -> tuple[tuple, Table]:
     # the known-bad LarrC shifts by l-2 in place of l
-    params, t = _model(s, False)
-    _shift(s, t, FAMILIES[s.family].shift(s) - 2 * misprint)
+    params, t = _model(s)
+    _shift(s, t, FAMILIES[s.family].shift(s) - 2 * s.misprint)
     return params, t
 
 
-def _deformation(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _deformation(s: FamilySpec) -> tuple[tuple, Table]:
     """The model plus the a_{i,j} line, and the family's shift if it has one.
 
     A misprint belongs to the model when the model has a misprinted table
     (AarrC over LarrC), and to the line otherwise (BsumC)."""
     fam = FAMILIES[s.family]
-    in_model = misprint and FAMILIES[fam.model].misprinted_table
-    _, t = _model(s, in_model)
+    _, t = _model(s)
     if fam.shift:
         _shift(s, t, fam.shift(s))
-    return _line(s, t, misprint and not in_model), t
+    return _line(replace(s, misprint=s.misprint and not FAMILIES[fam.model].misprinted_table), t), t
 
 
-def _build_Gnrk(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+def _build_Gnrk(s: FamilySpec) -> tuple[tuple, Table]:
     # the misprint is Tn4's deepest pair line; k = 2 adds [Y1, Y_{n-1}] = Y_{n-2}
-    _, t = _model(s, misprint)
-    params = _line(s, t)
+    _, t = _model(s)
+    params = _line(replace(s, misprint=False), t)
     if s.k == 2:
         _add(t, 1, s.n - 1, s.n - 2, 1)
     return params, t
 
 
 def _fixed_table(brackets: Mapping) -> Callable:
-    def build(s: FamilySpec, misprint: bool) -> tuple[tuple, Table]:
+    def build(s: FamilySpec) -> tuple[tuple, Table]:
         t: Table = {}
         _chain(t, s.n - 3)
         for (i, j), entry in brackets.items():
@@ -438,7 +430,7 @@ class FamilyDef:
     """
 
     token: str
-    build: Callable[[FamilySpec, bool], tuple[tuple, Table]]
+    build: Callable[[FamilySpec], tuple[tuple, Table]]
     least: int
     rank: int  # in the generated basis at generic alpha
     gr: str
@@ -688,7 +680,10 @@ def family_def(token: str) -> FamilyDef:
 
 
 def validate_spec(spec: FamilySpec) -> None:
-    family_def(spec.family).validate(spec)
+    fam = family_def(spec.family)
+    fam.validate(spec)
+    _req(not spec.misprint or fam.misprinted_table or fam.misprinted_diagonal,
+         f"{spec.family} has no documented misprint")
     if spec.alphas is not None:
         expected = alpha_count(spec)
         _req(len(spec.alphas) == expected,
@@ -697,20 +692,20 @@ def validate_spec(spec: FamilySpec) -> None:
 
 def alpha_count(spec: FamilySpec) -> int:
     """The number of alpha values of the tuple: the parameters of its table."""
-    return len(_symbolic(replace(spec, alphas=None), False).params)
+    return len(_symbolic(replace(spec, alphas=None)).params)
 
 
-def generate(spec: FamilySpec, misprint: bool = False) -> Algebra:
+def generate(spec: FamilySpec) -> Algebra:
     """Build the algebra of a catalog family.
 
     Families with all-integer parameters come out over an empty parameter
     universe; parametric families come out symbolic in a1..a_{t-1} unless the
     spec carries concrete alpha values, in which case they are substituted.
-    ``misprint=True`` selects the documented known-bad variant where one
-    exists (LarrC, AarrC, BsumC, Gnrk) and is rejected otherwise.
+    A misprint tuple has the printed table of LarrC, AarrC, BsumC and Gnrk,
+    and the corrected one of QarrCb and QarrCc, whose misprint is a diagonal.
     """
     validate_spec(spec)
-    algebra = _symbolic(replace(spec, alphas=None), bool(misprint))
+    algebra = _symbolic(replace(spec, alphas=None))
     if spec.alphas is not None and algebra.params:
         algebra = algebra.specialize(dict(zip(algebra.params, spec.alphas)))
     return algebra
@@ -719,13 +714,11 @@ def generate(spec: FamilySpec, misprint: bool = False) -> Algebra:
 # The calls on one tuple (its alpha count, table, constraints and weight
 # audit) come one after the other, so a small memo serves them all.
 @lru_cache(maxsize=8)
-def _symbolic(symbolic: FamilySpec, misprint: bool) -> Algebra:
+def _symbolic(symbolic: FamilySpec) -> Algebra:
     """The table of an alpha-free spec, built once and shared (it is immutable)."""
-    fam = family_def(symbolic.family)
-    fam.validate(symbolic)
-    if misprint and not fam.misprinted_table:
-        raise InvalidParametersError(f"{symbolic.family} has no documented misprint variant")
-    params, table = fam.build(symbolic, misprint)
+    validate_spec(symbolic)
+    fam = FAMILIES[symbolic.family]
+    params, table = fam.build(replace(symbolic, misprint=symbolic.misprint and fam.misprinted_table))
     return Algebra(symbolic.n, table, params=params)
 
 
@@ -738,9 +731,14 @@ def natural_gr_class(spec: FamilySpec) -> FamilySpec:
 
 def expected_rank(spec: FamilySpec) -> int:
     """Dimension of the diagonal derivation space in the generated basis at
-    generic parameter values (every alpha nonzero where alphas exist)."""
+    generic parameter values (every alpha nonzero where alphas exist).
+
+    A deformation without a shift whose a_{i,j} line is empty (it takes no
+    alpha, as Bnk at k = n-3) has its model's table, and so its model's rank."""
     fam = family_def(spec.family)
     fam.validate(spec)
+    if fam.build is _deformation and not fam.shift and not alpha_count(spec):
+        return FAMILIES[fam.model].rank
     return fam.rank
 
 
@@ -800,20 +798,20 @@ class ConstraintSet:
         return all(g.evaluate(assignment) == 0 for g in self.generators)
 
 
-def extract_constraints(spec: FamilySpec, misprint: bool = False) -> ConstraintSet:
+def extract_constraints(spec: FamilySpec) -> ConstraintSet:
     """Deduplicated polynomial generators whose common zeros are exactly the
     alpha assignments for which the family is a Lie algebra.
 
     The alpha values of ``spec`` are ignored; the result is computed once per
-    alpha-free spec and misprint flag and shared (it is immutable)."""
-    return _constraints_of(replace(spec, alphas=None), bool(misprint))
+    alpha-free spec and shared (it is immutable)."""
+    return _constraints_of(replace(spec, alphas=None))
 
 
 @lru_cache(maxsize=1024)
-def _constraints_of(symbolic: FamilySpec, misprint: bool) -> ConstraintSet:
+def _constraints_of(symbolic: FamilySpec) -> ConstraintSet:
     from qflab.liealg import jacobi_check
 
-    algebra = _symbolic(symbolic, misprint)
+    algebra = _symbolic(symbolic)
     seen = set()
     for components in jacobi_check(algebra).scaled.values():
         for coeffs in components.values():
@@ -885,7 +883,7 @@ def _isqrt_exact(value: int) -> int | None:
     return root if root * root == value else None
 
 
-def sample_alphas(spec: FamilySpec, misprint: bool = False) -> tuple[Fraction, ...] | None:
+def sample_alphas(spec: FamilySpec) -> tuple[Fraction, ...] | None:
     """A deterministic alpha assignment (nonzero where possible) satisfying
     the family's Jacobi constraints; None when the search finds no solution.
 
@@ -896,7 +894,7 @@ def sample_alphas(spec: FamilySpec, misprint: bool = False) -> tuple[Fraction, .
     count = alpha_count(spec)
     if count == 0:
         return ()
-    constraints = extract_constraints(spec, misprint=misprint)
+    constraints = extract_constraints(spec)
     for candidate in _SAMPLE_POOL:
         values = candidate(count)
         if all(v == 0 for v in values):
@@ -957,17 +955,15 @@ def _lin(params, c0, c1=0, cx=0) -> Poly:
     return Poly.from_map(params, terms)
 
 
-def claimed_weights(spec: FamilySpec, misprint: bool = False) -> tuple[Poly, ...]:
+def claimed_weights(spec: FamilySpec) -> tuple[Poly, ...]:
     """The classification's diagonal derivation for the family, as linear
     forms in the free eigenvalues (l0, l1 and, for rank-3 families, lx).
 
-    ``misprint=True`` returns the documented bad diagonal of QarrCb or QarrCc
-    (see ``DISCREPANCIES``); other families reject the flag.
+    A misprint tuple of QarrCb or QarrCc has the documented bad diagonal (see
+    ``DISCREPANCIES``); every other family has one diagonal.
     """
     validate_spec(spec)
     fam = FAMILIES[spec.family]
-    if misprint and fam.misprinted_diagonal is None:
-        raise InvalidParametersError(f"{spec.family} has no documented misprinted diagonal")
     tail_of = fam.tail or (fam.model and FAMILIES[fam.model].tail)
     if tail_of is None:
         raise UnknownFamilyError(f"no claimed diagonal recorded for family {spec.family!r}")
@@ -980,6 +976,6 @@ def claimed_weights(spec: FamilySpec, misprint: bool = False) -> tuple[Poly, ...
 
     weights = [_lin(names, 1)] + [form(i - 1, 1) for i in range(1, spec.n - len(tail))] \
         + [form(*f) for f in tail]
-    if misprint:
+    if spec.misprint and fam.misprinted_diagonal:
         weights = fam.misprinted_diagonal(spec, weights)
     return tuple(weights)

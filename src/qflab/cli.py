@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from qflab import catalog
@@ -127,7 +128,8 @@ def _parse_alphas(text: str) -> tuple[Fraction, ...]:
 def _spec_from_args(args) -> catalog.FamilySpec:
     alpha = getattr(args, "alpha", None)
     alphas = _parse_alphas(alpha) if alpha is not None else None
-    spec = catalog.spec_for(args.family, args.n, r=args.r, k=args.k, l=args.l, alphas=alphas)
+    spec = replace(catalog.spec_for(args.family, args.n, r=args.r, k=args.k, l=args.l, alphas=alphas),
+                   misprint=getattr(args, "misprint", False))
     catalog.validate_spec(spec)
     return spec
 
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="audit the claimed diagonal of a family")
     _add_family_arguments(p, with_alpha=False)
     p.add_argument("--misprint", action="store_true",
-                   help="audit only the diagonal of the documented known-bad variant; a table "
+                   help="audit the documented known-bad variant as the source prints it; a table "
                    "misprint that keeps every weight (Gnrk's) shows only in 'qflab audit'")
 
     sub.add_parser("audit", help="re-check the certificate of every documented discrepancy")
@@ -297,7 +299,7 @@ def _cmd_iso_cn(args) -> int:
 
 def _cmd_weights(args) -> int:
     spec = _spec_from_args(args)
-    audit = verify_claimed_weights(spec, misprint=args.misprint)
+    audit = verify_claimed_weights(spec)
     if audit.ok:
         print("WEIGHTS OK")
         return 0

@@ -145,21 +145,16 @@ class WeightAudit:
         return out
 
 
-def verify_claimed_weights(spec: catalog.FamilySpec, misprint: bool = False) -> WeightAudit:
+def verify_claimed_weights(spec: catalog.FamilySpec) -> WeightAudit:
     """Check w_i + w_j = w_k symbolically for every nonzero structure constant.
 
     The check is generic in the alpha parameters: a structure constant that
-    is a nonzero polynomial counts as present.  With ``misprint=True`` the
-    printed variant of the family's table or diagonal is audited instead.
+    is a nonzero polynomial counts as present.  A misprint tuple audits the
+    table and diagonal as the source prints them.
     """
     symbolic = replace(spec, alphas=None)
-    fam = catalog.family_def(spec.family)
-    table_misprint = misprint and fam.misprinted_table
-    weight_misprint = misprint and fam.misprinted_diagonal is not None
-    if misprint and not (table_misprint or weight_misprint):
-        raise catalog.InvalidParametersError(f"{spec.family} has no documented misprint to audit")
-    algebra = catalog.generate(symbolic, misprint=table_misprint)
-    weights = catalog.claimed_weights(symbolic, misprint=weight_misprint)
+    algebra = catalog.generate(symbolic)
+    weights = catalog.claimed_weights(symbolic)
     scaled = _scaled_weights(weights)
     violations = []
     for i, j, targets in algebra.brackets():
@@ -185,19 +180,19 @@ def _scaled_weights(weights: Sequence) -> list[tuple[int, ...]]:
     return scaled
 
 
-def _constants(spec: catalog.FamilySpec, misprint: bool = False) -> list[str]:
+def _constants(spec: catalog.FamilySpec) -> list[str]:
     """['1'] when no alpha makes the tuple's table a Lie algebra, else []."""
-    return [str(g) for g in catalog.extract_constraints(spec, misprint).generators if g.is_constant()]
+    return [str(g) for g in catalog.extract_constraints(spec).generators if g.is_constant()]
 
 
 def _check_misprint(entry, spec):
     # either check may catch the printed variant; the weight audit misses Gnrk's
-    printed = verify_claimed_weights(spec, misprint=True)
-    constants = _constants(spec, True) if catalog.family_def(spec.family).misprinted_table else []
+    printed = replace(spec, misprint=True)
+    audit, constants = verify_claimed_weights(printed), _constants(printed)
     corrected = verify_claimed_weights(spec).ok and not _constants(spec)
-    return (f"{spec}: printed {len(printed.violations)} violated brackets, constant Jacobi "
+    return (f"{spec}: printed {len(audit.violations)} violated brackets, constant Jacobi "
             f"generators {constants}; corrected {'OK' if corrected else 'FAIL'}",
-            (not printed.ok or bool(constants)) and corrected)
+            (not audit.ok or bool(constants)) and corrected)
 
 
 def _check_sound(entry, spec):

@@ -1,9 +1,13 @@
 """Explicit change-of-variable procedures and an invariant fingerprint.
 
 The fingerprint packages basis-independent invariants (type vector, series
-dimensions, center and derivation-algebra dimensions) plus two documented
-basis-dependent extensions used to split ties inside the naturally graded
-catalog.  Fingerprint matching replaces general isomorphism testing; on the
+dimensions, center and derivation-algebra dimensions) plus three extensions
+that split ties inside the naturally graded catalog: the centralizers of g_2
+and g_3, which are basis-independent too, and the diagonal-derivation
+dimension, which depends on the basis.  Among the graded models up to n = 13
+the one tie is the n = 9 triple Tn4, E951, E953: the centralizer of g_2 has
+dimension 3 on all three, that of g_3 splits E951 off, and the
+diagonal-derivation dimension splits Tn4 from E953.  Fingerprint matching replaces general isomorphism testing; on the
 finite catalog it is made sufficient by the separation property checked in
 the test suite.
 
@@ -205,8 +209,9 @@ def classify_gr(algebra: Algebra) -> ClassifyResult:
     """Identify gr(algebra) among the naturally graded models.
 
     Matches on the basis-independent fingerprint components first; when several
-    models collide there, refines with the documented extensions (centralizer of
-    g_2, then the diagonal-derivation dimension, in canonical homogeneous bases).
+    models collide there, refines with the extensions (the centralizers of g_2
+    and g_3, then the diagonal-derivation dimension, in canonical homogeneous
+    bases).
     """
     graded = gr(algebra).algebra
     fp = fingerprint(graded)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,7 +64,7 @@ def test_alpha_count_validation():
 
 
 def test_aij_seed_values():
-    t = aij_table(7, 4)
+    t = aij_table(7)
     a1 = Poly.variable(t.params, "a1")
     a2 = Poly.variable(t.params, "a2")
     a3 = Poly.variable(t.params, "a3")
@@ -82,14 +83,14 @@ def test_aij_seed_values():
 
 
 def test_aij_recurrence_on_imposed_shells():
-    t = aij_table(9, 5)
+    t = aij_table(9)
     for (i, j) in list(t.values):
         if i + j <= t.range_bound - 1:
             assert t.get(i, j) == t.get(i + 1, j) + t.get(i, j + 1)
 
 
 def test_aij_antisymmetric_accessor():
-    t = aij_table(6, 3)
+    t = aij_table(6)
     assert t.get(3, 1) == -t.get(1, 3)
 
 
@@ -176,7 +177,7 @@ def test_g_misprint_variant_breaks_jacobi_by_constant():
     spec = spec_for("Gnrk", 9, r=5, k=3)
     good = catalog.extract_constraints(spec)
     assert good.is_satisfied_by([0] * len(good.params))
-    bad = catalog.extract_constraints(spec, misprint=True)
+    bad = catalog.extract_constraints(replace(spec, misprint=True))
     assert any(g.is_constant() for g in bad.generators)
 
 
@@ -282,10 +283,26 @@ def test_generate_declared_class():
 
 
 def test_misprint_flag_rejected_without_variant():
+    # Lnr has no documented misprint, so validate_spec rejects its misprint tuple
+    spec = replace(spec_for("Lnr", 9, r=5), misprint=True)
+    with pytest.raises(InvalidParametersError) as info:
+        catalog.validate_spec(spec)
+    assert str(info.value) == "Lnr has no documented misprint"
+    with pytest.raises(InvalidParametersError):
+        catalog.generate(spec)
+
+
+def test_diagonal_misprint_tuple_has_corrected_table():
     # QarrCb and QarrCc circulate with misprinted diagonals, not tables
-    for spec in (spec_for("Lnr", 9, r=5), spec_for("QarrCb", 9, l=3), spec_for("QarrCc", 9)):
-        with pytest.raises(InvalidParametersError):
-            catalog.generate(spec, misprint=True)
+    for spec in (spec_for("QarrCb", 9, l=3), spec_for("QarrCc", 9)):
+        assert catalog.generate(replace(spec, misprint=True)) == catalog.generate(spec)
+
+
+def test_misprint_tuple_canonical_is_marked():
+    spec = spec_for("LarrC", 9, l=3)
+    printed = replace(spec, misprint=True)
+    assert printed.canonical() == "LarrC(n=9,l=3,misprint)" != spec.canonical()
+    assert printed.with_alphas([]).misprint
 
 
 def test_residuals_evaluate_to_zero_at_solution_point():
@@ -379,7 +396,7 @@ CLAIMED_DIAGONALS = (
 
 
 def _diagonal(spec, misprint=False):
-    return ", ".join(str(w) for w in catalog.claimed_weights(spec, misprint=misprint))
+    return ", ".join(str(w) for w in catalog.claimed_weights(replace(spec, misprint=misprint)))
 
 
 def test_claimed_diagonals_golden():
@@ -396,7 +413,7 @@ def test_claimed_diagonals_golden():
     assert _diagonal(spec_for("QarrCc", 9), misprint=True) == (
         "l0, l1, l0 + l1, 2*l0 + l1, 3*l0 + l1, 4*l0 + l1, 5*l0*l1, 5*l0 + 2*l1, 4*l0 + 2*l1")
     with pytest.raises(InvalidParametersError):
-        catalog.claimed_weights(spec_for("Ln", 9), misprint=True)
+        catalog.claimed_weights(replace(spec_for("Ln", 9), misprint=True))
 
 
 TUPLE_COUNTS_TO_13 = {  # token: (valid tuples, sound tuples) with n <= 13
@@ -470,7 +487,7 @@ def test_generated_tables_golden():
     got = {}
     for token in catalog.all_family_tokens():
         variants = (False, True) if catalog.family_def(token).misprinted_table else (False,)
-        text = "".join(f"{spec} misprint={misprint} {catalog.generate(spec, misprint=misprint).canonical()!r}\n"
+        text = "".join(f"{spec} misprint={misprint} {catalog.generate(replace(spec, misprint=misprint)).canonical()!r}\n"
                        for spec in catalog.valid_tuples(token, 13) for misprint in variants)
         got[token] = hashlib.sha256(text.encode()).hexdigest()
     assert got == GENERATED_TABLE_SHA256
@@ -519,7 +536,7 @@ CONSTRAINTS_SHA256 = {
 
 def test_constraints_golden():
     def alphas(spec, misprint):
-        found = catalog.sample_alphas(spec, misprint=misprint)
+        found = catalog.sample_alphas(replace(spec, misprint=misprint))
         return None if found is None else [str(a) for a in found]
 
     got = {}
@@ -527,7 +544,7 @@ def test_constraints_golden():
         variants = (False, True) if catalog.family_def(token).misprinted_table else (False,)
         text = "".join(
             f"{spec} misprint={misprint} "
-            f"{[str(g) for g in catalog.extract_constraints(spec, misprint=misprint).generators]!r}\n"
+            f"{[str(g) for g in catalog.extract_constraints(replace(spec, misprint=misprint)).generators]!r}\n"
             for spec in catalog.valid_tuples(token, 13) for misprint in variants)
         text += "".join(f"{spec} misprint={misprint} alphas={alphas(spec, misprint)!r}\n"
                         for spec in catalog.sound_tuples(token, 13) for misprint in variants)

@@ -122,6 +122,25 @@ def test_weights_pass_and_misprint(capsys):
     assert code == 1 and stdout.startswith("WEIGHTS FAIL")
 
 
+def test_weights_diagonal_misprint(capsys):
+    # QarrCc's printed diagonal puts a product where a sum belongs
+    code, stdout, _ = run(capsys, "weights", "QarrCc", "--n", "9", "--misprint")
+    assert code == 1 and stdout.startswith("WEIGHTS FAIL")
+    assert "[X0,X5] -> X6" in stdout and "[X1,X6] -> X7" in stdout
+
+
+def test_weights_misses_gnrk_table_misprint(capsys):
+    # the printed Gnrk table keeps every claimed weight: only `qflab audit` catches it
+    code, stdout, _ = run(capsys, "weights", "Gnrk", "--n", "9", "--r", "5", "--k", "3", "--misprint")
+    assert code == 0 and stdout.strip() == "WEIGHTS OK"
+
+
+def test_weights_misprint_without_variant_is_a_usage_error(capsys):
+    code, stdout, err = run(capsys, "weights", "Lnr", "--n", "9", "--r", "5", "--misprint")
+    assert code == 2 and stdout == ""
+    _usage_error_line(err)
+
+
 def test_derivations_output(tmp_path, capsys):
     out = tmp_path / "e.json"
     assert run(capsys, "gen", "E73", "--n", "7", "-o", str(out))[0] == 0
@@ -168,17 +187,16 @@ def test_empty_sweep_is_a_usage_error(capsys):
         _usage_error_line(err)
 
 
-# sha256 of the stdout of `sweep --families all --n-max 9`.  It pins today's
-# output, its 2 FAIL rows included (`Bnk(n, k=n-3)`, the registered degenerate
-# tuple); closing them (ROADMAP item 1) changes the digest, and the new one is
-# recorded in CHANGES.md.
-SWEEP_9_SHA256 = "256b5f83d57924f30adef6f6a7a77be0c4c9ec6742576f155a86618c947d5f92"
+# sha256 of the stdout of `sweep --families all --n-max 9`.  Every row passes:
+# `Bnk(n, k=n-3)`, the registered degenerate tuple, is its model Qn(n) and
+# expects Qn's rank 2.
+SWEEP_9_SHA256 = "f9cccb96be665113ffb6294d4128ebc22e03a8a8c471a0b84a34a4b9eb349165"
 
 
 def test_sweep_golden(capsys):
     code, stdout, _ = run(capsys, "sweep", "--families", "all", "--n-max", "9")
-    assert code == 1
-    assert stdout.splitlines()[-1] == "SWEEP FAIL (2 rows)"
+    assert code == 0
+    assert stdout.splitlines()[-1] == "SWEEP OK"
     assert hashlib.sha256(stdout.encode()).hexdigest() == SWEEP_9_SHA256
 
 
@@ -204,9 +222,9 @@ def test_sweep_builds_each_table_once(capsys, monkeypatch):
     memo = catalog._symbolic
     keys = set()
 
-    def recording(symbolic, misprint):
-        keys.add((symbolic, misprint))
-        return memo(symbolic, misprint)
+    def recording(symbolic):
+        keys.add(symbolic)
+        return memo(symbolic)
 
     monkeypatch.setattr(catalog, "_symbolic", recording)
     memo.cache_clear()

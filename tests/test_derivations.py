@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -173,7 +174,7 @@ def test_weight_audit_passes_normalized():
 def test_weight_audit_detects_bsumc_exponent():
     spec = catalog.spec_for("BsumC", 9, k=2)
     assert verify_claimed_weights(spec).ok
-    bad = verify_claimed_weights(spec, misprint=True)
+    bad = verify_claimed_weights(replace(spec, misprint=True))
     assert not bad.ok
     # every violated bracket is a superdiagonal one landing a step short
     assert all(str(delta) == "l0" for _, delta in bad.violations)
@@ -183,19 +184,19 @@ def test_weight_audit_detects_shift_variant():
     for token in ("LarrC", "AarrC"):
         spec = catalog.spec_for(token, 9, l=3, **({"k": 2} if token == "AarrC" else {}))
         assert verify_claimed_weights(spec).ok
-        assert not verify_claimed_weights(spec, misprint=True).ok
+        assert not verify_claimed_weights(replace(spec, misprint=True)).ok
 
 
 def test_weight_audit_detects_diagonal_misprints():
     for token, kw in (("QarrCb", dict(n=9, l=3)), ("QarrCc", dict(n=9))):
         spec = catalog.spec_for(token, **kw)
         assert verify_claimed_weights(spec).ok
-        assert not verify_claimed_weights(spec, misprint=True).ok
+        assert not verify_claimed_weights(replace(spec, misprint=True)).ok
 
 
 def test_weight_audit_rejects_unknown_misprint():
     with pytest.raises(catalog.InvalidParametersError):
-        verify_claimed_weights(catalog.spec_for("Lnr", 9, r=5), misprint=True)
+        verify_claimed_weights(replace(catalog.spec_for("Lnr", 9, r=5), misprint=True))
 
 
 def test_weights_unknown_for_cn():
@@ -212,13 +213,13 @@ def test_weight_audit_matches_naive_sums():
         flags = (False, True) if fam.misprinted_table or fam.misprinted_diagonal else (False,)
         for spec in catalog.valid_tuples(token, 11):
             for misprint in flags:
+                printed = replace(spec, misprint=misprint)
                 try:
-                    audit = verify_claimed_weights(spec, misprint=misprint)
+                    audit = verify_claimed_weights(printed)
                 except catalog.UnknownFamilyError:
                     continue  # no claimed diagonal for this family
-                algebra = catalog.generate(spec, misprint=misprint and fam.misprinted_table)
-                weights = catalog.claimed_weights(
-                    spec, misprint=misprint and fam.misprinted_diagonal is not None)
+                algebra = catalog.generate(printed)
+                weights = catalog.claimed_weights(printed)
                 naive = []
                 for i, j, targets in algebra.brackets():
                     for k in targets:
