@@ -1,8 +1,6 @@
 """qflab: exact computations with filiform and quasi-filiform nilpotent Lie algebras."""
 
 from qflab.exact import (
-    InconsistentSystemError,
-    LinearSolution,
     MissingParameterError,
     Poly,
     QflabError,
@@ -11,7 +9,6 @@ from qflab.exact import (
     parse_poly,
     rat,
     rat_str,
-    solve_linear,
 )
 from qflab.liealg import (
     Algebra,
@@ -50,15 +47,14 @@ from qflab.isomorphy import Fingerprint, classify_gr, cn_to_qn_transform, finger
 
 __all__ = [
     "Algebra", "DimensionMismatchError", "FamilySpec", "Filtration",
-    "Fingerprint", "GradedAlgebra", "InconsistentSystemError",
-    "InvalidParametersError", "JacobiReport", "LinearSolution",
+    "Fingerprint", "GradedAlgebra", "InvalidParametersError", "JacobiReport",
     "MissingParameterError", "NonNilpotentError", "Poly", "QflabError",
     "SingularMatrixError", "TypeInfo", "TypeVector",
     "UnknownFamilyError", "abelian", "aij_table", "change_of_basis",
     "classify_gr", "cn_to_qn_transform", "derivation_space",
     "diagonal_derivations", "extract_constraints", "fingerprint", "generate",
     "gr", "jacobi_check", "lower_central_series", "nullspace", "parse_poly",
-    "rank_in_basis", "rat", "rat_str", "solve_linear", "spec_for", "type_of",
+    "rank_in_basis", "rat", "rat_str", "spec_for", "type_of",
     "verify_claimed_weights",
 ]
 __version__ = "0.1.0"

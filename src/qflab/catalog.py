@@ -495,7 +495,8 @@ class FamilyDef:
                     yield FamilySpec(self.token, n, r, k, l)
 
     def tuples(self, n_max: int) -> Iterator[FamilySpec]:
-        for n in range(self.least, n_max + 1):
+        last = min(n_max, self.least) if self.fixed else n_max
+        for n in range(self.least, last + 1):
             yield from self.specs_at(n)
 
 

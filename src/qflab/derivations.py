@@ -67,10 +67,7 @@ def derivation_space(algebra: Algebra):
     """Exact basis of the derivation algebra as a list of n x n matrices."""
     concrete = algebra.concrete()
     n = concrete.dim
-    if n == 0:
-        return [], 0
-    rows = leibniz_rows(concrete)
-    kernel = nullspace(rows, ncols=n * n)
+    kernel = nullspace(leibniz_rows(concrete), ncols=n * n)
     matrices = [[[vec[a * n + b] for b in range(n)] for a in range(n)] for vec in kernel]
     return matrices, len(matrices)
 
@@ -79,8 +76,6 @@ def derivation_dim(algebra: Algebra) -> int:
     """dim Der, solved in the series-adapted basis (the given one if not nilpotent)."""
     concrete = algebra.concrete()
     n = concrete.dim
-    if n == 0:
-        return 0
     try:
         concrete, _ = series_adapted(concrete)
     except NonNilpotentError:

@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: rationals, sparse multivariate polynomials and
-fraction-free linear solving over Q.
+fraction-free linear algebra over Q.
 
 No floats anywhere.  Polynomials are kept in a canonical graded-lexicographic
 form so that structural equality coincides with mathematical equality; the
@@ -16,22 +16,30 @@ coefficients are already well formed, calls it; ``Poly.from_map`` checks
 monomial lengths and coerces coefficients for every other caller, then ends
 in the same step.
 
-Linear algebra over Q has one eliminator, ``RowSpace``.  It stores
-primitive integer rows, each keyed by its pivot, the row's lowest column.  A
-new vector is reduced fraction-free against the rows in ascending pivot
-order (``p*v - v[p]*row`` over their gcd, then divided by its content), and
-``basis`` back-substitutes once into the reduced row echelon form.  A batch
-given to the constructor is added sparsest row first: on the near-triangular
-Leibniz systems of ``derivations`` plain insertion order makes
-``matrix_rank`` about seven times slower.  ``nullspace``, ``matrix_rank``,
-``solve_linear`` (the rhs is one extra column) and ``invert_matrix`` (the
-reduced form of ``[A | I]`` is ``[I | A^-1]``) read their answers off it.
+Linear algebra over Q has one eliminator, ``RowSpace``.  Its one input
+format is the sparse integer row ``{col: int}`` with nonzero values (``{}``
+is the zero vector); a caller that holds a ``Fraction`` vector scales it with
+``_integer_vector`` first, which changes no span, rank or homogeneous kernel.
+It stores primitive integer rows, each keyed by its pivot, the row's lowest
+column.  A new row is reduced fraction-free against the rows in ascending
+pivot order (``p*v - v[p]*row`` over their gcd, then divided by its content),
+and ``basis`` back-substitutes once into the reduced row echelon form.  A
+batch given to the constructor is added sparsest row first: on the
+near-triangular Leibniz systems of ``derivations`` plain insertion order
+makes ``matrix_rank`` about seven times slower.  ``nullspace``,
+``matrix_rank`` and ``invert_matrix`` (the reduced form of ``[A | I]`` is
+``[I | A^-1]``) read their answers off it.
+
+A stored row may be the caller's own dict (a target dict of ``scaled_ad``,
+say), not a copy.  That holds only because no code changes a row in place:
+``_eliminate`` and ``_reduced`` build new dicts, and every reader of
+``integer_basis`` or of a row it handed to ``RowSpace`` treats it as read
+only.  Any new code must keep to that rule.
 
 No output depends on the order of elimination.  Every pivot is the lowest
 column of some vector of the span, so the pivot set is that of the reduced
-echelon form; given the pivots, the reduced form, the kernel vectors (1 at
-one free column, 0 at the others) and the particular solution (0 at every
-free column) are unique.
+echelon form; given the pivots, the reduced form and the kernel vectors (1 at
+one free column, 0 at the others) are unique.
 """
 
 from __future__ import annotations
@@ -52,10 +60,6 @@ class QflabError(Exception):
 
 
 class MissingParameterError(QflabError):
-    pass
-
-
-class InconsistentSystemError(QflabError):
     pass
 
 
@@ -349,11 +353,11 @@ class RowSpace:
     first (see the module docstring).
     """
 
-    def __init__(self, ncols: int, rows: Iterable = ()):
+    def __init__(self, ncols: int, rows: Iterable[dict[int, int]] = ()):
         self.ncols = ncols
         self.pivots: list[int] = []  # ascending
         self._rows: dict[int, dict[int, int]] = {}
-        batch = [row for row in map(_integer_row, rows) if row]
+        batch = [_primitive(row) for row in rows if row]
         batch.sort(key=lambda row: (len(row), min(row)))
         for row in batch:
             self._insert(row)
@@ -367,15 +371,12 @@ class RowSpace:
                     break
         return v
 
-    def contains(self, vec) -> bool:
-        return not self._reduce(_integer_row(vec))
-
-    def add(self, vec) -> bool:
-        """Insert a dense or sparse ({column: value}) vector; True when the span grew."""
-        return self._insert(_integer_row(vec))
+    def add(self, row: dict[int, int]) -> bool:
+        """Insert an integer row ({column: value}); True when the span grew."""
+        return self._insert(_primitive(row))
 
     def _insert(self, row: dict[int, int]) -> bool:
-        """``add`` for a row that is already a primitive integer row."""
+        """``add`` for a row that is already primitive."""
         v = self._reduce(row)
         if not v:
             return False
@@ -421,16 +422,11 @@ def _pivot_one(row: Mapping[int, int], ncols: int) -> tuple[Fraction, ...]:
     return tuple(vec)
 
 
-def _integer_row(vec) -> dict[int, int]:
-    """A dense or sparse rational vector as a primitive integer row {column: value};
-    a row of ints is only made primitive."""
-    pairs = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
-    row = {col: x for col, x in pairs if x}
-    if all(type(x) is int for x in row.values()):
-        return _primitive(row)
-    items = [(col, q) for col, q in ((col, rat(x)) for col, x in row.items()) if q]
-    scale = lcm(*(q.denominator for _, q in items))
-    return _primitive({col: q.numerator * (scale // q.denominator) for col, q in items})
+def _integer_vector(u: Sequence[Fraction]) -> tuple[int, dict[int, int]]:
+    """``(d, row)`` with u = row / d, d the common denominator of u: the one
+    step from a ``Fraction`` vector to an integer row."""
+    d = lcm(*(x.denominator for x in u if x))
+    return d, {i: x.numerator * (d // x.denominator) for i, x in enumerate(u) if x}
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -463,64 +459,21 @@ def _eliminate(v: dict[int, int], row: dict[int, int], col: int) -> dict[int, in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    """A particular solution together with a basis of the homogeneous kernel."""
-
-    particular: tuple[Fraction, ...]
-    kernel: tuple[tuple[Fraction, ...], ...]
-
-
-def solve_linear(
-    rows: Sequence[Sequence[Fraction]] | Sequence[Mapping[int, Fraction]],
-    rhs: Sequence[Fraction],
-    ncols: int | None = None,
-) -> LinearSolution:
-    """Solve M x = rhs exactly; raises InconsistentSystemError when unsolvable.
-
-    Accepts dense rows (sequences) or sparse rows (index -> value mappings,
-    in which case ``ncols`` is required).  The rhs is one extra column; a
-    pivot there is a row 0 = nonzero.
-    """
-    ncols = _width(rows, ncols)
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length does not match the number of rows")
-    augmented = []
-    for row, b in zip(rows, rhs):
-        row = dict(row.items() if isinstance(row, Mapping) else enumerate(row))
-        row[ncols] = b
-        augmented.append(row)
-    space = RowSpace(ncols + 1, augmented)
-    if ncols in space.pivots:
-        raise InconsistentSystemError("no solution exists")
-    reduced = space._reduced()
-    particular = [Fraction(0)] * ncols
-    for p, row in reduced.items():
-        particular[p] = Fraction(row.get(ncols, 0), row[p])
-    return LinearSolution(tuple(particular), tuple(_kernel(reduced, ncols)))
-
-
-def nullspace(
-    rows: Sequence[Sequence[Fraction]] | Sequence[Mapping[int, Fraction]],
-    ncols: int | None = None,
-) -> list[tuple[Fraction, ...]]:
-    """Basis of the kernel of the homogeneous system M x = 0."""
-    ncols = _width(rows, ncols)
+def nullspace(rows: Iterable[dict[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the kernel of the homogeneous system M x = 0, M given by its
+    integer rows."""
     return _kernel(RowSpace(ncols, rows)._reduced(), ncols)
 
 
-def matrix_rank(
-    rows: Sequence[Sequence[Fraction]] | Sequence[Mapping[int, Fraction]],
-    ncols: int | None = None,
-) -> int:
-    return RowSpace(_width(rows, ncols), rows).dim
+def matrix_rank(rows: Iterable[dict[int, int]], ncols: int) -> int:
+    return RowSpace(ncols, rows).dim
 
 
 def invert_matrix(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse, read off the reduced echelon form [I | A^-1] of [A | I];
     raises on singular input."""
     n = len(a)
-    space = RowSpace(2 * n, [list(row) + [int(i == j) for j in range(n)]
+    space = RowSpace(2 * n, [_integer_vector(list(row) + [int(i == j) for j in range(n)])[1]
                              for i, row in enumerate(a)])
     if space.pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
@@ -543,19 +496,3 @@ def _kernel(rows: Mapping[int, Mapping[int, int]], ncols: int) -> list[tuple[Fra
                 vec[p] = Fraction(-row[f], row[p])
         kernel.append(tuple(vec))
     return kernel
-
-
-def _width(rows, ncols: int | None) -> int:
-    """The column count of dense or sparse rows; dense rows must not be ragged."""
-    width = ncols
-    for row in rows:
-        if isinstance(row, Mapping):
-            if ncols is None:
-                raise ValueError("ncols is required for sparse input")
-        elif width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError("ragged matrix")
-    if width is None:
-        raise ValueError("cannot infer the number of columns")
-    return width

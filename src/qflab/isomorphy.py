@@ -7,9 +7,9 @@ and g_3, which are basis-independent too, and the diagonal-derivation
 dimension, which depends on the basis.  Among the graded models up to n = 13
 the one tie is the n = 9 triple Tn4, E951, E953: the centralizer of g_2 has
 dimension 3 on all three, that of g_3 splits E951 off, and the
-diagonal-derivation dimension splits Tn4 from E953.  Fingerprint matching replaces general isomorphism testing; on the
-finite catalog it is made sufficient by the separation property checked in
-the test suite.
+diagonal-derivation dimension splits Tn4 from E953.  Fingerprint matching
+replaces general isomorphism testing; on the finite catalog it is made
+sufficient by the separation property checked in the test suite.
 
 ``classify_gr`` reads one index per dimension, built once: the fingerprints
 of ``catalog.graded_models(n)``.  ``fingerprint`` reads a private memo keyed on

@@ -18,7 +18,9 @@ rational vector it stands for.  That is safe wherever a span, a rank or the
 kernel of a homogeneous system is read, since no factor per vector changes
 them.  Values are read exactly elsewhere: ``rational_bracket`` is the
 ``Fraction`` view over the same kernel, and ``change_of_basis`` divides the
-factors out once per structure constant.
+factors out once per structure constant.  Both take their ``Fraction``
+vectors to integer rows with ``exact._integer_vector``, the package's one
+such conversion.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from qflab.exact import Poly, QflabError, invert_matrix, rat
+from qflab.exact import Poly, QflabError, _integer_vector, invert_matrix, rat
 
 
 class DimensionMismatchError(QflabError):
@@ -177,12 +179,6 @@ def _int_bracket(ad: list[dict[int, dict[int, int]]], u: Mapping[int, int],
                 for k, c in targets.items():
                     out[k] = out.get(k, 0) + w * c
     return {k: x for k, x in out.items() if x}
-
-
-def _integer_vector(u: Sequence[Fraction]) -> tuple[int, dict[int, int]]:
-    """``(d, row)`` with u = row / d, d the common denominator of u."""
-    d = lcm(*(x.denominator for x in u if x))
-    return d, {i: x.numerator * (d // x.denominator) for i, x in enumerate(u) if x}
 
 
 def rational_bracket(algebra: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:

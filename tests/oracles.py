@@ -91,9 +91,11 @@ class NaiveSpan:
     """Row span maintained by storing raw vectors and testing membership by
     re-eliminating from scratch (quadratic and dumb on purpose)."""
 
-    def __init__(self, ncols):
+    def __init__(self, ncols, vectors=()):
         self.ncols = ncols
         self.vectors = []
+        for vec in vectors:
+            self.add(vec)
 
     def contains(self, vec):
         if all(x == 0 for x in vec):

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -550,3 +551,11 @@ def test_constraints_golden():
                         for spec in catalog.sound_tuples(token, 13) for misprint in variants)
         got[token] = hashlib.sha256(text.encode()).hexdigest()
     assert got == CONSTRAINTS_SHA256
+
+
+def test_fixed_family_tuples_end_at_their_n():
+    # a fixed-n family has one dimension, however far the sweep reaches
+    start = time.perf_counter()
+    assert list(catalog.family_def("E73").tuples(10**12)) == [spec_for("E73", 7)]
+    assert list(catalog.family_def("E73").tuples(6)) == []
+    assert time.perf_counter() - start < 1

@@ -1,16 +1,17 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qflab import catalog
 from qflab.exact import (
-    InconsistentSystemError,
     MissingParameterError,
     Poly,
     RowSpace,
     SingularMatrixError,
+    _integer_vector,
     invert_matrix,
     mat_mul,
     matrix_rank,
@@ -18,7 +19,6 @@ from qflab.exact import (
     parse_poly,
     rat,
     rat_str,
-    solve_linear,
 )
 from oracles import NaiveSpan, dense_rank, dense_solve
 
@@ -161,56 +161,24 @@ def test_canonical_form_is_sorted_and_sparse():
 # --- linear algebra ---------------------------------------------------------
 
 
-def test_identity_solution():
-    sol = solve_linear([[1, 0], [0, 1]], [Fraction(5), Fraction(-2, 3)])
-    assert sol.particular == (Fraction(5), Fraction(-2, 3))
-    assert sol.kernel == ()
-
-
-def test_zero_matrix_kernel():
-    sol = solve_linear([[0, 0], [0, 0]], [0, 0])
-    assert len(sol.kernel) == 2
-
-
-def test_inconsistent_raises():
-    with pytest.raises(InconsistentSystemError):
-        solve_linear([[1, 1], [1, 1]], [1, 2])
+def integer_row(vec):
+    """A dense vector of ints and Fractions as the eliminator's integer row."""
+    return _integer_vector(vec)[1]
 
 
 # integers and rationals, with zeros often enough that rows are rank deficient
 st_entry = st.one_of(st.integers(min_value=-6, max_value=6), st_rational)
 
 
-@given(
-    st.lists(st.lists(st_entry, min_size=7, max_size=7), min_size=5, max_size=5),
-    st.lists(st_entry, min_size=5, max_size=5),
-)
-@settings(max_examples=60, deadline=None)
-def test_solver_matches_dense_oracle(matrix, rhs):
-    expected = dense_solve(matrix, rhs)
-    if expected is None:
-        with pytest.raises(InconsistentSystemError):
-            solve_linear(matrix, rhs)
-        return
-    sol = solve_linear(matrix, rhs)
-    # the canonical answer: 0 at the free columns, one kernel vector per free column
-    assert sol.particular == expected[0]
-    assert list(sol.kernel) == expected[1]
-
-
 @given(st.lists(st.lists(st_entry, min_size=6, max_size=6), min_size=3, max_size=8))
+@example([[0] * 6] * 3)
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(matrix):
-    kernel = nullspace(matrix)
+    # scaling a row to integers changes neither the kernel nor the rank
+    rows = [integer_row(row) for row in matrix]
+    kernel = nullspace(rows, ncols=6)
     assert kernel == dense_solve(matrix, [0] * len(matrix))[1]
-    assert matrix_rank(matrix) == dense_rank(matrix) == 6 - len(kernel)
-
-
-def test_sparse_input_agrees_with_dense():
-    dense = [[0, 2, 0, 1], [1, 0, 0, -1], [1, 2, 0, 0]]
-    sparse = [{1: 2, 3: 1}, {0: 1, 3: -1}, {0: 1, 1: 2}]
-    assert matrix_rank(dense) == matrix_rank(sparse, ncols=4)
-    assert sorted(nullspace(dense)) == sorted(nullspace(sparse, ncols=4))
+    assert matrix_rank(rows, ncols=6) == dense_rank(matrix) == 6 - len(kernel)
 
 
 def test_invert_matrix_roundtrip():
@@ -248,11 +216,13 @@ def test_rowspace_matches_naive_span(vectors, probes, rng):
         if i == len(vectors) // 2:
             space.basis()  # back-substitutes the stored rows in place
         # gradation._adapted keeps a vector exactly when add says the span grew
-        assert space.add(v) == naive.add(v)
+        assert space.add(integer_row(v)) == naive.add(v)
         assert space.dim == naive.dim
     sums = [[a + b for a, b in zip(u, w)] for u, w in zip(vectors, vectors[1:])]
     for v in probes + sums:
-        assert space.contains(v) == naive.contains(v)
+        # a vector lies in the span exactly when adding it leaves the dimension
+        grown = RowSpace(5, space.integer_basis() + [integer_row(v)])
+        assert (grown.dim == space.dim) == naive.contains(v)
     basis = space.basis()
     assert len(basis) == naive.dim and all(naive.contains(row) for row in basis)
     # canonical RREF: leading 1s at strictly increasing pivots, cleared above and below
@@ -264,17 +234,29 @@ def test_rowspace_matches_naive_span(vectors, probes, rng):
     rng.shuffle(shuffled)
     incremental = RowSpace(5)
     for v in shuffled:
-        incremental.add(v)
-    batch = RowSpace(5, [dict(enumerate(v)) for v in vectors])
+        incremental.add(integer_row(v))
+    batch = RowSpace(5, [integer_row(v) for v in vectors])
     assert batch.basis() == incremental.basis() == basis
+
+
+@given(st_span_vectors, st_span_vectors)
+@settings(max_examples=40, deadline=None)
+def test_rows_handed_on_stay_unchanged(vectors, more):
+    # a RowSpace keeps the rows it is handed, here another space's own rows
+    space = RowSpace(5, [integer_row(v) for v in vectors])
+    basis, rows = space.basis(), copy.deepcopy(space.integer_basis())
+    other = RowSpace(5, space.integer_basis())
+    for v in more:
+        other.add(integer_row(v))
+    other.basis()
+    assert space.integer_basis() == rows and space.basis() == basis
 
 
 def test_rowspace_rref_deterministic():
     s = RowSpace(4)
-    assert s.add([0, 1, 1, 0])
-    assert s.add([1, 1, 0, 0])
-    assert not s.add([1, 2, 1, 0])
+    assert s.add({1: 1, 2: 1})
+    assert s.add({0: 1, 1: 1})
+    assert not s.add({0: 1, 1: 2, 2: 1})
+    assert not s.add({})
     assert s.pivots == [0, 1]
-    assert s.basis()[0][0] == 1 and s.basis()[0][1] == 0
-    assert s.contains([2, 3, 1, 0])
-    assert not s.contains([0, 0, 0, 1])
+    assert s.basis() == [(1, 0, -1, 0), (0, 1, 1, 0)]

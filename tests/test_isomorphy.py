@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -5,9 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflab import catalog, isomorphy
+from qflab import catalog, gradation, isomorphy
 from qflab.catalog import spec_for
-from qflab.gradation import gr
+from qflab.derivations import derivation_dim
+from qflab.gradation import gr, lower_central_series
 from qflab.isomorphy import (
     Fingerprint,
     catalog_fingerprint,
@@ -216,6 +218,23 @@ def test_classify_survives_basis_change():
     moved = change_of_basis(a, random_unimodular(9, rng))
     res = classify_gr(moved)
     assert res.match == spec_for("Lnr", 9, r=5)
+
+
+def test_no_row_is_changed_in_place():
+    # RowSpace stores the rows it is handed without a copy (the target dicts
+    # of scaled_ad among them), which is safe only while no code changes a row
+    moved = change_of_basis(gen("Lnr", 10, r=5), random_unimodular(10, random.Random(43)))
+    before = copy.deepcopy(moved.scaled_ad)
+    gradation._series.cache_clear()
+    isomorphy._fingerprint.cache_clear()
+    spaces = lower_central_series(moved).spaces
+    rows = copy.deepcopy([space.integer_basis() for space in spaces])
+    gr(moved)
+    fingerprint(moved)
+    derivation_dim(moved)
+    assert classify_gr(moved).match == spec_for("Lnr", 10, r=5)
+    assert moved.scaled_ad == before
+    assert [space.integer_basis() for space in spaces] == rows
 
 
 def test_classify_filiform_models():
