@@ -743,11 +743,6 @@ def expected_rank(spec: FamilySpec) -> int:
     return fam.rank
 
 
-def valid_tuples(token: str, n_max: int) -> Iterator[FamilySpec]:
-    """All integer-parameter tuples inside the printed ranges with n <= n_max."""
-    return family_def(token).tuples(n_max)
-
-
 def sound_tuples(token: str, n_max: int) -> Iterator[FamilySpec]:
     """The printed tuples on which the table is (or can be, for parametric
     families) an actual Lie algebra."""

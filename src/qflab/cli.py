@@ -125,10 +125,18 @@ def _parse_alphas(text: str) -> tuple[Fraction, ...]:
         raise UsageError(f"cannot parse alpha list {text!r}: {exc}") from exc
 
 
+def _dim_arg(n: int) -> int:
+    # a larger --n would write a document that every other command refuses
+    if n > MAX_DIM:
+        raise UsageError(f"--n {n} is above the largest supported dim {MAX_DIM}")
+    return n
+
+
 def _spec_from_args(args) -> catalog.FamilySpec:
     alpha = getattr(args, "alpha", None)
     alphas = _parse_alphas(alpha) if alpha is not None else None
-    spec = replace(catalog.spec_for(args.family, args.n, r=args.r, k=args.k, l=args.l, alphas=alphas),
+    spec = replace(catalog.spec_for(args.family, _dim_arg(args.n), r=args.r, k=args.k, l=args.l,
+                                    alphas=alphas),
                    misprint=getattr(args, "misprint", False))
     catalog.validate_spec(spec)
     return spec
@@ -287,7 +295,7 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_iso_cn(args) -> int:
-    result = cn_to_qn_transform(args.n, _parse_alphas(args.alpha))
+    result = cn_to_qn_transform(_dim_arg(args.n), _parse_alphas(args.alpha))
     for idx, stage in enumerate(result.stages):
         print(f"stage {idx}:")
         for row in stage:

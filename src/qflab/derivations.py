@@ -12,9 +12,11 @@ algebra given in a dense basis has few structure constants;
 
 Diagonal derivations in a fixed basis are the same thing as additive weight
 systems: assignments w with w_i + w_j = w_k for every nonzero structure
-constant c_{ij}^k.  On the catalog's adapted bases the dimension of that
-space realizes the rank (the classification exhibits a maximal torus
-diagonally there); for other bases it is only a lower bound for the rank.
+constant c_{ij}^k.  In every basis the dimension of that space is a lower
+bound for the rank, also on the catalog's own bases: ``Cn`` has one diagonal
+derivation in its basis, yet ``isomorphy.cn_to_qn_transform`` carries it onto
+``Qn``, of rank 2.  It equals the rank only where the certificate of
+``_check_rank`` holds (the diagonal space is a maximal torus).
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def diagonal_derivations(algebra: Algebra):
 def rank_in_basis(algebra: Algebra) -> int:
     """Dimension of the diagonal derivation space in the given basis.
 
-    Equals the rank for catalog algebras generated in their adapted bases;
-    for arbitrary bases it is only a lower bound of the true rank.
+    A lower bound of the rank in every basis, the catalog's included; it is
+    certified equal to the rank only where ``_check_rank``'s certificate holds.
     """
     _, dim = diagonal_derivations(algebra)
     return dim

@@ -1,20 +1,21 @@
 """Explicit change-of-variable procedures and an invariant fingerprint.
 
-The fingerprint packages basis-independent invariants (type vector, series
-dimensions, center and derivation-algebra dimensions) plus three extensions
-that split ties inside the naturally graded catalog: the centralizers of g_2
-and g_3, which are basis-independent too, and the diagonal-derivation
-dimension, which depends on the basis.  Among the graded models up to n = 13
-the one tie is the n = 9 triple Tn4, E951, E953: the centralizer of g_2 has
-dimension 3 on all three, that of g_3 splits E951 off, and the
-diagonal-derivation dimension splits Tn4 from E953.  Fingerprint matching
-replaces general isomorphism testing; on the finite catalog it is made
-sufficient by the separation property checked in the test suite.
+The fingerprint holds five invariants of the algebra, none of which depends on
+the basis: the dimensions of the lower central and derived series, of the
+center, of the derivation algebra and of the centralizer of g_3.  Isomorphic
+algebras have equal fingerprints.  Among the naturally graded models up to
+n = 25 one pair shares a fingerprint, Tn4(9) and E953(9), whose tables are
+related by an exact change of basis.  ``classify_gr`` splits that tie with the
+diagonal-derivation dimension in the given basis, the one number it reads
+that depends on the basis.  On the finite catalog, fingerprint matching stands
+in for a general isomorphism test; the separation property checked in the test
+suite makes it sufficient there.
 
-``classify_gr`` reads one index per dimension, built once: the fingerprints
-of ``catalog.graded_models(n)``.  ``fingerprint`` reads a private memo keyed on
-the concrete ``Algebra`` (equality is its canonical table), so the rows of a
-sweep that share a gr algebra compute its fingerprint once.
+``classify_gr`` reads one index per dimension, built once: the graded models
+of ``catalog.graded_models(n)`` by fingerprint.  ``fingerprint`` reads a
+private memo keyed on the concrete ``Algebra`` (equality is its canonical
+table), so the rows of a sweep that share a gr algebra compute its
+fingerprint once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from qflab import catalog
 from qflab.exact import identity_matrix, mat_mul, matrix_rank, rat
 from qflab.gradation import bracket_span, gr, lower_central_series
 from qflab.liealg import Algebra, _int_bracket, change_of_basis
-from qflab.derivations import derivation_dim, diagonal_derivations
+from qflab.derivations import derivation_dim, rank_in_basis
 
 
 # ---------------------------------------------------------------------------
@@ -96,31 +97,14 @@ def cn_to_qn_transform(n: int, alphas: Sequence) -> CnTransform:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Deterministic invariant record; equal fingerprints are a necessary
-    condition for isomorphism.
+    """Deterministic record of basis-independent invariants; equal
+    fingerprints are a necessary condition for isomorphism."""
 
-    Every component is basis-independent except ``rank_in_adapted_basis``,
-    which is computed in the basis the algebra is handed over in and is
-    meaningful only for catalog-adapted (or canonical homogeneous) bases.
-    """
-
-    dim: int
-    type_vector: tuple[int, ...]
     lcs_dims: tuple[int, ...]
     derived_dims: tuple[int, ...]
     center_dim: int
     der_dim: int
-    centralizer_g2_dim: int
     centralizer_g3_dim: int
-    rank_in_adapted_basis: int
-
-    def base_key(self):
-        return (self.dim, self.type_vector, self.lcs_dims, self.derived_dims,
-                self.center_dim, self.der_dim)
-
-    def full_key(self):
-        return self.base_key() + (self.centralizer_g2_dim, self.centralizer_g3_dim,
-                                  self.rank_in_adapted_basis)
 
 
 def _centralizer_dim(algebra: Algebra, vectors) -> int:
@@ -164,20 +148,13 @@ def _fingerprint(concrete: Algebra) -> Fingerprint:
     n = concrete.dim
     filtration = lower_central_series(concrete)
     spaces = filtration.spaces
-
-    def term(k):  # integer rows of g_k, none past the end of the series
-        return spaces[k - 1].integer_basis() if k <= len(spaces) else []
-
+    g3 = spaces[2].integer_basis() if len(spaces) > 2 else []  # g_3 = 0 past the series' end
     return Fingerprint(
-        dim=n,
-        type_vector=filtration.type_info().type_vector.p,
         lcs_dims=filtration.dims,
         derived_dims=_derived_dims(concrete, spaces),
         center_dim=_centralizer_dim(concrete, [{x: 1} for x in range(n)]),
         der_dim=derivation_dim(concrete),
-        centralizer_g2_dim=_centralizer_dim(concrete, term(2)),
-        centralizer_g3_dim=_centralizer_dim(concrete, term(3)),
-        rank_in_adapted_basis=diagonal_derivations(concrete)[1],
+        centralizer_g3_dim=_centralizer_dim(concrete, g3),
     )
 
 
@@ -189,7 +166,7 @@ def _fingerprint(concrete: Algebra) -> Fingerprint:
 @dataclass(frozen=True)
 class ClassifyResult:
     match: catalog.FamilySpec | None
-    candidates: tuple[str, ...]  # canonical strings of near misses
+    candidates: tuple[str, ...]  # canonical strings of the models tied on every invariant
 
     @property
     def classified(self) -> bool:
@@ -201,25 +178,25 @@ def catalog_fingerprint(spec: catalog.FamilySpec) -> Fingerprint:
 
 
 @functools.lru_cache(maxsize=None)
-def _graded_index(n: int) -> tuple[tuple[catalog.FamilySpec, Fingerprint], ...]:
-    return tuple((spec, catalog_fingerprint(spec)) for spec in catalog.graded_models(n))
+def _graded_index(n: int) -> dict[Fingerprint, list[catalog.FamilySpec]]:
+    index: dict[Fingerprint, list[catalog.FamilySpec]] = {}
+    for spec in catalog.graded_models(n):
+        index.setdefault(catalog_fingerprint(spec), []).append(spec)
+    return index
 
 
 def classify_gr(algebra: Algebra) -> ClassifyResult:
     """Identify gr(algebra) among the naturally graded models.
 
-    Matches on the basis-independent fingerprint components first; when several
-    models collide there, refines with the extensions (the centralizers of g_2
-    and g_3, then the diagonal-derivation dimension, in canonical homogeneous
-    bases).
+    A fingerprint shared by several models is split by the diagonal-derivation
+    dimension, read on gr(algebra) in the basis it comes in and on each model's
+    own table; the match is the one model left, and the tied models are the
+    candidates.
     """
     graded = gr(algebra).algebra
-    fp = fingerprint(graded)
-    base_hits = [(s, f) for s, f in _graded_index(graded.dim) if f.base_key() == fp.base_key()]
-    if len(base_hits) == 1:
-        return ClassifyResult(base_hits[0][0], ())
-    near = tuple(s.canonical() for s, _ in base_hits)
-    hits = [s for s, f in base_hits if f.full_key() == fp.full_key()]
-    if len(hits) == 1:
-        return ClassifyResult(hits[0], near)
-    return ClassifyResult(None, tuple(s.canonical() for s in hits) or near)
+    hits = _graded_index(graded.dim).get(fingerprint(graded), [])
+    if len(hits) <= 1:
+        return ClassifyResult(hits[0] if hits else None, ())
+    rank = rank_in_basis(graded)
+    left = [s for s in hits if rank_in_basis(catalog.generate(s)) == rank]
+    return ClassifyResult(left[0] if len(left) == 1 else None, tuple(s.canonical() for s in hits))

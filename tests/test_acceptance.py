@@ -67,7 +67,7 @@ def test_criterion_1_jacobi_soundness():
     # its single sound k, and the whole of Fnrk)
     for token in NONPARAMETRIC:
         sound = {s.canonical() for s in catalog.sound_tuples(token, 13)}
-        for spec in catalog.valid_tuples(token, 13):
+        for spec in catalog.family_def(token).tuples(13):
             if spec.canonical() in sound:
                 continue
             if jacobi_check(catalog.generate(spec)).ok:
@@ -88,7 +88,7 @@ def _rank_specs(token, n_max):
     if token == "Fnrk":
         # no sound tuples exist; the rank statement is still checked on the
         # printed support (the weight system does not need the Jacobi identity)
-        return list(catalog.valid_tuples(token, n_max))
+        return list(catalog.family_def(token).tuples(n_max))
     sample = list(catalog.sound_tuples(token, n_max))
     if not sample:
         return []
@@ -165,7 +165,7 @@ def test_criterion_4_e95_distinction():
         failures.append("E953 does not admit diag(1,1,2,3,4,5,6,7,5)")
     keys = {}
     for token in ("E951", "E952", "E953"):
-        keys[token] = catalog_fingerprint(spec_for(token, 9)).full_key()
+        keys[token] = catalog_fingerprint(spec_for(token, 9))
     if len(set(keys.values())) != 3:
         failures.append(f"fingerprints collide: {keys}")
     _report("criterion 4 (E_9,5 distinction)", failures)
@@ -178,7 +178,7 @@ def test_criterion_5_gr_class_matrix():
     failures = []
     for token in catalog.NONZERO_RANK_TOKENS:
         if token == "Fnrk":
-            specs = list(catalog.valid_tuples(token, 11))[:3]
+            specs = list(catalog.family_def(token).tuples(11))[:3]
         else:
             specs = _concrete_samples(token, 11)[:4]
         if not specs:
@@ -197,7 +197,7 @@ def test_criterion_5_gr_class_matrix():
 
 
 def _weight_specs(token):
-    picks = list(catalog.valid_tuples(token, 13))
+    picks = list(catalog.family_def(token).tuples(13))
     chosen = {0, len(picks) - 1, len(picks) // 2}
     return [picks[i] for i in sorted(chosen) if picks]
 

@@ -195,7 +195,7 @@ def test_dnrk_soundness_boundary():
 def test_fnrk_unrealizable():
     # every printed tuple violates the Jacobi identity; the support admits no
     # Lie algebra with a nonzero extension at all (see the family notes)
-    specs = list(catalog.valid_tuples("Fnrk", 13))
+    specs = list(catalog.family_def("Fnrk").tuples(13))
     assert specs  # the printed range is nonempty ...
     assert list(catalog.sound_tuples("Fnrk", 13)) == []  # ... but nothing is sound
     for spec in specs:
@@ -251,7 +251,7 @@ def test_prop4_entries_inventory():
 def test_every_gr_class_is_a_graded_model():
     models = {n: set(catalog.graded_models(n)) for n in range(1, 18)}
     for token in catalog.all_family_tokens():
-        for spec in catalog.valid_tuples(token, 17):
+        for spec in catalog.family_def(token).tuples(17):
             assert catalog.natural_gr_class(spec) in models[spec.n], spec.canonical()
 
 
@@ -328,7 +328,7 @@ def test_token_partition_consistency():
     parametric = {"Ank", "Bnk", "Cn", "AsumC", "BsumC", "AarrC", "BarrCa",
                   "BarrCc", "Cnrk", "Enrk", "Gnrk", "Hnrk"}
     for token in catalog.all_family_tokens():
-        spec = next(iter(catalog.valid_tuples(token, 13)))
+        spec = next(iter(catalog.family_def(token).tuples(13)))
         count = catalog.alpha_count(spec)
         assert (count > 0) == (token in parametric), token
         assert (token in catalog.NONPARAMETRIC_TOKENS) == (token not in parametric)
@@ -429,7 +429,7 @@ TUPLE_COUNTS_TO_13 = {  # token: (valid tuples, sound tuples) with n <= 13
 
 
 def test_tuple_counts_golden():
-    got = {token: (len(list(catalog.valid_tuples(token, 13))),
+    got = {token: (len(list(catalog.family_def(token).tuples(13))),
                    len(list(catalog.sound_tuples(token, 13))))
            for token in catalog.all_family_tokens()}
     assert got == TUPLE_COUNTS_TO_13
@@ -489,12 +489,12 @@ def test_generated_tables_golden():
     for token in catalog.all_family_tokens():
         variants = (False, True) if catalog.family_def(token).misprinted_table else (False,)
         text = "".join(f"{spec} misprint={misprint} {catalog.generate(replace(spec, misprint=misprint)).canonical()!r}\n"
-                       for spec in catalog.valid_tuples(token, 13) for misprint in variants)
+                       for spec in catalog.family_def(token).tuples(13) for misprint in variants)
         got[token] = hashlib.sha256(text.encode()).hexdigest()
     assert got == GENERATED_TABLE_SHA256
     # the alpha count is the parameter count of the generated table
     for token in catalog.all_family_tokens():
-        for spec in catalog.valid_tuples(token, 17):
+        for spec in catalog.family_def(token).tuples(17):
             assert catalog.alpha_count(spec) == len(catalog.generate(spec).params), spec
 
 
@@ -546,7 +546,7 @@ def test_constraints_golden():
         text = "".join(
             f"{spec} misprint={misprint} "
             f"{[str(g) for g in catalog.extract_constraints(replace(spec, misprint=misprint)).generators]!r}\n"
-            for spec in catalog.valid_tuples(token, 13) for misprint in variants)
+            for spec in catalog.family_def(token).tuples(13) for misprint in variants)
         text += "".join(f"{spec} misprint={misprint} alphas={alphas(spec, misprint)!r}\n"
                         for spec in catalog.sound_tuples(token, 13) for misprint in variants)
         got[token] = hashlib.sha256(text.encode()).hexdigest()

@@ -340,6 +340,18 @@ def test_document_above_the_largest_dim_is_a_usage_error(tmp_path, capsys):
     assert doc_to_algebra({"dim": MAX_DIM, "brackets": brackets}).dim == MAX_DIM
 
 
+
+def test_n_above_the_largest_dim_is_a_usage_error(tmp_path, capsys):
+    # gen would otherwise write a document that every reading command refuses
+    for argv in (("gen", "Ln"), ("constraints", "Ank", "--k", "2"), ("weights", "Ln"), ("iso-cn",)):
+        code, stdout, err = run(capsys, *argv, "--n", str(MAX_DIM + 1))
+        assert code == 2 and stdout == "", argv
+        _usage_error_line(err)
+    path = tmp_path / "ln.json"
+    assert run(capsys, "gen", "Ln", "--n", str(MAX_DIM), "-o", str(path))[0] == 0
+    code, stdout, _ = run(capsys, "jacobi", str(path))
+    assert code == 0 and stdout.strip() == "JACOBI OK"
+
 # Random documents, well formed or not, with dimension at most 6: every
 # command exits with 0, 1 or 2 and none ends in a traceback.
 # (no digit strings or huge floats here: "4000" is a valid dim, far too large

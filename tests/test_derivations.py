@@ -211,7 +211,7 @@ def test_weight_audit_matches_naive_sums():
     for token in catalog.all_family_tokens():
         fam = catalog.family_def(token)
         flags = (False, True) if fam.misprinted_table or fam.misprinted_diagonal else (False,)
-        for spec in catalog.valid_tuples(token, 11):
+        for spec in catalog.family_def(token).tuples(11):
             for misprint in flags:
                 printed = replace(spec, misprint=misprint)
                 try:

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from qflab import catalog, gradation, isomorphy
 from qflab.catalog import spec_for
-from qflab.derivations import derivation_dim
+from qflab.derivations import derivation_dim, rank_in_basis
 from qflab.gradation import gr, lower_central_series
 from qflab.isomorphy import (
+    ClassifyResult,
     Fingerprint,
     catalog_fingerprint,
     classify_gr,
@@ -71,7 +72,7 @@ def test_fingerprint_base_invariant_under_basis_change():
     fp = fingerprint(a)
     for _ in range(4):
         moved = change_of_basis(a, random_unimodular(9, rng))
-        assert fingerprint(moved).base_key() == fp.base_key()
+        assert fingerprint(moved) == fp
 
 
 def assert_fingerprint_matches_oracles(algebra):
@@ -84,7 +85,6 @@ def assert_fingerprint_matches_oracles(algebra):
     assert list(fp.lcs_dims) == [len(term) for term in lcs]
     assert list(fp.derived_dims) == naive_derived_dims(table, n)
     assert fp.center_dim == naive_centralizer_dim(table, n, unit)
-    assert fp.centralizer_g2_dim == naive_centralizer_dim(table, n, lcs[1] if len(lcs) > 1 else [])
     assert fp.centralizer_g3_dim == naive_centralizer_dim(table, n, lcs[2] if len(lcs) > 2 else [])
     assert fp.der_dim == dense_derivation_dim(table, n)
 
@@ -92,7 +92,7 @@ def assert_fingerprint_matches_oracles(algebra):
 def test_fingerprint_separates_l73_q73():
     fa = fingerprint(gen("Lnr", 7, r=3))
     fb = fingerprint(gen("Qnr", 7, r=3))
-    assert fa.base_key() != fb.base_key()
+    assert fa != fb
     # every invariant is cross-checked against the independent brute-force
     # oracles, on the catalog at n = 7..9 and on one moved basis of each entry
     rng = random.Random(73)
@@ -141,8 +141,7 @@ def test_memo_keeps_l73_q73_apart_in_either_order():
 
 def test_fingerprint_of_the_zero_algebra():
     assert fingerprint(Algebra(0)) == Fingerprint(
-        dim=0, type_vector=(), lcs_dims=(0,), derived_dims=(0,), center_dim=0, der_dim=0,
-        centralizer_g2_dim=0, centralizer_g3_dim=0, rank_in_adapted_basis=0)
+        lcs_dims=(0,), derived_dims=(0,), center_dim=0, der_dim=0, centralizer_g3_dim=0)
 
 
 @given(anticommutative_tables(), st.data())
@@ -164,14 +163,13 @@ def test_bracket_and_centralizers_match_oracles_on_rational_tables(drawn, data):
     unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     assert list(fp.derived_dims) == naive_derived_dims(table, n)
     assert fp.center_dim == naive_centralizer_dim(table, n, unit)
-    assert fp.centralizer_g2_dim == naive_centralizer_dim(table, n, lcs[1] if len(lcs) > 1 else [])
     assert fp.centralizer_g3_dim == naive_centralizer_dim(table, n, lcs[2] if len(lcs) > 2 else [])
 
 
 # sha256 over the fingerprint of every naturally graded catalog entry with
 # 4 <= n <= 17, and over one seeded moved basis of each entry with n <= 10
-FINGERPRINTS_SHA256 = "fa7453440e820bee56e5b8dc958f059fec8d413c13da8ce6c00f3c18ca605ace"
-MOVED_FINGERPRINTS_SHA256 = "8e61d8cf6a358d7ab14de418c6544e9188c132ab2f8a18283d6cdef99125a3d5"
+FINGERPRINTS_SHA256 = "ec3236afbf937c14339773841f92ba21c62efb0f6a8d64a9c906e556d8c96354"
+MOVED_FINGERPRINTS_SHA256 = "ecb017098013f636fa0687d0551440400b735e8be66e9f8befba9e92064c0d44"
 
 
 def test_fingerprints_golden():
@@ -188,11 +186,11 @@ def test_fingerprints_golden():
 def test_fingerprint_cn_matches_qn():
     fc = fingerprint(gen("Cn", 6, alphas=[Fraction(3, 2)]))
     fq = fingerprint(gen("Qn", 6))
-    assert fc.base_key() == fq.base_key()
+    assert fc == fq
 
 
 def test_e_family_pairwise_distinct():
-    keys = [catalog_fingerprint(spec_for(t, 9)).full_key() for t in ("E951", "E952", "E953")]
+    keys = [catalog_fingerprint(spec_for(t, 9)) for t in ("E951", "E952", "E953")]
     assert len(set(keys)) == 3
 
 
@@ -250,15 +248,47 @@ def test_classify_filiform_models():
         assert classify_gr(moved).match == target
 
 
-def test_prop4_separation_gate_to_17():
+def test_prop4_separation_gate_to_25():
     # the fingerprint must separate the naturally graded models at every
     # fixed dimension, the quasi-filiform catalog prop4_entries(n) and the
-    # filiform Ln, Qn; this is the gate that makes fingerprint matching a
-    # sufficient classifier on them
-    for n in range(3, 18):
+    # filiform Ln, Qn, but for one pair of isomorphic tables; there the
+    # diagonal-derivation dimensions of the two model tables differ, and the
+    # two together make fingerprint matching a sufficient classifier on them
+    ties = []
+    for n in range(3, 26):
         assert set(catalog.prop4_entries(n)) <= set(catalog.graded_models(n))
-        seen = {}
+        for hits in isomorphy._graded_index(n).values():
+            if len(hits) > 1:
+                ties.append({spec.canonical(): rank_in_basis(catalog.generate(spec)) for spec in hits})
+    assert ties == [{"Tn4(n=9)": 2, "E953(n=9)": 1}]
+    assert change_of_basis(gen("E953", 9), _layer_move()) == gen("Tn4", 9)
+
+
+def _layer_move():
+    # the identity with P[0][1] = P[5][8] = -1/3; it mixes two vectors of one
+    # graded layer, which random_unimodular does not
+    P = [[Fraction(int(i == j)) for j in range(9)] for i in range(9)]
+    P[0][1] = P[5][8] = Fraction(-1, 3)
+    return P
+
+
+def test_moved_graded_models_keep_fingerprint_and_class():
+    tied = {spec_for("Tn4", 9), spec_for("E953", 9)}
+    for n in range(3, 12):
         for spec in catalog.graded_models(n):
-            key = catalog_fingerprint(spec).full_key()
-            assert key not in seen, (spec.canonical(), seen[key])
-            seen[key] = spec.canonical()
+            algebra = catalog.generate(spec)
+            fp = fingerprint(algebra)
+            for seed in range(4):
+                moved = change_of_basis(algebra, random_unimodular(n, random.Random(seed)))
+                assert fingerprint(moved) == fp, (spec.canonical(), seed)
+                if spec not in tied:
+                    assert classify_gr(moved) == ClassifyResult(spec, ()), (spec.canonical(), seed)
+
+
+def test_e951_moved_inside_a_layer_classifies_as_itself():
+    moved = change_of_basis(gen("E951", 9), _layer_move())
+    assert classify_gr(moved) == ClassifyResult(spec_for("E951", 9), ())
+    # the moved E953 is the Tn4 table: the tie-break names Tn4, and the near
+    # list holds the two tied models only
+    result = classify_gr(change_of_basis(gen("E953", 9), _layer_move()))
+    assert result == ClassifyResult(spec_for("Tn4", 9), ("Tn4(n=9)", "E953(n=9)"))

@@ -240,7 +240,7 @@ def test_jacobi_matches_naive_oracle_on_catalog():
     checked = 0
     for token in catalog.all_family_tokens():
         variants = (False, True) if catalog.family_def(token).misprinted_table else (False,)
-        for spec in catalog.valid_tuples(token, 10):
+        for spec in catalog.family_def(token).tuples(10):
             for misprint in variants:
                 algebra = catalog.generate(replace(spec, misprint=misprint))
                 assert _raw_residuals(algebra) == naive_jacobi(_raw_table(algebra), algebra.dim), \
@@ -338,7 +338,7 @@ def test_concrete_and_parametric_jacobi_agree_at_alpha_points():
 
     outcomes = set()
     for token in catalog.all_family_tokens():
-        for spec in catalog.valid_tuples(token, 10):
+        for spec in catalog.family_def(token).tuples(10):
             symbolic = catalog.generate(spec)
             if not symbolic.params:
                 continue
