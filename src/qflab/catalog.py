@@ -57,9 +57,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
-from qflab.exact import Poly, QflabError, rat, rat_str
+from qflab.exact import Poly, QflabError, _canonical, rat, rat_str
 from qflab.liealg import Algebra
 
 
@@ -145,6 +146,10 @@ class AijTable:
         return self.values.get((i, j), Poly.zero(self.params))
 
 
+# The table depends on its argument only, and _line asks for the same few
+# bounds once per parametric tuple, so one table is built per bound and
+# shared; its values are a read-only view.
+@lru_cache(maxsize=64)
 def aij_table(range_bound: int) -> AijTable:
     """Build the a_{i,j} table for pairs with i + j <= range_bound.
 
@@ -168,7 +173,7 @@ def aij_table(range_bound: int) -> AijTable:
             if not v.is_zero():
                 values[(i, j)] = v
         gap += 1
-    return AijTable(range_bound, params, values)
+    return AijTable(range_bound, params, MappingProxyType(values))
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +698,7 @@ def validate_spec(spec: FamilySpec) -> None:
 
 def alpha_count(spec: FamilySpec) -> int:
     """The number of alpha values of the tuple: the parameters of its table."""
-    return len(_symbolic(replace(spec, alphas=None)).params)
+    return len(_symbolic(_alpha_free(spec)).params)
 
 
 def generate(spec: FamilySpec) -> Algebra:
@@ -706,10 +711,14 @@ def generate(spec: FamilySpec) -> Algebra:
     and the corrected one of QarrCb and QarrCc, whose misprint is a diagonal.
     """
     validate_spec(spec)
-    algebra = _symbolic(replace(spec, alphas=None))
+    algebra = _symbolic(_alpha_free(spec))
     if spec.alphas is not None and algebra.params:
         algebra = algebra.specialize(dict(zip(algebra.params, spec.alphas)))
     return algebra
+
+
+def _alpha_free(spec: FamilySpec) -> FamilySpec:
+    return spec if spec.alphas is None else replace(spec, alphas=None)
 
 
 # The calls on one tuple (its alpha count, table, constraints and weight
@@ -800,7 +809,7 @@ def extract_constraints(spec: FamilySpec) -> ConstraintSet:
 
     The alpha values of ``spec`` are ignored; the result is computed once per
     alpha-free spec and shared (it is immutable)."""
-    return _constraints_of(replace(spec, alphas=None))
+    return _constraints_of(_alpha_free(spec))
 
 
 @lru_cache(maxsize=1024)
@@ -816,7 +825,7 @@ def _constraints_of(symbolic: FamilySpec) -> ConstraintSet:
             if coeffs[max(coeffs, key=lambda m: (sum(m), m))] < 0:
                 content = -content
             seen.add(frozenset((m, c // content) for m, c in coeffs.items()))
-    generators = (Poly.from_map(algebra.params, dict(g)) for g in seen)
+    generators = (_canonical(algebra.params, ((m, Fraction(c)) for m, c in g)) for g in seen)
     return ConstraintSet(algebra.params, tuple(sorted(
         generators, key=lambda g: (g.total_degree(), len(g.terms), str(g)))))
 
@@ -942,13 +951,14 @@ def sample_specs(token: str, n_max: int) -> Iterator[FamilySpec]:
 
 
 def _lin(params, c0, c1=0, cx=0) -> Poly:
-    """The linear form c0*l0 + c1*l1 + cx*lx over ``params``."""
-    terms = {}
+    """The linear form c0*l0 + c1*l1 + cx*lx over ``params``, whose names
+    come in that order, so l0, l1, lx is already descending grlex order."""
+    terms = []
     for name, c in (("l0", c0), ("l1", c1), ("lx", cx)):
         if c:
             at = params.index(name)
-            terms[tuple(int(i == at) for i in range(len(params)))] = c
-    return Poly.from_map(params, terms)
+            terms.append(((0,) * at + (1,) + (0,) * (len(params) - at - 1), rat(c)))
+    return Poly(params, tuple(terms))
 
 
 def claimed_weights(spec: FamilySpec) -> tuple[Poly, ...]:

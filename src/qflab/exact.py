@@ -14,7 +14,9 @@ zero coefficients of distinct ``(monomial, Fraction)`` terms and sorts them
 once.  It trusts its input, so only the arithmetic, whose monomials and
 coefficients are already well formed, calls it; ``Poly.from_map`` checks
 monomial lengths and coerces coefficients for every other caller, then ends
-in the same step.
+in the same step.  ``Poly.evaluate`` works in integers: it puts the values
+over one denominator and the coefficients over one scale, and builds a single
+``Fraction`` at the end.
 
 Linear algebra over Q has one eliminator, ``RowSpace``.  Its one input
 format is the sparse integer row ``{col: int}`` with nonzero values (``{}``
@@ -208,18 +210,30 @@ class Poly:
     __rmul__ = __mul__
 
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        """Substitute rationals for every parameter occurring in the polynomial."""
+        """Substitute rationals for every parameter occurring in the polynomial.
+
+        The sum is taken in integers: the values over their common denominator
+        d, the coefficients over theirs, each term times d^(deg - |m|) with
+        deg the total degree, and one ``Fraction`` is built at the end."""
         values = [None if (v := assignment.get(name)) is None else rat(v) for name in self.params]
-        total = Fraction(0)
+        if not self.terms:
+            return Fraction(0)
+        d = lcm(*(v.denominator for v in values if v is not None))
+        nums = [None if v is None else v.numerator * (d // v.denominator) for v in values]
+        scale = lcm(*(c.denominator for _, c in self.terms))
+        deg = sum(self.terms[0][0])
+        total = 0
         for mono, coeff in self.terms:
-            value = coeff
-            for name, v, exp in zip(self.params, values, mono):
+            value = coeff.numerator * (scale // coeff.denominator)
+            rest = deg
+            for name, x, exp in zip(self.params, nums, mono):
                 if exp:
-                    if v is None:
+                    if x is None:
                         raise MissingParameterError(f"no value assigned to {name}")
-                    value *= v if exp == 1 else v ** exp
-            total += value
-        return total
+                    value *= x if exp == 1 else x ** exp
+                    rest -= exp
+            total += value * d ** rest if rest and d != 1 else value
+        return Fraction(total, scale * d ** deg)
 
     def lift(self, params: Sequence[str]) -> "Poly":
         """Re-embed into a larger parameter universe (by name)."""
@@ -241,27 +255,21 @@ class Poly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        chunks: list[str] = []
+        out: list[str] = []
         for mono, coeff in self.terms:
-            factors = []
-            for name, exp in zip(self.params, mono):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(f"{name}^{exp}")
-            if not factors:
-                body = rat_str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
+            num, den = coeff.numerator, coeff.denominator
+            out.append(" - " if num < 0 else " + ")
+            num = abs(num)
+            body = "*".join(name if exp == 1 else f"{name}^{exp}"
+                            for name, exp in zip(self.params, mono) if exp)
+            if not body:
+                out.append(str(num) if den == 1 else f"{num}/{den}")
+            elif num == 1 and den == 1:
+                out.append(body)
             else:
-                body = rat_str(abs(coeff)) + "*" + "*".join(factors)
-            sign = "-" if coeff < 0 else "+"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+                out.append(f"{num}*{body}" if den == 1 else f"{num}/{den}*{body}")
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Poly({self})"
@@ -287,10 +295,14 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
     acc: dict[Monomial, Fraction] = {}
     index = {name: i for i, name in enumerate(params)}
     for sign, chunk in zip(pieces[::2], pieces[1::2]):
-        m = _TERM_RE.match(chunk.strip())
+        chunk = chunk.strip()
+        m = _TERM_RE.match(chunk) if chunk else None  # a dangling sign leaves ''
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        try:
+            coeff = Fraction(m.group("coeff") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk!r}") from None
         if sign == "-":
             coeff = -coeff
         mono = [0] * len(params)

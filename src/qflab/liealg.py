@@ -3,9 +3,11 @@
 An algebra stores only the brackets [X_i, X_j] with i < j; the rest follows
 by antisymmetry.  Coefficients are Poly values over the algebra's declared
 parameter universe, so a single representation covers both concrete algebras
-and parametric families.  A concrete algebra also carries ``scaled_ad``, a
-cached signed integer view of both orders, one row per dimension, that every
-concrete reader shares, ``jacobi_check`` included.  ``jacobi_check`` is the
+and parametric families.  The constructor shares one constant ``Poly`` among
+the entries of its table that give the same plain value (a ``Poly`` is
+immutable).  A concrete algebra also carries ``scaled_ad``, a cached signed
+integer view of both orders, one row per dimension, that every concrete
+reader shares, ``jacobi_check`` included.  ``jacobi_check`` is the
 one check that also takes a parametric table, which it reads through a view
 keyed by monomials that holds rows only for indices in some bracket; the
 numeric entry points call ``concrete()``, so a family is specialized first.
@@ -55,6 +57,9 @@ class Algebra:
         self.dim = dim
         self.params = tuple(params)
         normalized: BracketTable = {}
+        # one Poly per distinct constant; keyed on the type too, so that 1.0
+        # still reaches Poly.const (and its TypeError) after a 1
+        consts: dict[tuple, Poly] = {}
         for (i, j), targets in (table or {}).items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket indices ({i},{j}) out of range for i<j<{dim}")
@@ -62,7 +67,10 @@ class Algebra:
             for k, coeff in targets.items():
                 if not 0 <= k < dim:
                     raise ValueError(f"target index {k} out of range")
-                poly = coeff if isinstance(coeff, Poly) else Poly.const(self.params, coeff)
+                if isinstance(coeff, Poly):
+                    poly = coeff
+                elif (poly := consts.get((type(coeff), coeff))) is None:
+                    poly = consts[type(coeff), coeff] = Poly.const(self.params, coeff)
                 if poly.params != self.params:
                     raise ValueError("coefficient parameter universe does not match the algebra")
                 if not poly.is_zero():
@@ -269,7 +277,8 @@ def _signed_view(algebra: Algebra, scale: int) -> dict[int, dict]:
     view: dict[int, dict] = {}
     for (i, j), targets in algebra._table.items():
         forward = view.setdefault(i, {})[j] = {
-            k: {m: c.numerator * (scale // c.denominator) for m, c in poly.terms}
+            k: {m: c.numerator for m, c in poly.terms} if scale == 1 else
+            {m: c.numerator * (scale // c.denominator) for m, c in poly.terms}
             for k, poly in targets.items()}
         view.setdefault(j, {})[i] = {k: {m: -c for m, c in v.items()} for k, v in forward.items()}
     return view

@@ -90,6 +90,14 @@ def test_aij_recurrence_on_imposed_shells():
             assert t.get(i, j) == t.get(i + 1, j) + t.get(i, j + 1)
 
 
+def test_aij_table_is_built_once_per_bound_and_read_only():
+    t = aij_table(9)
+    assert aij_table(9) is t
+    with pytest.raises(TypeError):
+        t.values[(1, 2)] = Poly.zero(t.params)
+    assert t.get(1, 2) == Poly.variable(t.params, "a1")
+
+
 def test_aij_antisymmetric_accessor():
     t = aij_table(6)
     assert t.get(3, 1) == -t.get(1, 3)

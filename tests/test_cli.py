@@ -312,6 +312,18 @@ def test_document_with_zero_denominator_is_a_usage_error(tmp_path, capsys):
     code, stdout, err = run(capsys, "jacobi", path)
     assert code == 2 and stdout == ""
     _usage_error_line(err)
+    assert err.rstrip().endswith("zero denominator in term '1/0'"), err
+
+
+def test_document_with_a_dangling_sign_is_a_usage_error(tmp_path, capsys):
+    # "a1 +" was read as a1 + 1, and jacobi passed a table the document does not hold
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "params": ["a1"], "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "a1 +"}]}]}))
+    code, stdout, err = run(capsys, "jacobi", str(path))
+    assert code == 2 and stdout == ""
+    _usage_error_line(err)
+    assert err.rstrip().endswith("cannot parse term ''"), err
 
 
 def test_document_with_non_integral_number_is_a_usage_error(tmp_path, capsys):

@@ -73,6 +73,66 @@ def test_eval_missing_parameter():
         p.evaluate({"a1": Fraction(1)})
 
 
+def _fraction_loop(p, values):
+    """The value of ``p`` summed term by term in ``Fraction``s."""
+    total = Fraction(0)
+    for mono, coeff in p.terms:
+        for name, exp in zip(PARAMS, mono):
+            if exp:
+                coeff *= rat(values[name]) ** exp
+        total += coeff
+    return total
+
+
+@pytest.mark.parametrize("values", [
+    {"a1": 3, "a2": -2, "a3": 5},
+    {"a1": "3/4", "a2": "-2", "a3": " 5/6 "},
+    {"a1": Fraction(-7, 3), "a2": Fraction(5, 2), "a3": Fraction(1, 9)},
+    {"a1": 0, "a2": Fraction(2, 3), "a3": "-1/4"},
+    {"a1": Fraction(1, 2), "a2": 2, "a3": "3/5", "b9": "not read"},
+], ids=["int", "str", "fraction", "zero", "extra-name"])
+def test_evaluate_matches_a_fraction_loop(values):
+    a1, a2, a3 = (Poly.variable(PARAMS, name) for name in PARAMS)
+    polys = [a1 * a1 * a2 * Fraction(-3, 7) + a2 * a3 * Fraction(5, 2) - Fraction(1, 6),
+             a1 * a1 * a1 - a3 + 4, a2 * Fraction(2, 9), Poly.const(PARAMS, Fraction(-5, 3)),
+             Poly.zero(PARAMS)]
+    for p in polys:
+        got = p.evaluate(values)
+        assert type(got) is Fraction and got == _fraction_loop(p, values), str(p)
+
+
+def test_evaluate_keeps_its_errors():
+    p = Poly.variable(PARAMS, "a1") * Poly.variable(PARAMS, "a3")
+    with pytest.raises(MissingParameterError, match="a3"):
+        p.evaluate({"a1": 1, "a2": 2})
+    with pytest.raises(TypeError):
+        p.evaluate({"a1": 1.5, "a3": 1})
+
+
+def test_pinned_strings():
+    a1, a2 = Poly.variable(PARAMS, "a1"), Poly.variable(PARAMS, "a2")
+    for poly, text in ((-a1 * a1 + a1 * a2 * Fraction(1, 2) - 3, "-a1^2 + 1/2*a1*a2 - 3"),
+                       (a1 - Fraction(3, 2), "a1 - 3/2"),
+                       (Poly.const(PARAMS, -1), "-1"),
+                       (a1 * a1 * a2 * Fraction(-2, 3) - a2 + Fraction(7, 4), "-2/3*a1^2*a2 - a2 + 7/4"),
+                       (Poly.zero(PARAMS), "0")):
+        assert str(poly) == text
+        assert parse_poly(text, PARAMS) == poly
+
+
+@pytest.mark.parametrize("text", ["a1 +", "+", "2 -", "1 + + 2", "--1", "a1 - - a2"])
+def test_parse_poly_rejects_a_dangling_sign(text):
+    # each was read with an empty term standing for 1
+    with pytest.raises(ValueError, match="^cannot parse term ''$"):
+        parse_poly(text, PARAMS)
+
+
+def test_parse_poly_rejects_a_zero_denominator():
+    for text in ("1/0", "a1 + 1/0"):
+        with pytest.raises(ValueError, match="^zero denominator in term '1/0'$"):
+            parse_poly(text, PARAMS)
+
+
 def test_universe_mismatch_rejected():
     p = Poly.variable(PARAMS, "a1")
     q = Poly.variable(("b1",), "b1")

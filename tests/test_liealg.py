@@ -26,6 +26,14 @@ def Q(n):
     return catalog.generate(catalog.spec_for("Qn", n))
 
 
+def test_constructor_shares_constants_but_still_rejects_floats():
+    with pytest.raises(TypeError):
+        Algebra(3, {(0, 1): {2: 1}, (0, 2): {1: 1.0}})
+    a = Algebra(4, {(0, 1): {2: 1}, (0, 2): {3: Fraction(1)}, (1, 2): {3: "1"}, (0, 3): {1: 2}})
+    assert a.bracket_of(0, 1)[2] == a.bracket_of(0, 2)[3] == a.bracket_of(1, 2)[3] == Poly.const((), 1)
+    assert a.bracket_of(0, 3)[1] == Poly.const((), 2)
+
+
 def basis_vec(n, i):
     return [Fraction(1 if j == i else 0) for j in range(n)]
 
