@@ -65,6 +65,7 @@ def doc_to_algebra(doc: dict) -> Algebra:
             raise ValueError(f"params must be a list of distinct names, got {params!r}")
         params = tuple(str(p) for p in params)
         table = {}
+        parsed = {}  # text -> Poly; a Poly is immutable, so targets may share one
         for entry in doc.get("brackets", []):
             i, j = _integer(entry["i"]), _integer(entry["j"])
             if (i, j) in table:
@@ -74,7 +75,10 @@ def doc_to_algebra(doc: dict) -> Algebra:
                 k = _integer(term["k"])
                 if k in targets:
                     raise ValueError(f"bracket ({i},{j}) gives target {k} twice")
-                targets[k] = parse_poly(str(term["coeff"]), params)
+                text = str(term["coeff"])
+                if text not in parsed:
+                    parsed[text] = parse_poly(text, params)
+                targets[k] = parsed[text]
             table[(i, j)] = targets
         return Algebra(dim, table, params=params)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -10,6 +10,16 @@ lower central series (``gradation.series_adapted``), where a nilpotent
 algebra given in a dense basis has few structure constants;
 ``derivation_space`` stays in the given basis.
 
+In that basis ``derivation_dim`` also drops the unknowns that are 0 on every
+derivation: D[a][b] with levels[a] < levels[b].  The series is
+characteristic, D g_k ⊆ g_k, by induction on k: for x in g and y in g_k,
+D[x, y] = [Dx, y] + [x, Dy] lies in [g, g_k] = g_{k+1}.  The proof uses the
+Leibniz rule and the definition of the series only, not the Jacobi identity,
+so it holds for every table whose series ``gradation`` returns.  As basis
+vector b lies in g_{levels[b]}, so does D e_b, and dim Der is the number of
+the other unknowns less the rank of their system.  A non-nilpotent table has
+no adapted basis and keeps all n^2 unknowns.
+
 Diagonal derivations in a fixed basis are the same thing as additive weight
 systems: assignments w with w_i + w_j = w_k for every nonzero structure
 constant c_{ij}^k.  In every basis the dimension of that space is a lower
@@ -32,15 +42,22 @@ from qflab.gradation import NonNilpotentError, series_adapted
 from qflab.liealg import Algebra
 
 
-def leibniz_rows(algebra: Algebra) -> list[dict[int, int]]:
-    """Sparse rows of the Leibniz system over the n^2 unknowns D[a][b] -> a*n+b.
+def leibniz_rows(algebra: Algebra, levels: Sequence[int] | None = None) -> list[dict[int, int]]:
+    """Sparse rows of the Leibniz system, the unknown D[a][b] in column a*n+b.
 
-    The rows read ``scaled_ad``, so they are the system times the common
-    denominator of the constants; the system is homogeneous, so its kernel and
-    rank are the same.
+    Given the ``levels`` of a basis adapted to the lower central series (basis
+    vector t in g_{levels[t]}, as ``series_adapted`` returns them), only the
+    unknowns with levels[a] >= levels[b] get a column: the others are 0 on
+    every derivation (see the module docstring).  Without them every unknown
+    gets one.  The rows read ``scaled_ad``, so they are the system times the
+    common denominator of the constants; the system is homogeneous, so its
+    kernel and rank are the same.
     """
     n = algebra.dim
     _, ad = algebra.scaled_ad
+    # above[b]: the rows a whose unknown D[a][b] has a column
+    above = ([range(n)] * n if levels is None else
+             [[a for a in range(n) if levels[a] >= levels[b]] for b in range(n)])
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -51,11 +68,12 @@ def leibniz_rows(algebra: Algebra) -> list[dict[int, int]]:
                 row[col] = row.get(col, 0) + value
 
             for k, c in ad[i].get(j, {}).items():
-                for b in range(n):
+                for b in above[k]:
                     bump(b, b * n + k, c)
-            for a in range(n):
+            for a in above[i]:
                 for b, c in ad[a].get(j, {}).items():
                     bump(b, a * n + i, -c)
+            for a in above[j]:
                 for b, c in ad[i].get(a, {}).items():
                     bump(b, a * n + j, -c)
             for row in per_b.values():
@@ -75,14 +93,17 @@ def derivation_space(algebra: Algebra):
 
 
 def derivation_dim(algebra: Algebra) -> int:
-    """dim Der, solved in the series-adapted basis (the given one if not nilpotent)."""
+    """dim Der: the unknowns that keep the lower central series, less the rank
+    of their Leibniz system in the series-adapted basis; all n^2 unknowns in
+    the given basis if the algebra is not nilpotent."""
     concrete = algebra.concrete()
     n = concrete.dim
     try:
-        concrete, _ = series_adapted(concrete)
+        adapted, levels = series_adapted(concrete)
     except NonNilpotentError:
-        pass
-    return n * n - matrix_rank(leibniz_rows(concrete), ncols=n * n)
+        return n * n - matrix_rank(leibniz_rows(concrete), ncols=n * n)
+    unknowns = sum(levels[a] >= levels[b] for a in range(n) for b in range(n))
+    return unknowns - matrix_rank(leibniz_rows(adapted, levels), ncols=n * n)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,12 @@ pivot order (``p*v - v[p]*row`` over their gcd, then divided by its content),
 and ``basis`` back-substitutes once into the reduced row echelon form.  A
 batch given to the constructor is added sparsest row first: on the
 near-triangular Leibniz systems of ``derivations`` plain insertion order
-makes ``matrix_rank`` about seven times slower.  ``nullspace``,
-``matrix_rank`` and ``invert_matrix`` (the reduced form of ``[A | I]`` is
-``[I | A^-1]``) read their answers off it.
+makes ``matrix_rank`` about seven times slower.  The constructor stops at a
+full span (``dim == ncols``): no further row could change the span, its
+reduced form or its kernel, and a weight system of many rows in few columns
+often gets there early.  ``nullspace``, ``matrix_rank`` and
+``invert_matrix`` (the reduced form of ``[A | I]`` is ``[I | A^-1]``) read
+their answers off it.
 
 A stored row may be the caller's own dict (a target dict of ``scaled_ad``,
 say), not a copy.  That holds only because no code changes a row in place:
@@ -299,6 +302,8 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
         m = _TERM_RE.match(chunk) if chunk else None  # a dangling sign leaves ''
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
+        if chunk.startswith("*"):
+            raise ValueError(f"no coefficient before '*' in term {chunk!r}")
         try:
             coeff = Fraction(m.group("coeff") or 1)
         except ZeroDivisionError:
@@ -315,6 +320,8 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
                 if "^" in factor:
                     name, _, exp = factor.partition("^")
                     power = int(exp)
+                    if power < 1:
+                        raise ValueError(f"exponent {exp!r} is not positive in term {chunk!r}")
                 else:
                     name, power = factor, 1
                 if name not in index:
@@ -362,7 +369,7 @@ class RowSpace:
     lies in the span exactly when reducing it against the rows in ascending
     pivot order leaves nothing.  ``basis`` back-substitutes once and returns
     the reduced row echelon form.  The constructor adds its rows sparsest
-    first (see the module docstring).
+    first and stops once they span every column (see the module docstring).
     """
 
     def __init__(self, ncols: int, rows: Iterable[dict[int, int]] = ()):
@@ -372,7 +379,8 @@ class RowSpace:
         batch = [_primitive(row) for row in rows if row]
         batch.sort(key=lambda row: (len(row), min(row)))
         for row in batch:
-            self._insert(row)
+            if self._insert(row) and len(self.pivots) == ncols:
+                break  # a full span: no further row changes it
 
     def _reduce(self, v: dict[int, int]) -> dict[int, int]:
         rows = self._rows

@@ -17,6 +17,8 @@ import qflab
 from qflab import catalog
 from qflab.cli import MAX_DIM, UsageError, algebra_to_doc, doc_to_algebra, dump_doc, main
 from qflab.catalog import spec_for
+from qflab.exact import parse_poly
+from qflab.liealg import Algebra
 
 
 def run(capsys, *argv):
@@ -324,6 +326,49 @@ def test_document_with_a_dangling_sign_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and stdout == ""
     _usage_error_line(err)
     assert err.rstrip().endswith("cannot parse term ''"), err
+
+
+def test_document_with_a_term_it_does_not_spell_is_a_usage_error(tmp_path, capsys):
+    # "2 + *a1" was read as a1 + 2 and "a1^0" as 1
+    for coeff, message in (("2 + *a1", "no coefficient before '*' in term '*a1'"),
+                           ("a1^0", "exponent '0' is not positive in term 'a1^0'")):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 3, "params": ["a1"], "brackets": [
+            {"i": 0, "j": 1, "terms": [{"k": 2, "coeff": coeff}]}]}))
+        code, stdout, err = run(capsys, "jacobi", str(path))
+        assert code == 2 and stdout == ""
+        _usage_error_line(err)
+        assert err.rstrip().endswith(message), err
+
+
+def test_document_parses_a_repeated_coefficient_once():
+    # one parse per distinct string; the table is the one a parse per term spells
+    params = ("a1",)
+    texts = ["a1 - 1", "3/2", "a1 - 1", "-2*a1^2", "3/2", "a1 - 1"]
+    n = 6
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = [{"i": i, "j": j, "terms": [{"k": k, "coeff": texts[(i + j + k) % len(texts)]}
+                                           for k in range(j + 1, n)]}
+                for i, j in pairs if j + 1 < n]
+    doc = {"dim": n, "params": list(params), "brackets": brackets}
+    expected = Algebra(n, {(b["i"], b["j"]): {t["k"]: parse_poly(t["coeff"], params)
+                                              for t in b["terms"]} for b in brackets},
+                       params=params)
+    algebra = doc_to_algebra(doc)
+    assert algebra == expected
+    assert doc_to_algebra(json.loads(dump_doc(algebra_to_doc(expected)))) == expected
+    shared = {id(poly) for targets in algebra.table().values() for poly in targets.values()}
+    assert len(shared) == len(set(texts))
+    # a malformed coefficient repeated many times gives the message of one
+    messages = set()
+    for repeats in (1, 55):
+        bad = {"dim": 12, "params": list(params), "brackets": [
+            {"i": i, "j": j, "terms": [{"k": 11, "coeff": "*a1"}]}
+            for i in range(11) for j in range(i + 1, 11)][:repeats]}
+        with pytest.raises(UsageError) as caught:
+            doc_to_algebra(bad)
+        messages.add(str(caught.value))
+    assert messages == {"malformed algebra document: no coefficient before '*' in term '*a1'"}
 
 
 def test_document_with_non_integral_number_is_a_usage_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,18 @@ def test_parse_poly_rejects_a_zero_denominator():
     for text in ("1/0", "a1 + 1/0"):
         with pytest.raises(ValueError, match="^zero denominator in term '1/0'$"):
             parse_poly(text, PARAMS)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("*a1", "no coefficient before '*' in term '*a1'"),
+    ("2 + *a1", "no coefficient before '*' in term '*a1'"),
+    ("a1^0", "exponent '0' is not positive in term 'a1^0'"),
+    ("3*a1^0", "exponent '0' is not positive in term '3*a1^0'"),
+])
+def test_parse_poly_rejects_a_term_it_does_not_spell(text, message):
+    # each was read as a term the string does not hold: a1, a1 + 2, 1 and 3
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_poly(text, PARAMS)
 
 
 def test_universe_mismatch_rejected():
@@ -310,6 +323,25 @@ def test_rows_handed_on_stay_unchanged(vectors, more):
         other.add(integer_row(v))
     other.basis()
     assert space.integer_basis() == rows and space.basis() == basis
+
+
+def test_rowspace_stops_at_a_full_span():
+    rng = random.Random(3)
+    independent = [{i: 1, i + 1: rng.randint(-3, 3) or 1} for i in range(4)] + [{4: 2}]
+    more = [{j: rng.randint(-5, 5) for j in range(5) if rng.random() < 0.6} for _ in range(30)]
+    more = [{j: x for j, x in row.items() if x} for row in more]
+    full = RowSpace(5, independent + more)
+    grown = RowSpace(5)
+    for row in independent + more:
+        grown.add(row)
+    assert full.dim == grown.dim == 5
+    assert full.pivots == grown.pivots == [0, 1, 2, 3, 4]
+    assert full.basis() == grown.basis() == [tuple(Fraction(int(i == j)) for j in range(5))
+                                             for i in range(5)]
+    assert not full.add({0: 1, 3: -2})
+    # a tall full-rank system has only the trivial solution
+    assert nullspace(independent + more, ncols=5) == []
+    assert matrix_rank(independent + more, ncols=5) == 5
 
 
 def test_rowspace_rref_deterministic():
