@@ -138,9 +138,10 @@ def rank_in_basis(algebra: Algebra) -> int:
 
     A lower bound of the rank in every basis, the catalog's included; it is
     certified equal to the rank only where ``_check_rank``'s certificate holds.
+    Counted as n less the rank of the weight system, with no kernel built.
     """
-    _, dim = diagonal_derivations(algebra)
-    return dim
+    concrete = algebra.concrete()
+    return concrete.dim - matrix_rank(weight_system_rows(concrete), ncols=concrete.dim)
 
 
 # ---------------------------------------------------------------------------

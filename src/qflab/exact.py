@@ -279,16 +279,27 @@ class Poly:
 
 
 _TERM_RE = re.compile(r"^(?P<coeff>-?\d+(?:/\d+)?)?(?:\*?(?P<rest>[A-Za-z].*))?$")
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
 def parse_poly(text: str, params: Sequence[str]) -> Poly:
-    """Parse the canonical string form produced by ``str(Poly)``."""
+    """Parse the canonical string form produced by ``str(Poly)``.
+
+    One plain rational with a nonzero denominator is read as a constant at
+    once; every other text, each one that names a parameter included, is
+    split into terms."""
     params = tuple(params)
     text = text.strip()
     if text in ("", "0"):
         return Poly.zero(params)
-    # split into signed terms at top level (no parentheses in the format)
-    pieces = re.split(r"\s*([+-])\s*", text)
+    if _RATIONAL_RE.fullmatch(text):
+        try:
+            return Poly.const(params, Fraction(text))
+        except ZeroDivisionError:
+            pass  # the term loop below names the term
+    # split into signed terms at top level (no parentheses in the format); a
+    # sign right after '^' belongs to the exponent, which the loop rejects
+    pieces = re.split(r"(?<!\^)\s*([+-])\s*", text)
     if pieces[0] == "":
         pieces = pieces[1:]
     else:
@@ -319,6 +330,9 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
                     raise ValueError(f"cannot parse term {chunk!r}")
                 if "^" in factor:
                     name, _, exp = factor.partition("^")
+                    if not re.fullmatch(r"\s*\d+\s*", exp):
+                        raise ValueError(f"exponent {exp!r} in term {chunk!r} "
+                                         "must be a positive integer")
                     power = int(exp)
                     if power < 1:
                         raise ValueError(f"exponent {exp!r} is not positive in term {chunk!r}")
