@@ -341,8 +341,9 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     monomial view of ``_signed_view``.  Both walk ``_jacobi_terms``.
 
     A concrete table is dense when its stored brackets hold more than
-    ``_DENSE_TARGETS`` targets on average; the catalog's tables, their
-    adapted and graded tables and ``Ln``/``Qn`` at any n hold about one.  A
+    ``_DENSE_TARGETS`` targets on average; the catalog's tables and their
+    adapted and graded tables up to n = 13 hold at most 1.25, ``Ln`` and
+    ``Qn`` at n = 400 and 2000 exactly one.  A
     dense table is first checked in the basis adapted to its lower central
     series (``gradation.series_adapted``, memoised, so ``type_of``, ``gr``
     and ``derivation_dim`` of the same table then read it for free), where
@@ -359,8 +360,8 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     costs about the same at n = 10 (0.02 s for 4 tables) and less from
     n = 17 on (0.34-0.42 s then 0.22-0.31 s at n = 17, 1.2-1.4 s then
     0.6-0.8 s at n = 21); when ``type_of``, ``derivation_dim`` or
-    ``classify_gr`` follow, as in ``qflab classify``, the series is not
-    paid twice.
+    ``classify_gr`` of the same table follow in the same process, they
+    read the memoised series.
     """
     if not algebra.params:
         table = algebra._table

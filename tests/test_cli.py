@@ -341,6 +341,17 @@ def test_document_with_a_term_it_does_not_spell_is_a_usage_error(tmp_path, capsy
         assert err.rstrip().endswith(message), err
 
 
+def test_document_with_a_signed_exponent_is_a_usage_error(tmp_path, capsys):
+    # the split at the sign left "a1^" and a bare int() message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "params": ["a1"], "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "2*a1^-3 + 1"}]}]}))
+    code, stdout, err = run(capsys, "jacobi", str(path))
+    assert code == 2 and stdout == ""
+    _usage_error_line(err)
+    assert err.rstrip().endswith("exponent '-3' in term '2*a1^-3' must be a positive integer"), err
+
+
 def test_document_parses_a_repeated_coefficient_once():
     # one parse per distinct string; the table is the one a parse per term spells
     params = ("a1",)

@@ -146,6 +146,40 @@ def test_parse_poly_rejects_a_term_it_does_not_spell(text, message):
         parse_poly(text, PARAMS)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a1^-1", "exponent '-1' in term 'a1^-1' must be a positive integer"),
+    ("a1^+2", "exponent '+2' in term 'a1^+2' must be a positive integer"),
+    ("2*a1^-3 + 1", "exponent '-3' in term '2*a1^-3' must be a positive integer"),
+])
+def test_parse_poly_rejects_a_signed_exponent(text, message):
+    # each failed in int('') after the split at the sign left "a1^"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_poly(text, PARAMS)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-0", 0), ("7", 7), (" -3/4 ", Fraction(-3, 4)), ("007", 7), ("6/4", Fraction(3, 2)),
+])
+def test_parse_poly_reads_a_plain_rational_as_its_constant(text, value):
+    for params in ((), PARAMS):
+        poly = parse_poly(text, params)
+        assert poly == Poly.const(params, value)
+        assert all(type(c) is Fraction for _, c in poly.terms)
+    # the same constant read by the term loop, which a parameter forces
+    assert parse_poly(text.strip() + " + a1 - a1", PARAMS) == parse_poly(text, PARAMS)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "zero denominator in term '1/0'"),
+    ("1.5", "cannot parse term '1.5'"),
+    ("3/", "cannot parse term '3/'"),
+])
+def test_parse_poly_keeps_its_messages_on_near_rationals(text, message):
+    for params in ((), PARAMS):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_poly(text, params)
+
+
 def test_universe_mismatch_rejected():
     p = Poly.variable(PARAMS, "a1")
     q = Poly.variable(("b1",), "b1")

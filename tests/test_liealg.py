@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflab import catalog
+from qflab import catalog, gradation
 from qflab.exact import Poly, SingularMatrixError, mat_mul
 from qflab.liealg import (
     Algebra,
@@ -365,3 +365,86 @@ def test_concrete_and_parametric_jacobi_agree_at_alpha_points():
                 assert got == expected, (spec, alphas)
                 outcomes.add(concrete.ok)
     assert outcomes == {True, False}
+
+
+def _report_terms(report):
+    return {triple: {b: dict(poly.terms) for b, poly in components.items()}
+            for triple, components in report.residuals.items()}
+
+
+def _targets_per_bracket(algebra):
+    table = algebra.table()
+    return sum(map(len, table.values())) / len(table)
+
+
+def test_dense_jacobi_runs_in_the_adapted_basis_and_reports_the_given_one():
+    # the gr-catalog entries at n = 9, 10 moved to a dense basis, as they are
+    # and with one constant changed; a dense table computes its series, so a
+    # miss of the series memo shows that the adapted path ran
+    from oracles import naive_jacobi
+
+    rng = random.Random(26)
+    outcomes = []
+    for n in (9, 10):
+        for spec in catalog.prop4_entries(n):
+            original = catalog.generate(spec)
+            while True:  # until the oracle sees the changed table fail
+                table = original.table()
+                i, j = sorted(rng.sample(range(n), 2))
+                targets = table.setdefault((i, j), {})
+                k = rng.randrange(n)
+                targets[k] = targets.get(k, 0) + Fraction(rng.choice((-2, -1, 1, 2)))
+                if naive_jacobi(_raw_table(Algebra(n, table)), n):
+                    break
+            p = random_unimodular(n, rng)
+            for algebra in (original, Algebra(n, table)):
+                moved = change_of_basis(algebra, p)
+                assert _targets_per_bracket(moved) > 3, spec
+                misses = gradation._series.cache_info().misses
+                report = jacobi_check(moved)
+                assert gradation._series.cache_info().misses == misses + 1, spec
+                assert _report_terms(report) == naive_jacobi(_raw_table(moved), n), spec
+                assert report.square == moved.scaled_ad[0] ** 2
+                outcomes.append(report.ok)
+    assert outcomes == [True, False] * 16
+
+
+def test_dense_non_nilpotent_jacobi_matches_oracle():
+    # [X0, Xi] = i Xi for i >= 1, moved: its series stops at dimension 5, so
+    # the adapted path gives way to the given basis without raising.  (With
+    # [X0, Xi] = Xi every bracket is a combination of its two arguments, at
+    # most two targets in any basis, so that table is never dense.)
+    from oracles import naive_jacobi
+
+    n = 6
+    p = [[min(i, j) + 1 for j in range(n)] for i in range(n)]
+    table = {(0, i): {i: i} for i in range(1, n)}
+    broken = {**table, (1, 2): {4: 1}}  # J(X0, X1, X2) = -X4
+    for raw, ok in ((table, True), (broken, False)):
+        moved = change_of_basis(Algebra(n, raw), p)
+        assert _targets_per_bracket(moved) > 3
+        misses = gradation._series.cache_info().misses
+        report = jacobi_check(moved)
+        assert gradation._series.cache_info().misses == misses + 1
+        assert report.ok == ok
+        assert _report_terms(report) == naive_jacobi(_raw_table(moved), n)
+    with pytest.raises(gradation.NonNilpotentError):
+        gradation.series_adapted(moved)
+
+
+def test_sparse_jacobi_leaves_the_series_memo_alone():
+    for algebra in (Q(2000), catalog.generate(catalog.spec_for("Lnr", 9, 5))):
+        before = gradation._series.cache_info()
+        assert jacobi_check(algebra).ok
+        after = gradation._series.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_key_and_hash_are_built_once_and_ignore_insertion_order():
+    pairs = [((0, 1), {2: 1, 3: Fraction(1, 2)}), ((0, 2), {3: 1}), ((1, 2), {3: -2})]
+    a = Algebra(4, dict(pairs))
+    b = Algebra(4, {pair: dict(reversed(targets.items())) for pair, targets in reversed(pairs)})
+    assert list(a.table()) != list(b.table())
+    assert a == b and hash(a) == hash(b)
+    assert a.canonical() is a.canonical()
+    assert a != Algebra(4, dict(pairs[:2]))
