@@ -56,7 +56,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -293,7 +293,8 @@ def _model(s: FamilySpec, n: int | None = None) -> tuple[tuple, Table]:
     """A fresh table of the registry model of ``s``'s family, in dimension
     ``n`` (default ``s.n``), with the same r, k, l and misprint."""
     model = FAMILIES[s.family].model
-    return FAMILIES[model].build(replace(s, family=model, n=s.n if n is None else n))
+    return FAMILIES[model].build(
+        FamilySpec(model, s.n if n is None else n, s.r, s.k, s.l, s.alphas, s.misprint))
 
 
 def _line(s: FamilySpec, table: Table) -> tuple[str, ...]:
@@ -796,11 +797,36 @@ class ConstraintSet:
     generators: tuple[Poly, ...]
 
     def is_satisfied_by(self, alphas: Sequence) -> bool:
+        """Whether every generator vanishes at ``alphas``, decided in integers.
+
+        The values are put over one denominator d; a generator g of total
+        degree deg, its coefficients over their common denominator, is then
+        an integer sum equal to g(alphas) times that denominator and d^deg,
+        so it vanishes exactly when the sum does.  Stops at the first nonzero
+        generator."""
         if len(alphas) != len(self.params):
             raise InvalidParametersError(
                 f"{len(alphas)} alpha values given for {len(self.params)} parameters")
-        assignment = {name: rat(v) for name, v in zip(self.params, alphas)}
-        return all(g.evaluate(assignment) == 0 for g in self.generators)
+        values = [rat(v) for v in alphas]
+        d = lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (d // v.denominator) for v in values]
+        for g in self.generators:
+            if not g.terms:
+                continue
+            scale = lcm(*(c.denominator for _, c in g.terms))
+            deg = sum(g.terms[0][0])
+            total = 0
+            for mono, c in g.terms:
+                value = c.numerator if scale == 1 else c.numerator * (scale // c.denominator)
+                rest = deg
+                for x, exp in zip(nums, mono):
+                    if exp:
+                        value *= x ** exp
+                        rest -= exp
+                total += value * d ** rest if rest and d != 1 else value
+            if total:
+                return False
+        return True
 
 
 def extract_constraints(spec: FamilySpec) -> ConstraintSet:
@@ -825,9 +851,19 @@ def _constraints_of(symbolic: FamilySpec) -> ConstraintSet:
             if coeffs[max(coeffs, key=lambda m: (sum(m), m))] < 0:
                 content = -content
             seen.add(frozenset((m, c // content) for m, c in coeffs.items()))
-    generators = (_canonical(algebra.params, ((m, Fraction(c)) for m, c in g)) for g in seen)
-    return ConstraintSet(algebra.params, tuple(sorted(
-        generators, key=lambda g: (g.total_degree(), len(g.terms), str(g)))))
+    # ordered by (total degree, term count, text); only a tie on the first
+    # two is printed to break it
+    generators = sorted((_canonical(algebra.params, ((m, Fraction(c)) for m, c in g)) for g in seen),
+                        key=_degree_and_length)
+    ordered = []
+    for _, group in itertools.groupby(generators, key=_degree_and_length):
+        group = list(group)
+        ordered += sorted(group, key=str) if len(group) > 1 else group
+    return ConstraintSet(algebra.params, tuple(ordered))
+
+
+def _degree_and_length(g: Poly) -> tuple[int, int]:
+    return g.total_degree(), len(g.terms)
 
 
 _SAMPLE_POOL = (
@@ -950,6 +986,9 @@ def sample_specs(token: str, n_max: int) -> Iterator[FamilySpec]:
 # ---------------------------------------------------------------------------
 
 
+# the forms repeat across tuples and a Poly is immutable; typed, so that a
+# float never reads the entry of an equal int and skips rat()'s TypeError
+@lru_cache(maxsize=1024, typed=True)
 def _lin(params, c0, c1=0, cx=0) -> Poly:
     """The linear form c0*l0 + c1*l1 + cx*lx over ``params``, whose names
     come in that order, so l0, l1, lx is already descending grlex order."""

@@ -169,17 +169,19 @@ def verify_claimed_weights(spec: catalog.FamilySpec) -> WeightAudit:
 
     The check is generic in the alpha parameters: a structure constant that
     is a nonzero polynomial counts as present.  A misprint tuple audits the
-    table and diagonal as the source prints them.
+    table and diagonal as the source prints them.  The stored table is walked
+    once, read only; the violations come in the order of ``brackets()``.
     """
     symbolic = replace(spec, alphas=None)
     algebra = catalog.generate(symbolic)
     weights = catalog.claimed_weights(symbolic)
     scaled = _scaled_weights(weights)
     violations = []
-    for i, j, targets in algebra.brackets():
+    for (i, j), targets in algebra._table.items():
         for k in targets:
             if tuple(map(add, scaled[i], scaled[j])) != scaled[k]:
                 violations.append(((i, j, k), weights[i] + weights[j] - weights[k]))
+    violations.sort(key=lambda v: v[0][:2])  # stable: targets keep their order
     return WeightAudit(tuple(violations))
 
 

@@ -279,6 +279,8 @@ class Poly:
 
 
 _TERM_RE = re.compile(r"^(?P<coeff>-?\d+(?:/\d+)?)?(?:\*?(?P<rest>[A-Za-z].*))?$")
+# a '^' with the spaces and sign after it, or a sign that splits two terms
+_SPLIT_RE = re.compile(r"\^\s*[+-]?|\s*([+-])\s*")
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
@@ -298,8 +300,14 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
         except ZeroDivisionError:
             pass  # the term loop below names the term
     # split into signed terms at top level (no parentheses in the format); a
-    # sign right after '^' belongs to the exponent, which the loop rejects
-    pieces = re.split(r"(?<!\^)\s*([+-])\s*", text)
+    # sign after '^', spaces between them or not, belongs to the exponent,
+    # which the loop rejects
+    pieces, start = [], 0
+    for m in _SPLIT_RE.finditer(text):
+        if m.group(1):
+            pieces += [text[start:m.start()], m.group(1)]
+            start = m.end()
+    pieces.append(text[start:])
     if pieces[0] == "":
         pieces = pieces[1:]
     else:
@@ -338,6 +346,7 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
                         raise ValueError(f"exponent {exp!r} is not positive in term {chunk!r}")
                 else:
                     name, power = factor, 1
+                name = name.strip()
                 if name not in index:
                     raise ValueError(f"unknown parameter {name!r}")
                 mono[index[name]] += power

@@ -7,10 +7,14 @@ and parametric families.  The constructor shares one constant ``Poly`` among
 the entries of its table that give the same plain value (a ``Poly`` is
 immutable).  A concrete algebra also carries ``scaled_ad``, a cached signed
 integer view of both orders, one row per dimension, that every concrete
-reader shares, ``jacobi_check`` included.  ``jacobi_check`` is the
-one check that also takes a parametric table, which it reads through a view
-keyed by monomials that holds rows only for indices in some bracket; the
-numeric entry points call ``concrete()``, so a family is specialized first.
+reader shares, ``jacobi_check`` included.  ``jacobi_check`` is the one
+check that also takes a parametric table.  It packs each distinct constant
+of the table (and its negation) once, into integer coefficients and one int
+per monomial whose digits in base 2d + 1 are its exponents, d the largest
+total degree of a stored constant.  The exponents of a product of two
+constants are at most 2d, so adding two codes never carries.  Its
+parametric report is not sorted (``lines()`` sorts).  The numeric entry
+points call ``concrete()``, so a family is specialized first.
 A concrete table whose stored brackets hold more than three targets on
 average (a table moved to a dense basis; the catalog's hold about one) is
 checked in the basis adapted to its lower central series first: the
@@ -38,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import add
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from qflab.exact import Poly, QflabError, _integer_vector, invert_matrix, rat
@@ -287,19 +291,95 @@ def _jacobi_terms(view: dict, pairs: Iterable[tuple[int, int]]):
                     yield (a, c, b), True, coeff, outer
 
 
-def _signed_view(algebra: Algebra, scale: int) -> dict[int, dict]:
-    """view[i][j] = {k: {monomial: scale * coefficient}} (an int) for both
-    orders of every bracket of a parametric table; an index in no bracket has
-    no row, so nothing is allocated per dimension.  A concrete table is read
-    from ``scaled_ad`` instead."""
+def _packed_view(algebra: Algebra) -> tuple[dict[int, dict], dict[int, tuple], int, int]:
+    """``(view, opposite, base, scale)`` for a parametric table.
+
+    ``view[i][j] = {k: ((code, scale * coefficient), ...)}`` (ints) for both
+    orders of every bracket; an index in no bracket has no row.  A monomial is
+    packed into one int, its exponents read as the digits of ``code`` in
+    ``base`` = 2d + 1, the first parameter the most significant digit, where
+    d is the largest total degree of a stored constant.  A product of two
+    constants has at most 2d of each parameter, so adding two codes never
+    carries and the sum is the code of the product.  One packed tuple and its
+    negation are built per distinct ``Poly`` object of the table (a table
+    shares them: the memoised ``aij_table`` values and the constants of
+    ``Algebra.__init__``); ``opposite`` maps the ``id`` of each to the other.
+    """
+    table = algebra._table
+    polys = {id(poly): poly for targets in table.values() for poly in targets.values()}
+    scale = lcm(*(c.denominator for poly in polys.values() for _, c in poly.terms))
+    # the leading grlex term of a stored (nonzero) constant has its total degree
+    base = 2 * max((sum(poly.terms[0][0]) for poly in polys.values()), default=0) + 1
+    places = [base ** p for p in reversed(range(len(algebra.params)))]
+    codes: dict[tuple, int] = {}  # each distinct monomial packed once
+    signed, opposite = {}, {}
+    for key, poly in polys.items():
+        packed, negated = [], []
+        for mono, c in poly.terms:
+            code = codes.get(mono)
+            if code is None:
+                code = codes[mono] = sum(map(mul, mono, places))
+            c = c.numerator * (scale // c.denominator)
+            packed.append((code, c))
+            negated.append((code, -c))
+        packed, negated = signed[key] = tuple(packed), tuple(negated)
+        opposite[id(packed)], opposite[id(negated)] = negated, packed
     view: dict[int, dict] = {}
-    for (i, j), targets in algebra._table.items():
-        forward = view.setdefault(i, {})[j] = {
-            k: {m: c.numerator for m, c in poly.terms} if scale == 1 else
-            {m: c.numerator * (scale // c.denominator) for m, c in poly.terms}
-            for k, poly in targets.items()}
-        view.setdefault(j, {})[i] = {k: {m: -c for m, c in v.items()} for k, v in forward.items()}
-    return view
+    for (i, j), targets in table.items():
+        forward, backward = {}, {}
+        for k, poly in targets.items():
+            forward[k], backward[k] = signed[id(poly)]
+        view.setdefault(i, {})[j] = forward
+        view.setdefault(j, {})[i] = backward
+    return view, opposite, base, scale
+
+
+def _unpack(code: int, base: int, nparams: int) -> tuple[int, ...]:
+    """The exponent tuple of a code of ``_packed_view``; with base 1 every
+    code is 0, and so is every exponent."""
+    exponents = [0] * nparams
+    for p in reversed(range(nparams)):
+        code, exponents[p] = divmod(code, base)
+    return tuple(exponents)
+
+
+def _parametric_jacobi(algebra: Algebra) -> JacobiReport:
+    """The Jacobi report of a parametric table, summed on packed monomials;
+    see ``jacobi_check``.  The report is not sorted."""
+    view, opposite, base, scale = _packed_view(algebra)
+    acc: dict[tuple, dict[int, dict[int, int]]] = {}
+    for triple, negate, coeff, outer in _jacobi_terms(view, algebra._table):
+        component = acc.get(triple)
+        if component is None:
+            component = acc[triple] = {}
+        if negate:
+            coeff = opposite[id(coeff)]
+        for e, d in outer.items():
+            poly = component.get(e)
+            if poly is None:
+                poly = component[e] = {}
+            for m1, c1 in coeff:
+                for m2, c2 in d:
+                    m = m1 + m2
+                    poly[m] = poly.get(m, 0) + c1 * c2
+    monomials: dict[int, tuple[int, ...]] = {}  # each distinct code decoded once
+    nparams = len(algebra.params)
+    scaled = {}
+    for triple, component in acc.items():
+        nonzero = {}
+        for e, coeffs in component.items():
+            terms = {}
+            for m, c in coeffs.items():
+                if c:
+                    mono = monomials.get(m)
+                    if mono is None:
+                        mono = monomials[m] = _unpack(m, base, nparams)
+                    terms[mono] = c
+            if terms:
+                nonzero[e] = terms
+        if nonzero:
+            scaled[triple] = nonzero
+    return JacobiReport(algebra.params, scaled, scale * scale)
 
 
 def _concrete_jacobi(algebra: Algebra) -> JacobiReport:
@@ -337,8 +417,15 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     denominator of the table, so each residual comes out scaled by its square.
     A concrete table runs on ``scaled_ad`` (built once, one row per
     dimension) and sums plain ints, wrapping each component as the constant
-    monomial ``{(): c}`` only for the report; a parametric table runs on the
-    monomial view of ``_signed_view``.  Both walk ``_jacobi_terms``.
+    monomial ``{(): c}`` only for the report.  A parametric table runs on
+    ``_packed_view``: one tuple of integer terms, and its negation, per
+    distinct ``Poly`` object of the table, each monomial packed into one int in base
+    2d + 1 (d the largest total degree of a stored constant).  A product of
+    two constants has at most 2d of each parameter, so adding the codes of
+    two monomials never carries and is exact.  Each distinct code of the
+    sums is decoded once, when the report is built, and that report is not
+    sorted: ``lines()`` sorts, ``residuals`` compares as a dict and
+    ``catalog`` reads it into a set.  Both walk ``_jacobi_terms``.
 
     A concrete table is dense when its stored brackets hold more than
     ``_DENSE_TARGETS`` targets on average; the catalog's tables and their
@@ -377,29 +464,7 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
                     scale = algebra.scaled_ad[0]
                     return JacobiReport((), {}, scale * scale)
         return _concrete_jacobi(algebra)
-    scale = lcm(*(c.denominator for targets in algebra._table.values()
-                  for poly in targets.values() for _, c in poly.terms))
-    acc: dict[tuple, dict[int, dict]] = {}
-    for triple, negate, coeff, outer in _jacobi_terms(_signed_view(algebra, scale), algebra._table):
-        component = acc.setdefault(triple, {})
-        for e, d in outer.items():
-            poly = component.setdefault(e, {})
-            for m1, c1 in coeff.items():
-                if negate:
-                    c1 = -c1
-                for m2, c2 in d.items():
-                    mono = tuple(map(add, m1, m2))
-                    poly[mono] = poly.get(mono, 0) + c1 * c2
-    scaled = {}
-    for triple, component in sorted(acc.items()):
-        nonzero = {}
-        for e, coeffs in sorted(component.items()):
-            coeffs = {m: c for m, c in coeffs.items() if c}
-            if coeffs:
-                nonzero[e] = coeffs
-        if nonzero:
-            scaled[triple] = nonzero
-    return JacobiReport(algebra.params, scaled, scale * scale)
+    return _parametric_jacobi(algebra)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,45 @@ def test_a92_constraint_and_solution():
     assert jacobi_check(a).ok
 
 
+def _parametric_sound_tuples(n_max):
+    for token in catalog.all_family_tokens():
+        if token not in catalog.NONPARAMETRIC_TOKENS:
+            for spec in catalog.sound_tuples(token, n_max):
+                if catalog.alpha_count(spec):
+                    yield spec
+
+
+def test_constraint_order_and_integer_checks_on_sound_tuples():
+    # the order printed only the ties; the integer check against Poly.evaluate
+    checked = 0
+    for spec in _parametric_sound_tuples(11):
+        cs = catalog.extract_constraints(spec)
+        assert list(cs.generators) == sorted(
+            cs.generators, key=lambda g: (g.total_degree(), len(g.terms), str(g))), spec
+        count = len(cs.params)
+        points = [candidate(count) for candidate in catalog._SAMPLE_POOL]
+        points.append([Fraction(2 * i - 3, i + 2) for i in range(count)])
+        for values in points:
+            assignment = dict(zip(cs.params, values))
+            assert cs.is_satisfied_by(values) == all(
+                g.evaluate(assignment) == 0 for g in cs.generators), (spec, values)
+        checked += 1
+    assert checked > 200
+
+
+def test_constraint_check_on_rational_coefficients():
+    # a1/2 - a2/3 and a1^2 - 3/4*a2 vanish together at (0, 0) and (9/8, 27/16)
+    params = ("a1", "a2")
+    a1, a2 = (Poly.variable(params, name) for name in params)
+    cs = catalog.ConstraintSet(params, (a1 * Fraction(1, 2) - a2 * Fraction(1, 3),
+                                        a1 * a1 - a2 * Fraction(3, 4)))
+    for values, expected in (([0, 0], True), (["9/8", "27/16"], True), ([1, "3/2"], False),
+                             ([1, 1], False), ([Fraction(-9, 8), Fraction(-27, 16)], False)):
+        assignment = {name: Fraction(v) for name, v in zip(params, values)}
+        assert all(g.evaluate(assignment) == 0 for g in cs.generators) == expected
+        assert cs.is_satisfied_by(values) == expected, values
+
+
 def test_constraint_check_rejects_wrong_alpha_count():
     cs = catalog.extract_constraints(spec_for("Ank", 9, k=2))
     for alphas in ([1, 1], [1, 1, 1, 1]):

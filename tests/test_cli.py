@@ -352,6 +352,17 @@ def test_document_with_a_signed_exponent_is_a_usage_error(tmp_path, capsys):
     assert err.rstrip().endswith("exponent '-3' in term '2*a1^-3' must be a positive integer"), err
 
 
+def test_document_with_a_spaced_signed_exponent_is_a_usage_error(tmp_path, capsys):
+    # the split at " -" left "a1^" and a message about the exponent ''
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "params": ["a1"], "brackets": [
+        {"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "a1^ -1"}]}]}))
+    code, stdout, err = run(capsys, "jacobi", str(path))
+    assert code == 2 and stdout == ""
+    _usage_error_line(err)
+    assert err.rstrip().endswith("exponent ' -1' in term 'a1^ -1' must be a positive integer"), err
+
+
 def test_document_parses_a_repeated_coefficient_once():
     # one parse per distinct string; the table is the one a parse per term spells
     params = ("a1",)

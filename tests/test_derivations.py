@@ -240,6 +240,21 @@ def test_weight_audit_detects_diagonal_misprints():
         assert not verify_claimed_weights(replace(spec, misprint=True)).ok
 
 
+def test_weight_audit_lines_of_the_diagonal_misprints():
+    # the printed diagonals' violations, in the order of brackets()
+    lines = {
+        ("QarrCb", 3): ["[X0,X1] -> X2: w0 + w1 - w2 = -l0*kp - 1/2*l0",
+                        "[X0,X2] -> X3: w0 + w2 - w3 = l0*kp + 1/2*l0",
+                        "[X2,X5] -> X7: w2 + w5 - w7 = l0*kp + 1/2*l0",
+                        "[X2,X8] -> X5: w2 + w8 - w5 = l0*kp + 1/2*l0"],
+        ("QarrCc", None): ["[X0,X5] -> X6: w0 + w5 - w6 = -5*l0*l1 + 5*l0 + l1",
+                           "[X1,X6] -> X7: w1 + w6 - w7 = 5*l0*l1 - 5*l0 - l1"],
+    }
+    for (token, l), expected in lines.items():
+        spec = replace(catalog.spec_for(token, 9, l=l), misprint=True)
+        assert verify_claimed_weights(spec).lines() == expected
+
+
 def test_weight_audit_rejects_unknown_misprint():
     with pytest.raises(catalog.InvalidParametersError):
         verify_claimed_weights(replace(catalog.spec_for("Lnr", 9, r=5), misprint=True))

@@ -150,11 +150,21 @@ def test_parse_poly_rejects_a_term_it_does_not_spell(text, message):
     ("a1^-1", "exponent '-1' in term 'a1^-1' must be a positive integer"),
     ("a1^+2", "exponent '+2' in term 'a1^+2' must be a positive integer"),
     ("2*a1^-3 + 1", "exponent '-3' in term '2*a1^-3' must be a positive integer"),
+    ("a1^ -1", "exponent ' -1' in term 'a1^ -1' must be a positive integer"),
+    ("a1 ^ + 2 - a2", "exponent ' + 2' in term 'a1 ^ + 2' must be a positive integer"),
 ])
 def test_parse_poly_rejects_a_signed_exponent(text, message):
-    # each failed in int('') after the split at the sign left "a1^"
+    # each failed in int('') after the split at the sign left "a1^"; a space
+    # before the sign still split it off until the split skipped "^ -"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_poly(text, PARAMS)
+
+
+@pytest.mark.parametrize("text", ["a1 ^2", "a1 ^ 2", "a1^ 2", " a1  ^2 "])
+def test_parse_poly_reads_spaces_around_a_caret(text):
+    # "a1 ^2" named the unknown parameter 'a1 ', space included
+    assert parse_poly(text, PARAMS) == parse_poly("a1^2", PARAMS)
+    assert parse_poly(f"2*{text.strip()} - a2", PARAMS) == parse_poly("2*a1^2 - a2", PARAMS)
 
 
 @pytest.mark.parametrize("text, value", [

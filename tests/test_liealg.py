@@ -259,9 +259,11 @@ def test_jacobi_matches_naive_oracle_on_catalog():
 
 @st.composite
 def parametric_tables(draw):
+    # up to 4 parameters and exponent 3, so a packed monomial spans several
+    # digits of its base and a product reaches the largest digit 2d
     n = draw(st.integers(min_value=2, max_value=7))
-    params = ("p", "q")[:draw(st.integers(min_value=0, max_value=2))]
-    monomial = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(params))
+    params = ("p", "q", "r", "s")[:draw(st.integers(min_value=0, max_value=4))]
+    monomial = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(params))
     coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
     poly = st.dictionaries(monomial, coefficient, min_size=1, max_size=3)
     targets = st.dictionaries(st.integers(min_value=0, max_value=n - 1), poly, max_size=3)
@@ -278,6 +280,60 @@ def test_jacobi_matches_naive_oracle_on_random_tables(drawn):
     table = {pair: {k: Poly.from_map(params, terms) for k, terms in targets.items()}
              for pair, targets in raw.items()}
     assert _raw_residuals(Algebra(n, table, params=params)) == naive_jacobi(raw, n)
+
+
+def _check_against_oracle(algebra):
+    from oracles import naive_jacobi
+
+    report = jacobi_check(algebra)
+    assert _raw_residuals(algebra) == naive_jacobi(_raw_table(algebra), algebra.dim)
+    return report
+
+
+def test_parametric_jacobi_of_an_empty_table():
+    # no stored constant: the largest degree is read over nothing
+    for n in (0, 1, 4):
+        report = jacobi_check(Algebra(n, {}, params=("a1",)))
+        assert report.ok and report.square == 1 and report.lines() == []
+
+
+def test_parametric_jacobi_of_constants_under_declared_params():
+    # every constant has degree 0, so the packing base is 1 and every code 0
+    params = ("a1", "a2")
+    one, two = Poly.const(params, 1), Poly.const(params, 2)
+    algebra = Algebra(4, {(0, 1): {2: one}, (0, 2): {3: one}, (1, 3): {2: two}}, params=params)
+    report = _check_against_oracle(algebra)
+    assert report.lines() == ["J(X0,X1,X2)[X2] = 2", "J(X0,X1,X3)[X3] = -2"]
+    assert all(m == (0, 0) for components in report.scaled.values()
+               for coeffs in components.values() for m in coeffs)
+
+
+def test_parametric_jacobi_with_shared_constants_and_full_digits():
+    # one Poly object in several slots, read in both orders and negated; the
+    # largest degree is 3, so the base is 7 and p^3 * p^3 fills a digit with 6
+    params = ("p", "q", "r")
+    p, q, r = (Poly.variable(params, name) for name in params)
+    cube = p * p * p
+    mixed = cube + q * r - 2
+    table = {(0, 1): {2: cube, 3: mixed}, (0, 2): {3: cube, 4: mixed}, (0, 3): {4: cube},
+             (1, 2): {4: mixed}, (1, 4): {2: cube}, (2, 3): {1: q}}
+    algebra = Algebra(5, table, params=params)
+    report = _check_against_oracle(algebra)
+    assert not report.ok
+    assert any(m[0] == 6 for components in report.scaled.values()
+               for coeffs in components.values() for m in coeffs)
+
+
+def test_parametric_jacobi_with_rational_coefficients():
+    params = ("a1",)
+    a = Poly.variable(params, "a1")
+    half, third = a * Fraction(1, 2) + Fraction(2, 3), a * a * Fraction(-1, 3)
+    table = {(0, 1): {2: half}, (0, 2): {3: third}, (1, 3): {2: half}, (1, 2): {3: third}}
+    report = _check_against_oracle(Algebra(4, table, params=params))
+    assert report.square == 36 and not report.ok
+    # each report component is an integer times the square of the table's scale
+    assert all(type(c) is int for components in report.scaled.values()
+               for coeffs in components.values() for c in coeffs.values())
 
 
 def test_concrete_change_of_basis_matches_oracle_bracket():
