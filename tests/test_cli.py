@@ -18,7 +18,7 @@ from qflab import catalog
 from qflab.cli import MAX_DIM, UsageError, algebra_to_doc, doc_to_algebra, dump_doc, main
 from qflab.catalog import spec_for
 from qflab.exact import parse_poly
-from qflab.liealg import Algebra
+from qflab.liealg import Algebra, change_of_basis
 
 
 def run(capsys, *argv):
@@ -72,12 +72,29 @@ def test_rank_of_lsumc_is_three(tmp_path, capsys):
     assert code == 0 and stdout.strip() == "3"
 
 
+# sha256 of the stdout of `jacobi` on Qnr(n=11,r=5) with X6 added to [X2,X3],
+# moved by P[i][j] = min(i,j) + 1: 25 bad triples on 91 lines under the header.
+DENSE_FAIL_SHA256 = "502e37c719a88f73355f3035111e42ac63e1d9075b26d48a6db964f41b3c6390"
+
+
 def test_jacobi_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "f.json"
     assert run(capsys, "gen", "Fnrk", "--n", "9", "--r", "3", "--k", "1", "-o", str(out))[0] == 0
     code, stdout, _ = run(capsys, "jacobi", str(out))
     assert code == 1
-    assert stdout.startswith("JACOBI FAIL")
+    assert stdout == "JACOBI FAIL (1 bad triples)\n  J(X1,X2,X8)[X7] = -2\n"
+    # a dense table that fails in its adapted basis is reported in the given one
+    base = catalog.generate(spec_for("Qnr", 11, 5))
+    table = base.table()
+    table[(2, 3)] = {**table[(2, 3)], 6: 1}
+    p = [[min(i, j) + 1 for j in range(base.dim)] for i in range(base.dim)]
+    dense = tmp_path / "dense.json"
+    dense.write_text(dump_doc(algebra_to_doc(change_of_basis(Algebra(base.dim, table), p))))
+    code, stdout, _ = run(capsys, "jacobi", str(dense))
+    assert code == 1
+    lines = stdout.splitlines()
+    assert lines[0] == "JACOBI FAIL (25 bad triples)" and len(lines) == 92
+    assert hashlib.sha256(stdout.encode()).hexdigest() == DENSE_FAIL_SHA256
 
 
 def test_gen_with_alphas_then_series(tmp_path, capsys):
