@@ -60,7 +60,7 @@ from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
-from qflab.exact import Poly, QflabError, _canonical, rat, rat_str
+from qflab.exact import Poly, QflabError, _canonical, _integer_value, rat, rat_str
 from qflab.liealg import Algebra
 
 
@@ -799,34 +799,16 @@ class ConstraintSet:
     def is_satisfied_by(self, alphas: Sequence) -> bool:
         """Whether every generator vanishes at ``alphas``, decided in integers.
 
-        The values are put over one denominator d; a generator g of total
-        degree deg, its coefficients over their common denominator, is then
-        an integer sum equal to g(alphas) times that denominator and d^deg,
-        so it vanishes exactly when the sum does.  Stops at the first nonzero
-        generator."""
+        The values are put over one denominator d once; each generator is
+        then an integer sum (``exact._integer_value``) that vanishes exactly
+        when the generator does.  Stops at the first nonzero generator."""
         if len(alphas) != len(self.params):
             raise InvalidParametersError(
                 f"{len(alphas)} alpha values given for {len(self.params)} parameters")
         values = [rat(v) for v in alphas]
         d = lcm(*(v.denominator for v in values))
         nums = [v.numerator * (d // v.denominator) for v in values]
-        for g in self.generators:
-            if not g.terms:
-                continue
-            scale = lcm(*(c.denominator for _, c in g.terms))
-            deg = sum(g.terms[0][0])
-            total = 0
-            for mono, c in g.terms:
-                value = c.numerator if scale == 1 else c.numerator * (scale // c.denominator)
-                rest = deg
-                for x, exp in zip(nums, mono):
-                    if exp:
-                        value *= x ** exp
-                        rest -= exp
-                total += value * d ** rest if rest and d != 1 else value
-            if total:
-                return False
-        return True
+        return not any(_integer_value(g, nums, d)[0] for g in self.generators)
 
 
 def extract_constraints(spec: FamilySpec) -> ConstraintSet:

@@ -215,28 +215,12 @@ class Poly:
     def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
         """Substitute rationals for every parameter occurring in the polynomial.
 
-        The sum is taken in integers: the values over their common denominator
-        d, the coefficients over theirs, each term times d^(deg - |m|) with
-        deg the total degree, and one ``Fraction`` is built at the end."""
+        The sum is taken in integers by ``_integer_value``, and one
+        ``Fraction`` is built at the end."""
         values = [None if (v := assignment.get(name)) is None else rat(v) for name in self.params]
-        if not self.terms:
-            return Fraction(0)
         d = lcm(*(v.denominator for v in values if v is not None))
         nums = [None if v is None else v.numerator * (d // v.denominator) for v in values]
-        scale = lcm(*(c.denominator for _, c in self.terms))
-        deg = sum(self.terms[0][0])
-        total = 0
-        for mono, coeff in self.terms:
-            value = coeff.numerator * (scale // coeff.denominator)
-            rest = deg
-            for name, x, exp in zip(self.params, nums, mono):
-                if exp:
-                    if x is None:
-                        raise MissingParameterError(f"no value assigned to {name}")
-                    value *= x if exp == 1 else x ** exp
-                    rest -= exp
-            total += value * d ** rest if rest and d != 1 else value
-        return Fraction(total, scale * d ** deg)
+        return Fraction(*_integer_value(self, nums, d))
 
     def lift(self, params: Sequence[str]) -> "Poly":
         """Re-embed into a larger parameter universe (by name)."""
@@ -276,6 +260,32 @@ class Poly:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Poly({self})"
+
+
+def _integer_value(poly: Poly, nums: Sequence[int | None], d: int) -> tuple[int, int]:
+    """``(total, den)`` with total / den = ``poly`` at the values nums[p] / d.
+
+    The coefficients are put over their common denominator c and each term
+    is multiplied by d^(deg - |m|), deg the total degree, so ``total`` is an
+    integer sum and ``den`` = c * d^deg; ``total`` is 0 exactly when the value
+    is.  A value of ``None`` raises ``MissingParameterError`` once its
+    parameter occurs."""
+    if not poly.terms:
+        return 0, 1
+    scale = lcm(*(c.denominator for _, c in poly.terms))
+    deg = sum(poly.terms[0][0])
+    total = 0
+    for mono, coeff in poly.terms:
+        value = coeff.numerator if scale == 1 else coeff.numerator * (scale // coeff.denominator)
+        rest = deg
+        for name, x, exp in zip(poly.params, nums, mono):
+            if exp:
+                if x is None:
+                    raise MissingParameterError(f"no value assigned to {name}")
+                value *= x if exp == 1 else x ** exp
+                rest -= exp
+        total += value * d ** rest if rest and d != 1 else value
+    return total, scale * d ** deg
 
 
 _TERM_RE = re.compile(r"^(?P<coeff>-?\d+(?:/\d+)?)?(?:\*?(?P<rest>[A-Za-z].*))?$")

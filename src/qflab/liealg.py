@@ -6,14 +6,11 @@ parameter universe, so a single representation covers both concrete algebras
 and parametric families.  The constructor shares one constant ``Poly`` among
 the entries of its table that give the same plain value (a ``Poly`` is
 immutable).  A concrete algebra also carries ``scaled_ad``, a cached signed
-integer view of both orders, one row per dimension, that every concrete
-reader shares, ``jacobi_check`` included.  ``jacobi_check`` is the one
-check that also takes a parametric table.  It packs each distinct constant
-of the table (and its negation) once, into integer coefficients and one int
-per monomial whose digits in base 2d + 1 are its exponents, d the largest
-total degree of a stored constant.  The exponents of a product of two
-constants are at most 2d, so adding two codes never carries.  Its
-parametric report is not sorted (``lines()`` sorts).  The numeric entry
+integer view of both orders, one row per dimension, that every numeric
+reader shares.  ``jacobi_check`` takes any table and runs one kernel on
+``_packed_view``, which packs each distinct constant once into integer
+coefficients and each monomial into one int (a concrete table's are all
+0); its report is not sorted (``lines()`` sorts).  The numeric entry
 points call ``concrete()``, so a family is specialized first.
 A concrete table whose stored brackets hold more than three targets on
 average (a table moved to a dense basis; the catalog's hold about one) is
@@ -270,29 +267,8 @@ class JacobiReport:
         return "JacobiReport(ok)" if self.ok else f"JacobiReport({len(self.scaled)} bad triples)"
 
 
-def _jacobi_terms(view: dict, pairs: Iterable[tuple[int, int]]):
-    """The nonzero terms [[Xa,Xb],Xc] of the Jacobi sums, with a < b stored.
-
-    ``view[i][j]`` maps each target of the signed bracket [Xi, Xj] to its
-    coefficient, both orders stored.  Yields (triple, negate, coefficient of
-    Xm in [Xa,Xb], targets of [Xm,Xc]) for every c outside {a, b} whose
-    bracket with Xm is nonzero.  In the cyclic sum of the sorted triple
-    i<j<k the term is [[Xi,Xj],Xk] or [[Xj,Xk],Xi], except when a < c < b,
-    where it is [[Xk,Xi],Xj] read with the pair reversed, hence ``negate``.
-    """
-    for a, b in pairs:
-        for m, coeff in view[a][b].items():
-            for c, outer in view.get(m, {}).items():
-                if c > b:
-                    yield (a, b, c), False, coeff, outer
-                elif c < a:
-                    yield (c, a, b), False, coeff, outer
-                elif c != a and c != b:
-                    yield (a, c, b), True, coeff, outer
-
-
-def _packed_view(algebra: Algebra) -> tuple[dict[int, dict], dict[int, tuple], int, int]:
-    """``(view, opposite, base, scale)`` for a parametric table.
+def _packed_view(algebra: Algebra) -> tuple[dict[int, dict], int, int]:
+    """``(view, base, scale)`` for any table.
 
     ``view[i][j] = {k: ((code, scale * coefficient), ...)}`` (ints) for both
     orders of every bracket; an index in no bracket has no row.  A monomial is
@@ -300,10 +276,10 @@ def _packed_view(algebra: Algebra) -> tuple[dict[int, dict], dict[int, tuple], i
     ``base`` = 2d + 1, the first parameter the most significant digit, where
     d is the largest total degree of a stored constant.  A product of two
     constants has at most 2d of each parameter, so adding two codes never
-    carries and the sum is the code of the product.  One packed tuple and its
-    negation are built per distinct ``Poly`` object of the table (a table
-    shares them: the memoised ``aij_table`` values and the constants of
-    ``Algebra.__init__``); ``opposite`` maps the ``id`` of each to the other.
+    carries and the sum is the code of the product.  A concrete table has
+    base 1 and every code 0.  One packed tuple and its negation are built per
+    distinct ``Poly`` object of the table (a table shares them: the memoised
+    ``aij_table`` values and the constants of ``Algebra.__init__``).
     """
     table = algebra._table
     polys = {id(poly): poly for targets in table.values() for poly in targets.values()}
@@ -312,7 +288,7 @@ def _packed_view(algebra: Algebra) -> tuple[dict[int, dict], dict[int, tuple], i
     base = 2 * max((sum(poly.terms[0][0]) for poly in polys.values()), default=0) + 1
     places = [base ** p for p in reversed(range(len(algebra.params)))]
     codes: dict[tuple, int] = {}  # each distinct monomial packed once
-    signed, opposite = {}, {}
+    signed = {}
     for key, poly in polys.items():
         packed, negated = [], []
         for mono, c in poly.terms:
@@ -322,8 +298,7 @@ def _packed_view(algebra: Algebra) -> tuple[dict[int, dict], dict[int, tuple], i
             c = c.numerator * (scale // c.denominator)
             packed.append((code, c))
             negated.append((code, -c))
-        packed, negated = signed[key] = tuple(packed), tuple(negated)
-        opposite[id(packed)], opposite[id(negated)] = negated, packed
+        signed[key] = tuple(packed), tuple(negated)
     view: dict[int, dict] = {}
     for (i, j), targets in table.items():
         forward, backward = {}, {}
@@ -331,7 +306,7 @@ def _packed_view(algebra: Algebra) -> tuple[dict[int, dict], dict[int, tuple], i
             forward[k], backward[k] = signed[id(poly)]
         view.setdefault(i, {})[j] = forward
         view.setdefault(j, {})[i] = backward
-    return view, opposite, base, scale
+    return view, base, scale
 
 
 def _unpack(code: int, base: int, nparams: int) -> tuple[int, ...]:
@@ -343,25 +318,37 @@ def _unpack(code: int, base: int, nparams: int) -> tuple[int, ...]:
     return tuple(exponents)
 
 
-def _parametric_jacobi(algebra: Algebra) -> JacobiReport:
-    """The Jacobi report of a parametric table, summed on packed monomials;
-    see ``jacobi_check``.  The report is not sorted."""
-    view, opposite, base, scale = _packed_view(algebra)
+def _jacobi(algebra: Algebra) -> JacobiReport:
+    """The Jacobi report of a table in its given basis, summed on packed
+    monomials; see ``jacobi_check``.  The report is not sorted."""
+    view, base, scale = _packed_view(algebra)
     acc: dict[tuple, dict[int, dict[int, int]]] = {}
-    for triple, negate, coeff, outer in _jacobi_terms(view, algebra._table):
-        component = acc.get(triple)
-        if component is None:
-            component = acc[triple] = {}
-        if negate:
-            coeff = opposite[id(coeff)]
-        for e, d in outer.items():
-            poly = component.get(e)
-            if poly is None:
-                poly = component[e] = {}
-            for m1, c1 in coeff:
-                for m2, c2 in d:
-                    m = m1 + m2
-                    poly[m] = poly.get(m, 0) + c1 * c2
+    for a, b in algebra._table:
+        forward, backward = view[a][b], view[b][a]
+        for m, coeff in forward.items():
+            # the terms [[Xa,Xb],Xc]: in the cyclic sum of the sorted triple
+            # i<j<k one is [[Xi,Xj],Xk] or [[Xj,Xk],Xi], except when a < c < b,
+            # where it is [[Xk,Xi],Xj], read with the pair reversed
+            for c, outer in view.get(m, {}).items():
+                if c > b:
+                    triple, factor = (a, b, c), coeff
+                elif c < a:
+                    triple, factor = (c, a, b), coeff
+                elif c != a and c != b:
+                    triple, factor = (a, c, b), backward[m]
+                else:
+                    continue
+                component = acc.get(triple)
+                if component is None:
+                    component = acc[triple] = {}
+                for e, d in outer.items():
+                    poly = component.get(e)
+                    if poly is None:
+                        poly = component[e] = {}
+                    for m1, c1 in factor:
+                        for m2, c2 in d:
+                            code = m1 + m2
+                            poly[code] = poly.get(code, 0) + c1 * c2
     monomials: dict[int, tuple[int, ...]] = {}  # each distinct code decoded once
     nparams = len(algebra.params)
     scaled = {}
@@ -369,36 +356,17 @@ def _parametric_jacobi(algebra: Algebra) -> JacobiReport:
         nonzero = {}
         for e, coeffs in component.items():
             terms = {}
-            for m, c in coeffs.items():
+            for code, c in coeffs.items():
                 if c:
-                    mono = monomials.get(m)
+                    mono = monomials.get(code)
                     if mono is None:
-                        mono = monomials[m] = _unpack(m, base, nparams)
+                        mono = monomials[code] = _unpack(code, base, nparams)
                     terms[mono] = c
             if terms:
                 nonzero[e] = terms
         if nonzero:
             scaled[triple] = nonzero
     return JacobiReport(algebra.params, scaled, scale * scale)
-
-
-def _concrete_jacobi(algebra: Algebra) -> JacobiReport:
-    """The Jacobi report of a concrete table in its given basis, summed in
-    plain ints on ``scaled_ad``; see ``jacobi_check``."""
-    scale, ad = algebra.scaled_ad
-    sums: dict[tuple, dict[int, int]] = {}
-    for triple, negate, coeff, outer in _jacobi_terms(dict(enumerate(ad)), algebra._table):
-        component = sums.setdefault(triple, {})
-        if negate:
-            coeff = -coeff
-        for e, d in outer.items():
-            component[e] = component.get(e, 0) + coeff * d
-    scaled = {}
-    for triple, component in sorted(sums.items()):
-        nonzero = {e: {(): c} for e, c in sorted(component.items()) if c}
-        if nonzero:
-            scaled[triple] = nonzero
-    return JacobiReport((), scaled, scale * scale)
 
 
 # A concrete table whose stored brackets hold more targets than this on
@@ -412,43 +380,30 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     An empty report means the Jacobi identity holds identically in the
     parameters.  Triples not of the form i<j<k are forced by antisymmetry.
     Only the nonzero terms are visited, so the cost is proportional to the
-    nonzero products of structure constants, not to dim^3.  The products are
-    taken in integers: every coefficient is multiplied by the common
-    denominator of the table, so each residual comes out scaled by its square.
-    A concrete table runs on ``scaled_ad`` (built once, one row per
-    dimension) and sums plain ints, wrapping each component as the constant
-    monomial ``{(): c}`` only for the report.  A parametric table runs on
-    ``_packed_view``: one tuple of integer terms, and its negation, per
-    distinct ``Poly`` object of the table, each monomial packed into one int in base
-    2d + 1 (d the largest total degree of a stored constant).  A product of
-    two constants has at most 2d of each parameter, so adding the codes of
-    two monomials never carries and is exact.  Each distinct code of the
-    sums is decoded once, when the report is built, and that report is not
+    nonzero products of structure constants, not to dim^3.  One kernel runs
+    every table on ``_packed_view``: every coefficient is multiplied by the
+    common denominator of the table, so each residual comes out scaled by its
+    square, and each monomial is one int in base 2d + 1 (d the largest total
+    degree of a stored constant; base 1 for a concrete table), so adding the
+    codes of two monomials is their product.  Each distinct code of the sums
+    is decoded once, when the report is built, and that report is not
     sorted: ``lines()`` sorts, ``residuals`` compares as a dict and
-    ``catalog`` reads it into a set.  Both walk ``_jacobi_terms``.
+    ``catalog`` reads it into a set.
 
     A concrete table is dense when its stored brackets hold more than
     ``_DENSE_TARGETS`` targets on average; the catalog's tables and their
     adapted and graded tables up to n = 13 hold at most 1.25, ``Ln`` and
-    ``Qn`` at n = 400 and 2000 exactly one.  A
-    dense table is first checked in the basis adapted to its lower central
-    series (``gradation.series_adapted``, memoised, so ``type_of``, ``gr``
-    and ``derivation_dim`` of the same table then read it for free), where
-    a nilpotent algebra has few constants.  The Jacobiator is trilinear, so
-    it vanishes on every basis triple of one basis exactly when it vanishes
+    ``Qn`` at n = 400 and 2000 exactly one.  A dense table is first checked
+    in the basis adapted to its lower central series
+    (``gradation.series_adapted``, memoised, so ``type_of``, ``gr`` and
+    ``derivation_dim`` of the same table then read it for free), where a
+    nilpotent algebra has few constants.  The Jacobiator is trilinear, so it
+    vanishes on every basis triple of one basis exactly when it vanishes
     identically, in every basis: an adapted table that passes answers for
     the given one, with the given table's ``square``.  A dense table that
     fails there, or whose series does not reach 0, is checked again in the
-    given basis, so every report names the given basis and is the same as
-    from the given-basis loop alone.  Such a table pays for its series on
-    top: on a 2-CPU machine the 16 gr-catalog entries at n = 9, 10 with one
-    constant changed, moved to a dense basis, took 0.07-0.11 s in the
-    given basis and take 0.17-0.22 s.  A lone check of a dense Lie algebra
-    costs about the same at n = 10 (0.02 s for 4 tables) and less from
-    n = 17 on (0.34-0.42 s then 0.22-0.31 s at n = 17, 1.2-1.4 s then
-    0.6-0.8 s at n = 21); when ``type_of``, ``derivation_dim`` or
-    ``classify_gr`` of the same table follow in the same process, they
-    read the memoised series.
+    given basis, so every report names the given basis; it pays for its
+    series on top.
     """
     if not algebra.params:
         table = algebra._table
@@ -460,11 +415,10 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
             except NonNilpotentError:
                 pass
             else:
-                if _concrete_jacobi(adapted).ok:
+                if _jacobi(adapted).ok:
                     scale = algebra.scaled_ad[0]
                     return JacobiReport((), {}, scale * scale)
-        return _concrete_jacobi(algebra)
-    return _parametric_jacobi(algebra)
+    return _jacobi(algebra)
 
 
 # ---------------------------------------------------------------------------
