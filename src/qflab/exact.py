@@ -59,6 +59,8 @@ from operator import add
 
 Monomial = tuple  # exponent vector, one entry per declared parameter
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared entries of dense matrices (a Fraction is immutable)
+
 
 class QflabError(Exception):
     """Base class for all errors raised by this package."""
@@ -370,7 +372,9 @@ def parse_poly(text: str, params: Sequence[str]) -> Poly:
 # ---------------------------------------------------------------------------
 
 def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    """Fresh row lists that share one zero and one one (a Fraction is
+    immutable), so a caller may write entries of its copy."""
+    return [[_ZERO] * i + [_ONE] + [_ZERO] * (n - i - 1) for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -531,19 +535,19 @@ def invert_matrix(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if space.pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     rows = space._reduced()
-    return [[Fraction(rows[i].get(n + j, 0), rows[i][i]) for j in range(n)] for i in range(n)]
+    return [[Fraction(x, rows[i][i]) if (x := rows[i].get(n + j)) else _ZERO for j in range(n)]
+            for i in range(n)]
 
 
 def _kernel(rows: Mapping[int, Mapping[int, int]], ncols: int) -> list[tuple[Fraction, ...]]:
     """The kernel of reduced rows: one vector per free column f, 1 at f and 0
     at the other free columns."""
-    zero, one = Fraction(0), Fraction(1)
     kernel = []
     for f in range(ncols):
         if f in rows:
             continue
-        vec = [zero] * ncols
-        vec[f] = one
+        vec = [_ZERO] * ncols
+        vec[f] = _ONE
         for p, row in rows.items():
             if f in row:
                 vec[p] = Fraction(-row[f], row[p])

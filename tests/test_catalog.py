@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import time
 from dataclasses import replace
@@ -161,6 +162,72 @@ def test_constraint_order_and_integer_checks_on_sound_tuples():
                 g.evaluate(assignment) == 0 for g in cs.generators), (spec, values)
         checked += 1
     assert checked > 200
+
+
+def _constraint_set(token, **kw):
+    return catalog.extract_constraints(spec_for(token, **kw))
+
+
+def test_equal_constraint_sets_and_generators_are_one_object():
+    bnk, bsumc, barrca = (_constraint_set("Bnk", n=8, k=2), _constraint_set("BsumC", n=9, k=2),
+                          _constraint_set("BarrCa", n=9, k=2, l=3))
+    assert [str(g) for g in bnk.generators] == ["2*a1 + a2"]
+    assert bnk is bsumc is barrca
+    a8, a9 = (_constraint_set("AarrC", n=n, k=2, l=2) for n in (8, 9))
+    assert [str(g) for g in a8.generators] == ["a2"]
+    assert a8 is a9 and a8.generators[0] is a9.generators[0]
+    # equal generators over different parameter universes are different sets
+    a11 = _constraint_set("AarrC", n=11, k=3, l=3)
+    assert [str(g) for g in a11.generators] == ["a2"] and a11.params == ("a1", "a2", "a3")
+    assert a11 != a8 and a11.generators[0] != a8.generators[0]
+    empty5, empty7 = _constraint_set("Ank", n=5, k=2), _constraint_set("Ank", n=7, k=2)
+    assert empty5.generators == empty7.generators == ()
+    assert empty5.params == ("a1",) and empty7.params == ("a1", "a2") and empty5 is not empty7
+    assert catalog.sample_alphas(spec_for("Ank", 5, k=2)) == (1,)
+    assert catalog.sample_alphas(spec_for("Ank", 7, k=2)) == (1, 1)
+
+
+def _drop_constraint_memos():
+    catalog._constraints_of.cache_clear()
+    gc.collect()
+
+
+def test_intern_tables_hold_nothing_alive():
+    sets = [catalog.extract_constraints(spec) for spec in _parametric_sound_tuples(9)]
+    assert catalog._SETS and catalog._GENERATORS
+    del sets
+    _drop_constraint_memos()
+    assert not catalog._SETS and not catalog._GENERATORS
+
+
+def test_alpha_search_runs_once_per_distinct_set(monkeypatch):
+    _drop_constraint_memos()
+    assert not catalog._SETS  # no set carries a search result yet
+    searched = []
+    search = catalog._search_alphas
+    monkeypatch.setattr(catalog, "_search_alphas", lambda cs: searched.append(cs) or search(cs))
+    specs = list(_parametric_sound_tuples(11))
+    for spec in specs:
+        catalog.sample_alphas(spec)
+    distinct = {id(catalog.extract_constraints(spec)): spec for spec in specs}
+    assert len(searched) == len({id(cs) for cs in searched}) == len(distinct) < len(specs) / 3
+
+
+def test_shared_constraints_and_alphas_equal_fresh_ones():
+    def answer(spec):
+        cs = catalog.extract_constraints(spec)
+        return cs.params, [str(g) for g in cs.generators], catalog.sample_alphas(spec)
+
+    specs = [spec for token in catalog.all_family_tokens()
+             for spec in catalog.sound_tuples(token, 11)]
+    shared = [answer(spec) for spec in specs]
+    # backwards, from empty memos on every tuple
+    for spec, expected in zip(reversed(specs), reversed(shared)):
+        catalog._constraints_of.cache_clear()
+        catalog._symbolic.cache_clear()
+        assert not catalog._SETS, spec
+        assert answer(spec) == expected, spec
+    assert len(specs) > 400
 
 
 def test_constraint_check_on_rational_coefficients():

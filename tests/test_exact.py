@@ -13,6 +13,7 @@ from qflab.exact import (
     RowSpace,
     SingularMatrixError,
     _integer_vector,
+    identity_matrix,
     invert_matrix,
     mat_mul,
     matrix_rank,
@@ -296,6 +297,15 @@ def test_rank_nullity(matrix):
     kernel = nullspace(rows, ncols=6)
     assert kernel == dense_solve(matrix, [0] * len(matrix))[1]
     assert matrix_rank(rows, ncols=6) == dense_rank(matrix) == 6 - len(kernel)
+
+
+def test_identity_matrix_rows_are_fresh():
+    # cn_to_qn_transform writes P[i][i + 2j] into one identity per stage
+    p = identity_matrix(6)
+    p[1][5] = Fraction(1, 2)
+    p[0][0] = Fraction(3)
+    assert identity_matrix(6) == [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+    assert len({id(row) for row in p}) == 6 and identity_matrix(0) == []
 
 
 def test_invert_matrix_roundtrip():
