@@ -828,8 +828,8 @@ def extract_constraints(spec: FamilySpec) -> ConstraintSet:
     """Deduplicated polynomial generators whose common zeros are exactly the
     alpha assignments for which the family is a Lie algebra.
 
-    The alpha values of ``spec`` are ignored; the result is computed once per
-    alpha-free spec and shared (it is immutable)."""
+    The alpha values of ``spec`` are ignored.  Tuples with equal sets get the
+    same object (see ``_constraints_of``), so it must not be changed."""
     return _constraints_of(_alpha_free(spec))
 
 
