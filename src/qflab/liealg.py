@@ -5,19 +5,20 @@ by antisymmetry.  Coefficients are Poly values over the algebra's declared
 parameter universe, so a single representation covers both concrete algebras
 and parametric families.  The constructor shares one constant ``Poly`` among
 the entries of its table that give the same plain value (a ``Poly`` is
-immutable).  A concrete algebra also carries ``scaled_ad``, a cached signed
-integer view of both orders, one row per dimension, that every numeric
-reader shares.  ``jacobi_check`` takes any table and runs one kernel on
-``_packed_view``, which packs each distinct constant once into integer
-coefficients and each monomial into one int (a concrete table's are all
-0); its report is not sorted (``lines()`` sorts).  The numeric entry
-points call ``concrete()``, so a family is specialized first.
+immutable).  Every algebra carries one cached integer view of its table,
+``_view``: both orders of every bracket, one row per dimension, each term
+keyed by its target and its monomial packed into one int (a concrete
+table's keys are its targets).  ``jacobi_check`` runs one kernel on it for
+any table; its report is not sorted (``lines()`` sorts).  ``scaled_ad`` is
+the same view for a concrete algebra and raises on a parametric one, and
+the numeric entry points read it or call ``concrete()``, so a family is
+specialized first.
 A concrete table whose stored brackets hold more than three targets on
 average (a table moved to a dense basis; the catalog's hold about one) is
 checked in the basis adapted to its lower central series first: the
 Jacobiator is trilinear, so it vanishes in that basis exactly when it
 vanishes in the given one.  Only a table that fails is checked again in the
-given basis, for its report, and so pays for the series on top.  The
+given basis, on the view its series already built, for its report.  The
 canonical key of an ``Algebra`` and its hash are built once, so the memos
 keyed on an algebra do not re-sort its table on every lookup.
 
@@ -159,24 +160,52 @@ class Algebra:
         return self
 
     @cached_property
-    def scaled_ad(self) -> tuple[int, list[dict[int, dict[int, int]]]]:
-        """``(scale, view)``: [X_i, X_j] = sum_k view[i][j][k] / scale X_k in ints,
-        ``scale`` the common denominator of the constants of a concrete algebra.
+    def _view(self) -> tuple[int, int, list[dict[int, dict[int, int]]]]:
+        """``(scale, base, view)``, the integer view of any table; built once and
+        shared, read only.
 
-        Both orders of every nonzero bracket are stored, so ``view[i]`` is the
-        support of ad(X_i).  Built once per instance and shared; read only.
+        ``view[i][j]`` maps the key ``k + dim * code`` of each term of [X_i, X_j]
+        at target k to ``scale`` times its coefficient, ``scale`` the common
+        denominator of the table's, for both orders of every bracket: one row
+        per dimension, ``view[i]`` the support of ad(X_i).  ``code`` is the
+        term's monomial, its exponents read as digits in ``base`` = 2d + 1 (the
+        first parameter the most significant, d the largest total degree of a
+        stored constant), so adding two codes never carries and gives the code
+        of the product.  A concrete table has base 1 and every code 0: its keys
+        are the targets.  Each distinct ``Poly`` of the table (the constants of
+        ``__init__`` and the memoised ``aij_table`` values are shared) is
+        packed once.
         """
-        table = self.concrete()._table
-        # a stored Poly over no parameters is one nonzero constant term
-        scale = lcm(*(poly.terms[0][1].denominator
-                      for targets in table.values() for poly in targets.values()))
-        view: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        table, dim = self._table, self.dim
+        polys = {id(poly): poly for targets in table.values() for poly in targets.values()}
+        scale = lcm(*(c.denominator for poly in polys.values() for _, c in poly.terms))
+        # the leading grlex term of a stored (nonzero) constant has its total degree
+        base = 2 * max((sum(poly.terms[0][0]) for poly in polys.values()), default=0) + 1
+        places = [dim * base ** p for p in reversed(range(len(self.params)))]
+        shifts: dict[tuple, int] = {}  # dim times the code of each distinct monomial
+        packed: dict[int, list[tuple[int, int]]] = {}
+        for key, poly in polys.items():
+            terms = packed[key] = []
+            for mono, c in poly.terms:
+                shift = shifts.get(mono)
+                if shift is None:
+                    shift = shifts[mono] = sum(map(mul, mono, places))
+                terms.append((shift, c.numerator * (scale // c.denominator)))
+        view: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
         for (i, j), targets in table.items():
             forward = view[i][j] = {}
             for k, poly in targets.items():
-                c = poly.terms[0][1]
-                forward[k] = c.numerator * (scale // c.denominator)
-            view[j][i] = {k: -c for k, c in forward.items()}
+                for shift, c in packed[id(poly)]:
+                    forward[k + shift] = c
+            view[j][i] = {key: -c for key, c in forward.items()}
+        return scale, base, view
+
+    @property
+    def scaled_ad(self) -> tuple[int, list[dict[int, dict[int, int]]]]:
+        """``(scale, view)`` of ``_view`` for a concrete algebra, whose keys are
+        the targets: [X_i, X_j] = sum_k view[i][j][k] / scale X_k.  Raises on a
+        parametric one, as every numeric reader must."""
+        scale, _, view = self.concrete()._view
         return scale, view
 
 
@@ -267,51 +296,9 @@ class JacobiReport:
         return "JacobiReport(ok)" if self.ok else f"JacobiReport({len(self.scaled)} bad triples)"
 
 
-def _packed_view(algebra: Algebra) -> tuple[dict[int, dict], int, int]:
-    """``(view, base, scale)`` for any table.
-
-    ``view[i][j] = {k: ((code, scale * coefficient), ...)}`` (ints) for both
-    orders of every bracket; an index in no bracket has no row.  A monomial is
-    packed into one int, its exponents read as the digits of ``code`` in
-    ``base`` = 2d + 1, the first parameter the most significant digit, where
-    d is the largest total degree of a stored constant.  A product of two
-    constants has at most 2d of each parameter, so adding two codes never
-    carries and the sum is the code of the product.  A concrete table has
-    base 1 and every code 0.  One packed tuple and its negation are built per
-    distinct ``Poly`` object of the table (a table shares them: the memoised
-    ``aij_table`` values and the constants of ``Algebra.__init__``).
-    """
-    table = algebra._table
-    polys = {id(poly): poly for targets in table.values() for poly in targets.values()}
-    scale = lcm(*(c.denominator for poly in polys.values() for _, c in poly.terms))
-    # the leading grlex term of a stored (nonzero) constant has its total degree
-    base = 2 * max((sum(poly.terms[0][0]) for poly in polys.values()), default=0) + 1
-    places = [base ** p for p in reversed(range(len(algebra.params)))]
-    codes: dict[tuple, int] = {}  # each distinct monomial packed once
-    signed = {}
-    for key, poly in polys.items():
-        packed, negated = [], []
-        for mono, c in poly.terms:
-            code = codes.get(mono)
-            if code is None:
-                code = codes[mono] = sum(map(mul, mono, places))
-            c = c.numerator * (scale // c.denominator)
-            packed.append((code, c))
-            negated.append((code, -c))
-        signed[key] = tuple(packed), tuple(negated)
-    view: dict[int, dict] = {}
-    for (i, j), targets in table.items():
-        forward, backward = {}, {}
-        for k, poly in targets.items():
-            forward[k], backward[k] = signed[id(poly)]
-        view.setdefault(i, {})[j] = forward
-        view.setdefault(j, {})[i] = backward
-    return view, base, scale
-
-
 def _unpack(code: int, base: int, nparams: int) -> tuple[int, ...]:
-    """The exponent tuple of a code of ``_packed_view``; with base 1 every
-    code is 0, and so is every exponent."""
+    """The exponent tuple of a monomial code of ``Algebra._view``; with base 1
+    every code is 0, and so is every exponent."""
     exponents = [0] * nparams
     for p in reversed(range(nparams)):
         code, exponents[p] = divmod(code, base)
@@ -319,51 +306,45 @@ def _unpack(code: int, base: int, nparams: int) -> tuple[int, ...]:
 
 
 def _jacobi(algebra: Algebra) -> JacobiReport:
-    """The Jacobi report of a table in its given basis, summed on packed
-    monomials; see ``jacobi_check``.  The report is not sorted."""
-    view, base, scale = _packed_view(algebra)
-    acc: dict[tuple, dict[int, dict[int, int]]] = {}
+    """The Jacobi report of a table in its given basis, summed on the keys of
+    ``Algebra._view``; see ``jacobi_check``.  The report is not sorted."""
+    scale, base, view = algebra._view
+    dim = algebra.dim
+    acc: dict[tuple, dict[int, int]] = {}
     for a, b in algebra._table:
-        forward, backward = view[a][b], view[b][a]
-        for m, coeff in forward.items():
+        for key, coeff in view[a][b].items():
+            m = key % dim
+            shift = key - m  # dim times the code of the term's monomial
             # the terms [[Xa,Xb],Xc]: in the cyclic sum of the sorted triple
             # i<j<k one is [[Xi,Xj],Xk] or [[Xj,Xk],Xi], except when a < c < b,
             # where it is [[Xk,Xi],Xj], read with the pair reversed
-            for c, outer in view.get(m, {}).items():
+            for c, outer in view[m].items():
                 if c > b:
                     triple, factor = (a, b, c), coeff
                 elif c < a:
                     triple, factor = (c, a, b), coeff
                 elif c != a and c != b:
-                    triple, factor = (a, c, b), backward[m]
+                    triple, factor = (a, c, b), -coeff
                 else:
                     continue
                 component = acc.get(triple)
                 if component is None:
                     component = acc[triple] = {}
                 for e, d in outer.items():
-                    poly = component.get(e)
-                    if poly is None:
-                        poly = component[e] = {}
-                    for m1, c1 in factor:
-                        for m2, c2 in d:
-                            code = m1 + m2
-                            poly[code] = poly.get(code, 0) + c1 * c2
+                    e += shift
+                    component[e] = component.get(e, 0) + factor * d
     monomials: dict[int, tuple[int, ...]] = {}  # each distinct code decoded once
     nparams = len(algebra.params)
     scaled = {}
     for triple, component in acc.items():
-        nonzero = {}
-        for e, coeffs in component.items():
-            terms = {}
-            for code, c in coeffs.items():
-                if c:
-                    mono = monomials.get(code)
-                    if mono is None:
-                        mono = monomials[code] = _unpack(code, base, nparams)
-                    terms[mono] = c
-            if terms:
-                nonzero[e] = terms
+        nonzero: dict[int, dict] = {}
+        for key, c in component.items():
+            if c:
+                code, e = divmod(key, dim)
+                mono = monomials.get(code)
+                if mono is None:
+                    mono = monomials[code] = _unpack(code, base, nparams)
+                nonzero.setdefault(e, {})[mono] = c
         if nonzero:
             scaled[triple] = nonzero
     return JacobiReport(algebra.params, scaled, scale * scale)
@@ -380,15 +361,14 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     An empty report means the Jacobi identity holds identically in the
     parameters.  Triples not of the form i<j<k are forced by antisymmetry.
     Only the nonzero terms are visited, so the cost is proportional to the
-    nonzero products of structure constants, not to dim^3.  One kernel runs
-    every table on ``_packed_view``: every coefficient is multiplied by the
-    common denominator of the table, so each residual comes out scaled by its
-    square, and each monomial is one int in base 2d + 1 (d the largest total
-    degree of a stored constant; base 1 for a concrete table), so adding the
-    codes of two monomials is their product.  Each distinct code of the sums
-    is decoded once, when the report is built, and that report is not
-    sorted: ``lines()`` sorts, ``residuals`` compares as a dict and
-    ``catalog`` reads it into a set.
+    nonzero products of structure constants, not to dim^3.  The kernel reads
+    ``Algebra._view``: every coefficient is multiplied by the common
+    denominator of the table, so each residual comes out scaled by its
+    square, and a term's key is its target plus dim times its monomial's code
+    in base 2d + 1, so adding two keys' codes multiplies the monomials.  Each
+    key of the sums is split by ``divmod(key, dim)`` once, when the report is
+    built, and that report is not sorted: ``lines()`` sorts, ``residuals``
+    compares as a dict and ``catalog`` reads it into a set.
 
     A concrete table is dense when its stored brackets hold more than
     ``_DENSE_TARGETS`` targets on average; the catalog's tables and their
@@ -402,8 +382,8 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     identically, in every basis: an adapted table that passes answers for
     the given one, with the given table's ``square``.  A dense table that
     fails there, or whose series does not reach 0, is checked again in the
-    given basis, so every report names the given basis; it pays for its
-    series on top.
+    given basis, on the view its series built, so every report names the
+    given basis; it pays for its series on top.
     """
     if not algebra.params:
         table = algebra._table
@@ -416,7 +396,7 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
                 pass
             else:
                 if _jacobi(adapted).ok:
-                    scale = algebra.scaled_ad[0]
+                    scale = algebra._view[0]
                     return JacobiReport((), {}, scale * scale)
     return _jacobi(algebra)
 

@@ -490,21 +490,26 @@ def test_random_documents_never_end_in_a_traceback(doc):
             assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
-@pytest.mark.parametrize("dim, brackets", [
-    pytest.param(2000, [], id="brackets0"),
+@pytest.mark.parametrize("dim, brackets, params", [
+    pytest.param(2000, [], [], id="brackets0"),
     pytest.param(2000, [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "1"}]},
                         {"i": 0, "j": 1998, "terms": [{"k": 1999, "coeff": "-1/2"}]}],
-                 id="brackets1"),
+                 [], id="brackets1"),
     pytest.param(MAX_DIM, [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "1"}]},
                            {"i": 0, "j": MAX_DIM - 2, "terms": [{"k": MAX_DIM - 1, "coeff": "-1/2"}]}],
-                 id="max_dim"),
+                 [], id="max_dim"),
+    pytest.param(MAX_DIM, [{"i": 0, "j": 1, "terms": [{"k": 2, "coeff": "a1"}]},
+                           {"i": 0, "j": MAX_DIM - 2,
+                            "terms": [{"k": MAX_DIM - 1, "coeff": "a1*a2 - 1/2"}]},
+                           {"i": 1, "j": 2, "terms": [{"k": MAX_DIM - 1, "coeff": "a2^2"}]}],
+                 ["a1", "a2"], id="max_dim_parametric"),
 ])
-def test_jacobi_on_a_large_sparse_document(tmp_path, dim, brackets):
+def test_jacobi_on_a_large_sparse_document(tmp_path, dim, brackets, params):
     # the check visits only nonzero products of structure constants, so a
-    # large dim with few brackets is cheap; a concrete table allocates one
+    # large dim with few brackets is cheap; every table allocates one
     # bracket row per dimension, up to the largest document allowed
     path = tmp_path / "large.json"
-    path.write_text(json.dumps({"dim": dim, "brackets": brackets}))
+    path.write_text(json.dumps({"dim": dim, "params": params, "brackets": brackets}))
     done = run_python(*CLI, "jacobi", str(path), timeout=30)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "JACOBI OK"

@@ -1,12 +1,13 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflab import catalog, gradation
-from qflab.exact import Poly, SingularMatrixError, mat_mul
+from qflab import catalog, derivations, gradation, isomorphy
+from qflab.exact import Poly, QflabError, SingularMatrixError, mat_mul
 from qflab.liealg import (
     Algebra,
     DimensionMismatchError,
@@ -494,6 +495,71 @@ def test_sparse_jacobi_leaves_the_series_memo_alone():
         assert jacobi_check(algebra).ok
         after = gradation._series.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _count_view_builds(monkeypatch) -> list:
+    """The tables whose integer view is built from now on, once per build."""
+    built = []
+    build = Algebra._view.func
+
+    def counting(algebra):
+        built.append(algebra)
+        return build(algebra)
+
+    view = cached_property(counting)
+    view.__set_name__(Algebra, "_view")
+    monkeypatch.setattr(Algebra, "_view", view)
+    return built
+
+
+def test_jacobi_and_the_numeric_readers_share_one_view(monkeypatch):
+    built = _count_view_builds(monkeypatch)
+    gradation._series.cache_clear()
+    # a fresh table, as the catalog memoises its own; Qn is adapted to its
+    # series in the given basis, so dim Der reads this table too
+    a = Algebra(10, Q(10).table())
+    assert jacobi_check(a).ok
+    gradation.lower_central_series(a)
+    derivations.derivation_dim(a)
+    assert len(built) == 1 and built[0] is a
+    # a dense table that fails in its adapted basis builds its view once, for
+    # its series, and is checked again in the given basis on that view
+    base = catalog.generate(catalog.spec_for("Qnr", 11, 5))
+    table = base.table()
+    table[(2, 3)] = {**table[(2, 3)], 6: 1}
+    p = [[min(i, j) + 1 for j in range(base.dim)] for i in range(base.dim)]
+    moved = change_of_basis(Algebra(base.dim, table), p)
+    built.clear()
+    report = jacobi_check(moved)
+    assert len(report) == 25 and report.square == moved.scaled_ad[0] ** 2
+    assert [b is moved for b in built] == [True, False]  # the second: the adapted table
+
+
+_NUMERIC_ENTRY_POINTS = {
+    "rational_bracket": lambda a: rational_bracket(a, basis_vec(7, 0), basis_vec(7, 1)),
+    "change_of_basis": lambda a: change_of_basis(a, [basis_vec(7, i) for i in range(7)]),
+    "lower_central_series": gradation.lower_central_series,
+    "type_of": gradation.type_of,
+    "gr": gradation.gr,
+    "series_adapted": gradation.series_adapted,
+    "bracket_span": lambda a: gradation.bracket_span(a, [({0: 1}, {1: 1})]),
+    "leibniz_rows": derivations.leibniz_rows,
+    "derivation_space": derivations.derivation_space,
+    "derivation_dim": derivations.derivation_dim,
+    "diagonal_derivations": derivations.diagonal_derivations,
+    "rank_in_basis": derivations.rank_in_basis,
+    "fingerprint": isomorphy.fingerprint,
+    "classify_gr": isomorphy.classify_gr,
+}
+
+
+@pytest.mark.parametrize("name", _NUMERIC_ENTRY_POINTS)
+def test_numeric_entry_points_reject_a_parametric_table(name):
+    # the cached view also serves parametric tables, whose keys are not targets
+    algebra = catalog.generate(catalog.spec_for("Ank", 7, k=2))
+    assert algebra.params
+    with pytest.raises(QflabError):
+        _NUMERIC_ENTRY_POINTS[name](algebra)
 
 
 def test_key_and_hash_are_built_once_and_ignore_insertion_order():
