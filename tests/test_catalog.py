@@ -667,6 +667,17 @@ def test_constraints_golden():
     assert got == CONSTRAINTS_SHA256
 
 
+def test_sampled_alphas_golden_beyond_thirteen():
+    # the symbolic workload's range: every sound tuple with 14 <= n <= 17
+    specs = [spec for token in catalog.all_family_tokens()
+             for spec in catalog.sound_tuples(token, 17) if spec.n >= 14]
+    text = "".join(f"{spec} {None if found is None else [str(a) for a in found]!r}\n"
+                   for spec in specs for found in [catalog.sample_alphas(spec)])
+    assert len(specs) == 1278
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3aa4f4af8389a0fb7cb78166b7d0c6f240b403e27293913a91a305d262487d2c"
+
+
 def test_fixed_family_tuples_end_at_their_n():
     # a fixed-n family has one dimension, however far the sweep reaches
     start = time.perf_counter()
