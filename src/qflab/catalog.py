@@ -819,8 +819,9 @@ class ConstraintSet:
 
     @cached_property
     def sample(self) -> tuple[Fraction, ...] | None:
-        """The first point of the alpha search of ``sample_alphas``, searched
-        once per set."""
+        """The first point of the alpha search (``_search_alphas``), searched
+        once per set: ``()`` for a set without parameters or generators,
+        None when the search finds no point."""
         return _search_alphas(self)
 
 
@@ -885,109 +886,73 @@ def _degree_and_length(g: Poly) -> tuple[int, int]:
 
 _SAMPLE_POOL = (
     lambda m: [Fraction(1)] * m,
-    lambda m: [Fraction(1, i + 1) for i in range(m)],
     lambda m: [Fraction((-1) ** i) for i in range(m)],
     lambda m: [Fraction(i + 1) for i in range(m)],
     lambda m: [Fraction(1)] + [Fraction(0)] * (m - 1),
-    lambda m: [Fraction(2), Fraction(1)] + [Fraction(0)] * (m - 2) if m >= 2 else [Fraction(2)],
 )
 
 
-def _univariate(poly: Poly, idx: int, base: Fraction) -> dict[int, Fraction]:
-    """The nonzero coefficients ``{degree: c}`` of ``poly`` as a polynomial in
-    its parameter ``idx``, with ``base`` put for every other parameter."""
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in poly.terms:
-        d = mono[idx]
-        rest = sum(mono) - d  # the degree in the other parameters
-        if rest and base != 1:
-            if not base:
-                continue
-            c *= base ** rest
-        coeffs[d] = coeffs.get(d, 0) + c
-    return {d: c for d, c in coeffs.items() if c}
+def _line_roots(generators: Sequence[Poly], idx: int, base: Fraction) -> list[Fraction]:
+    """The ascending rational roots of the first generator that does not
+    vanish on the line "parameter ``idx`` free, every other one = ``base``",
+    where ``base`` is 0 or 1; none when every generator vanishes there.
 
-
-def _rational_roots(coeffs: Mapping[int, Fraction]) -> list[Fraction]:
-    """Rational roots of the univariate polynomial with the nonzero
-    coefficients ``{degree: c}`` when its degree is 1 or 2.
-
-    Returns no candidates for a constant and for degree 3 or more: the
+    A restriction that is constant or of degree 3 or more has none: the
     search has no exact solver there, and reading only the low coefficients
     would solve a truncation instead (x^3 - x is not x).  No catalog
-    constraint has degree above 2.
-    """
-    deg = max(coeffs, default=0)
-    a2, a1, a0 = coeffs.get(2, Fraction(0)), coeffs.get(1, Fraction(0)), coeffs.get(0, Fraction(0))
-    if not 1 <= deg <= 2:
+    constraint has degree above 2."""
+    for g in generators:
+        coeffs: dict[int, Fraction] = {}
+        for mono, c in g.terms:
+            if base or sum(mono) == mono[idx]:  # base 1 adds every term, base 0 the pure ones
+                coeffs[mono[idx]] = coeffs.get(mono[idx], 0) + c
+        coeffs = {d: c for d, c in coeffs.items() if c}
+        if coeffs:
+            break
+    else:
         return []
-    if a2 == 0:
-        return [-a0 / a1] if a1 != 0 else []
-    disc = a1 * a1 - 4 * a2 * a0
-    if disc < 0:
+    a0, a1, a2 = (coeffs.get(d, 0) for d in range(3))
+    if max(coeffs) > 2 or not (a1 or a2):
         return []
-    num, den = disc.numerator, disc.denominator
-    root_num = _isqrt_exact(num * den)
-    if root_num is None:
+    if not a2:
+        return [-a0 / a1]
+    disc = a1 * a1 - 4 * a2 * a0  # a rational square exactly when num * den is a square
+    root = isqrt(disc.numerator * disc.denominator) if disc >= 0 else -1
+    if root * root != disc.numerator * disc.denominator:
         return []
-    sq = Fraction(root_num, den)
-    return [(-a1 + sq) / (2 * a2), (-a1 - sq) / (2 * a2)]
-
-
-def _isqrt_exact(value: int) -> int | None:
-    if value < 0:
-        return None
-    root = isqrt(value)
-    return root if root * root == value else None
+    sq = Fraction(root, disc.denominator)
+    return sorted({(-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2)})
 
 
 def sample_alphas(spec: FamilySpec) -> tuple[Fraction, ...] | None:
     """A deterministic alpha assignment (nonzero where possible) satisfying
     the family's Jacobi constraints; None when the search finds no solution.
 
-    The search reads the constraint set alone (the alpha count is its number
-    of parameters), so it runs once per distinct set, and the tuples that
-    share a set share the answer (a tuple of Fractions, immutable).
+    This is ``extract_constraints(spec).sample``: the search reads the
+    constraint set alone, so it runs once per distinct set, and the tuples
+    that share a set share the answer (a tuple of Fractions, immutable).  An
+    alpha-free tuple gets ``()`` when it is a Lie algebra and None otherwise.
     """
-    if alpha_count(spec) == 0:
-        return ()
     return extract_constraints(spec).sample
 
 
 def _search_alphas(constraints: ConstraintSet) -> tuple[Fraction, ...] | None:
-    """Tries a fixed candidate pool first, then a one-variable rational-root
-    search over the pool's base points (enough to solve every constraint set
-    of the catalog that is solvable at all at desk scale)."""
+    """The first nonzero point of one candidate stream that satisfies every
+    constraint: the pool points, then for each base 0, then 1, and each
+    alpha v, the roots of ``_line_roots`` on the line "alpha v free, every
+    other alpha = base".  A point of that line satisfies the set only if it
+    is a root of every restriction, so the first restriction that does not
+    vanish already holds every solution on the line.  A set without
+    parameters is solved by ``()`` exactly when it has no generator."""
     count = len(constraints.params)
-    for candidate in _SAMPLE_POOL:
-        values = candidate(count)
-        if all(v == 0 for v in values):
-            continue
-        if constraints.is_satisfied_by(values):
-            return tuple(values)
-    for base in (Fraction(0), Fraction(1)):
-        for v_idx in range(count):
-            roots: set[Fraction] = set()
-            ok = True
-            for g in constraints.generators:
-                coeffs = _univariate(g, v_idx, base)
-                if not coeffs:
-                    continue
-                r = _rational_roots(coeffs)
-                if not r:
-                    ok = False
-                    break
-                roots = roots & set(r) if roots else set(r)
-                if not roots:
-                    ok = False
-                    break
-            if ok and roots:
-                for root in sorted(roots):
-                    values = [base] * count
-                    values[v_idx] = root
-                    if any(values) and constraints.is_satisfied_by(values):
-                        return tuple(values)
-    return None
+    if not count:
+        return None if constraints.generators else ()
+    pool = (point(count) for point in _SAMPLE_POOL)
+    lines = ([base] * v + [root] + [base] * (count - v - 1)
+             for base in (Fraction(0), Fraction(1)) for v in range(count)
+             for root in _line_roots(constraints.generators, v, base))
+    return next((tuple(values) for values in itertools.chain(pool, lines)
+                 if any(values) and constraints.is_satisfied_by(values)), None)
 
 
 def sample_specs(token: str, n_max: int) -> Iterator[FamilySpec]:

@@ -187,6 +187,20 @@ def test_equal_constraint_sets_and_generators_are_one_object():
     assert catalog.sample_alphas(spec_for("Ank", 7, k=2)) == (1, 1)
 
 
+def test_sets_without_parameters_sample_the_empty_point_or_none():
+    assert catalog.extract_constraints(spec_for("Ln", 5)).sample == ()
+    fnrk = spec_for("Fnrk", n=9, r=3, k=1)
+    unsound = catalog.extract_constraints(fnrk)
+    assert unsound.params == () and [str(g) for g in unsound.generators] == ["1"]
+    assert unsound.sample is None and catalog.sample_alphas(fnrk) is None
+    # an alpha-free tuple gets () exactly when it is a Lie algebra
+    for token in catalog.all_family_tokens():
+        fam = catalog.family_def(token)
+        for spec in fam.tuples(13):
+            if not catalog.alpha_count(spec):
+                assert (catalog.sample_alphas(spec) == ()) == fam.sound(spec), spec
+
+
 def _drop_constraint_memos():
     catalog._constraints_of.cache_clear()
     gc.collect()
@@ -250,13 +264,19 @@ def test_constraint_check_rejects_wrong_alpha_count():
             cs.is_satisfied_by(alphas)
 
 
-def test_rational_roots_refuses_degree_above_two():
-    one = Fraction(1)
+def test_line_roots_refuse_degree_above_two():
+    a1, a2 = (Poly.variable(("a1", "a2"), name) for name in ("a1", "a2"))
     # x^3 - x has the roots 0, 1 and -1; its quadratic truncation -x only 0
-    assert catalog._rational_roots({3: one, 1: -one}) == []
-    assert sorted(catalog._rational_roots({2: one, 0: -one})) == [-1, 1]
-    assert catalog._rational_roots({1: 2 * one, 0: -one}) == [Fraction(1, 2)]
-    assert catalog._rational_roots({0: one}) == catalog._rational_roots({}) == []
+    assert catalog._line_roots((a1 * a1 * a1 - a1,), 0, Fraction(0)) == []
+    assert catalog._line_roots((a1 * a1 - 1,), 0, Fraction(0)) == [-1, 1]
+    assert catalog._line_roots((a1 * 2 - 1,), 0, Fraction(0)) == [Fraction(1, 2)]
+    # a constant has no root, and a line on which every generator vanishes none
+    assert catalog._line_roots((a1 - a1 + 1,), 0, Fraction(0)) == []
+    assert catalog._line_roots((a2,), 0, Fraction(0)) == catalog._line_roots((), 0, Fraction(1)) == []
+    # the first generator that does not vanish on the line answers
+    assert catalog._line_roots((a2, a1 * a2 + a1 * a1 - 4), 0, Fraction(0)) == [-2, 2]
+    assert catalog._line_roots((a2, a1 * a2 + a1 * a1 - 4), 0, Fraction(1)) == []
+    assert catalog._line_roots((a2 - 1, a1 * a2 + a1 * a1 - 2), 0, Fraction(1)) == [-2, 1]
 
 
 def test_alpha_zero_valid_on_sound_at_zero_domain():
@@ -430,12 +450,15 @@ def test_residuals_evaluate_to_zero_at_solution_point():
     assert all(p.evaluate(assignment) == 0 for p in residuals)  # ... zero at the point
 
 
-def test_isqrt_exact_is_exact_on_huge_values():
-    # exact far beyond the precision and the range of a float
+def test_line_roots_take_exact_square_roots_beyond_float_range():
+    x = Poly.variable(("a1",), "a1")
     root = 10**40 + 7
-    assert catalog._isqrt_exact(root * root) == root
-    assert catalog._isqrt_exact(root * root + 1) is None
-    assert catalog._isqrt_exact(10**400) == 10**200
+    assert catalog._line_roots((x * x - root * root,), 0, Fraction(0)) == [-root, root]
+    assert catalog._line_roots((x * x - (root * root + 1),), 0, Fraction(0)) == []
+    assert catalog._line_roots((x * x * Fraction(1, 10**400) - 1,), 0, Fraction(1)) == [-10**200, 10**200]
+    # (2x - 10^40/3)^2 has one double root
+    assert catalog._line_roots(((x * 2 - Fraction(10**40, 3)) * (x * 2 - Fraction(10**40, 3)),),
+                               0, Fraction(0)) == [Fraction(10**40, 6)]
 
 
 def test_token_partition_consistency():

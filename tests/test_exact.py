@@ -229,10 +229,9 @@ def assert_canonical(p):
 
 
 @given(st.one_of(st_small_poly, st_poly), st.one_of(st_small_poly, st_poly),
-       st.fixed_dictionaries({name: st_rational for name in PARAMS}),
-       st.sampled_from(PARAMS))
+       st.fixed_dictionaries({name: st_rational for name in PARAMS}))
 @settings(max_examples=150, deadline=None)
-def test_arithmetic_matches_naive_dicts(p, q, values, kept):
+def test_arithmetic_matches_naive_dicts(p, q, values):
     a, b = dict(p.terms), dict(q.terms)
     total = {m: a.get(m, 0) + b.get(m, 0) for m in set(a) | set(b)}
     difference = {m: a.get(m, 0) - b.get(m, 0) for m in set(a) | set(b)}
@@ -241,25 +240,34 @@ def test_arithmetic_matches_naive_dicts(p, q, values, kept):
         for m2, c2 in b.items():
             m = tuple(x + y for x, y in zip(m1, m2))
             product[m] = product.get(m, 0) + c1 * c2
-    # the polynomial in ``kept`` alone, with one base value for the others
-    base, univariate, value = values[kept], {}, Fraction(0)
+    value = Fraction(0)
     for m, c in a.items():
         term = c
         for name, e in zip(PARAMS, m):
             term *= values[name] ** e
         value += term
-        for name, e in zip(PARAMS, m):
-            if name != kept:
-                c *= base ** e
-        d = m[PARAMS.index(kept)]
-        univariate[d] = univariate.get(d, 0) + c
     for got, want in ((p + q, total), (p - q, difference), (p * q, product)):
         assert got == Poly.from_map(PARAMS, want)
         assert_canonical(got)
-    assert catalog._univariate(p, PARAMS.index(kept), base) == {d: c for d, c in univariate.items() if c}
     assert p.evaluate(values) == value
     assert_canonical(p - 3)
     assert p - 3 == p + Poly.const(PARAMS, -3)
+
+
+@given(st.one_of(st_small_poly, st_poly), st.one_of(st_small_poly, st_poly),
+       st_rational, st_rational, st_rational.filter(bool),
+       st.sampled_from(range(len(PARAMS))), st.sampled_from((0, 1)))
+@settings(max_examples=150, deadline=None)
+def test_line_roots_restrict_at_base_zero_and_one(p, q, r, s, c, idx, base):
+    # on the line "a_idx free, the others = base" the multiples of the others
+    # minus base vanish, and c*(x - r)*(x - s) keeps exactly its roots
+    x, y, z = (Poly.variable(PARAMS, PARAMS[(idx + i) % len(PARAMS)]) for i in range(3))
+    vanishing = (y - base) * p + (z - base) * q
+    base = Fraction(base)
+    assert catalog._line_roots((vanishing,), idx, base) == []
+    assert catalog._line_roots((vanishing, (x - r) * c + vanishing), idx, base) == [r]
+    assert catalog._line_roots((vanishing, (x - r) * (x - s) * c + vanishing), idx, base) \
+        == sorted({r, s})
 
 
 def test_subtraction_across_universes_rejected():
