@@ -820,7 +820,7 @@ class ConstraintSet:
     @cached_property
     def sample(self) -> tuple[Fraction, ...] | None:
         """The first point of the alpha search (``_search_alphas``), searched
-        once per set: ``()`` for a set without parameters or generators,
+        once per set: ``()`` for a set with neither parameters nor generators,
         None when the search finds no point."""
         return _search_alphas(self)
 
