@@ -701,6 +701,19 @@ def test_sampled_alphas_golden_beyond_thirteen():
         "3aa4f4af8389a0fb7cb78166b7d0c6f240b403e27293913a91a305d262487d2c"
 
 
+def test_constraints_golden_beyond_thirteen():
+    # the generators of every valid tuple with 14 <= n <= 17, the documented
+    # table misprint variant included where one exists
+    specs = [replace(spec, misprint=misprint) for token in catalog.all_family_tokens()
+             for spec in catalog.family_def(token).tuples(17) if spec.n >= 14
+             for misprint in ((False, True) if catalog.family_def(token).misprinted_table else (False,))]
+    text = "".join(f"{spec} {[str(g) for g in catalog.extract_constraints(spec).generators]!r}\n"
+                   for spec in specs)
+    assert len(specs) == 2065
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "0fad53db16052ef2d4690cbfc5c81bfbb75971a10264030c5c0b32182944da25"
+
+
 def test_fixed_family_tuples_end_at_their_n():
     # a fixed-n family has one dimension, however far the sweep reaches
     start = time.perf_counter()
