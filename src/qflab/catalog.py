@@ -298,17 +298,6 @@ def _model(s: FamilySpec, n: int | None = None) -> tuple[tuple, Table]:
         FamilySpec(model, s.n if n is None else n, s.r, s.k, s.l, s.alphas, s.misprint))
 
 
-def _line(s: FamilySpec, table: Table) -> tuple[str, ...]:
-    """Add [Y_i, Y_j] = a_{i,j} Y_{i+j+k-1} for i + j <= e+1-k, where e ends
-    the chain (so every such j lies below e); return the alpha parameters."""
-    aij = aij_table(_chain_end(table) + 1 - s.k)
-    for (i, j), coeff in aij.values.items():
-        # the known-bad BsumC lands the superdiagonal brackets one step short
-        short = s.misprint and j == i + 1
-        _add(table, i, j, i + j + s.k - 1 - short, coeff)
-    return aij.params
-
-
 def _shift(s: FamilySpec, table: Table, shift: int) -> None:
     # [Y_i, Y_{n-1}] = Y_{i+shift} for 1 <= i <= e - shift, e the chain's end
     for i in range(1, _chain_end(table) - shift + 1):
@@ -341,8 +330,9 @@ def _shifted(s: FamilySpec) -> tuple[tuple, Table]:
     return params, t
 
 
-def _deformation(s: FamilySpec) -> tuple[tuple, Table]:
-    """The model plus the a_{i,j} line, and the family's shift if it has one.
+def _deformation(s: FamilySpec) -> tuple[Algebra, Table]:
+    """The model plus the a_{i,j} line, and the family's shift if it has one,
+    split by ``_split``.
 
     A misprint belongs to the model when the model has a misprinted table
     (AarrC over LarrC), and to the line otherwise (BsumC)."""
@@ -350,16 +340,52 @@ def _deformation(s: FamilySpec) -> tuple[tuple, Table]:
     _, t = _model(s)
     if fam.shift:
         _shift(s, t, fam.shift(s))
-    return _line(replace(s, misprint=s.misprint and not FAMILIES[fam.model].misprinted_table), t), t
+    return _split(s, t, s.misprint and not FAMILIES[fam.model].misprinted_table)
 
 
-def _build_Gnrk(s: FamilySpec) -> tuple[tuple, Table]:
+def _build_Gnrk(s: FamilySpec) -> tuple[Algebra, Table]:
     # the misprint is Tn4's deepest pair line; k = 2 adds [Y1, Y_{n-1}] = Y_{n-2}
     _, t = _model(s)
-    params = _line(replace(s, misprint=False), t)
     if s.k == 2:
         _add(t, 1, s.n - 1, s.n - 2, 1)
-    return params, t
+    return _split(s, t, False)
+
+
+def _split(s: FamilySpec, table: Table, short: bool) -> tuple[Algebra, Table]:
+    """The filiform part σ of a deformation and its rest ρ: σ is the chain
+    [Y0, Y_i] = Y_{i+1} for i < e, e the end of the model's chain, plus the
+    a_{i,j} line [Y_i, Y_j] = a_{i,j} Y_{i+j+k-1} for i + j <= e+1-k (so every
+    such j lies below e), ``short`` for the known-bad BsumC line; ρ is
+    ``table`` (a model with its pieces, all constants) less that chain,
+    changed in place."""
+    e = _chain_end(table)
+    for i in range(1, e):
+        entry = table[0, i]
+        entry[i + 1] -= 1
+        if not entry[i + 1]:
+            del entry[i + 1]
+            if not entry:
+                del table[0, i]
+    return _filiform_part(s.n, e, s.k, short), table
+
+
+# The sound tuples with n <= 17 have 271 distinct parts.  The symbolic
+# workload meets them in runs of tuples that share one (the l of a family at
+# fixed n and k; the r of Cnrk and Enrk, over the at most 12 k of one n), so
+# 16 parts give it the hits of 32 (571 builds for 1,778 tuples); only a memo
+# of all 271 would add the reuse across families.  A part keeps its view, its
+# terms by target and its own Jacobi sums, about 32 KB (all 271: 9 MB).
+@lru_cache(maxsize=16)
+def _filiform_part(n: int, e: int, k: int, short: bool) -> Algebra:
+    """σ in dimension n: the chain of end e and the a_{i,j} line of offset k.
+    The known-bad BsumC (``short``) lands the superdiagonal brackets
+    [Y_i, Y_{i+1}] one step short, at Y_{2i+k-1}."""
+    aij = aij_table(e + 1 - k)
+    one = Poly.const(aij.params, 1)
+    table = {(0, i): {i + 1: one} for i in range(1, e)}
+    for (i, j), coeff in aij.values.items():
+        table[i, j] = {i + j + k - 1 - (short and j == i + 1): coeff}
+    return Algebra._checked(n, aij.params, table)
 
 
 def _fixed_table(brackets: Mapping) -> Callable:
@@ -700,7 +726,7 @@ def validate_spec(spec: FamilySpec) -> None:
 
 def alpha_count(spec: FamilySpec) -> int:
     """The number of alpha values of the tuple: the parameters of its table."""
-    return len(_symbolic(_alpha_free(spec)).params)
+    return len(_symbolic(_alpha_free(spec))[0].params)
 
 
 def generate(spec: FamilySpec) -> Algebra:
@@ -713,7 +739,7 @@ def generate(spec: FamilySpec) -> Algebra:
     and the corrected one of QarrCb and QarrCc, whose misprint is a diagonal.
     """
     validate_spec(spec)
-    algebra = _symbolic(_alpha_free(spec))
+    algebra = _symbolic(_alpha_free(spec))[0]
     if spec.alphas is not None and algebra.params:
         algebra = algebra.specialize(dict(zip(algebra.params, spec.alphas)))
     return algebra
@@ -726,12 +752,18 @@ def _alpha_free(spec: FamilySpec) -> FamilySpec:
 # The calls on one tuple (its alpha count, table, constraints and weight
 # audit) come one after the other, so a small memo serves them all.
 @lru_cache(maxsize=8)
-def _symbolic(symbolic: FamilySpec) -> Algebra:
-    """The table of an alpha-free spec, built once and shared (it is immutable)."""
+def _symbolic(symbolic: FamilySpec) -> tuple[Algebra, Algebra | None]:
+    """The table of an alpha-free spec, built once and shared (it is
+    immutable), and its filiform part where it has one (see ``_split``):
+    the table is then the part's shared table plus the rest."""
     validate_spec(symbolic)
     fam = FAMILIES[symbolic.family]
-    params, table = fam.build(replace(symbolic, misprint=symbolic.misprint and fam.misprinted_table))
-    return Algebra(symbolic.n, table, params=params)
+    if symbolic.misprint and not fam.misprinted_table:  # a misprinted diagonal
+        symbolic = replace(symbolic, misprint=False)
+    built, table = fam.build(symbolic)
+    if isinstance(built, Algebra):
+        return built._plus(table), built
+    return Algebra(symbolic.n, table, params=built), None
 
 
 def natural_gr_class(spec: FamilySpec) -> FamilySpec:
@@ -838,6 +870,9 @@ def extract_constraints(spec: FamilySpec) -> ConstraintSet:
 # distinct generators, against 1,784 sets of 5,295 generators built, so each
 # distinct value is kept once.  The tables hold weak references: an entry
 # lives only while a set, the memo of _constraints_of or a caller holds it.
+# A set is keyed by the ids of its interned generators, so a lookup hashes no
+# Poly and orders nothing: an id is unique while its generator lives, a live
+# set holds its own, and the order is a function of the generators.
 _GENERATORS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _SETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -853,31 +888,37 @@ def _interned(table: weakref.WeakValueDictionary, key, make: Callable):
 @lru_cache(maxsize=1024)
 def _constraints_of(symbolic: FamilySpec) -> ConstraintSet:
     """The constraint set of an alpha-free spec.  The Jacobi report is
-    computed per tuple; each generator is then looked up by its parameters
-    and primitive integer form, and the ordered set by its parameters and
-    generators, so that equal values are one shared object."""
+    computed per tuple, split at the filiform part where the table has one;
+    each generator is then looked up by its parameters and primitive integer
+    form, and the ordered set by its parameters and its generators' ids, so
+    that equal values are one shared object."""
     from qflab.liealg import jacobi_check
 
-    algebra = _symbolic(symbolic)
+    algebra, part = _symbolic(symbolic)
     params = algebra.params
     seen = set()
-    for components in jacobi_check(algebra).scaled.values():
+    for components in jacobi_check(algebra, part=part).scaled.values():
         for coeffs in components.values():
             # primitive: coprime integer coefficients, the leading grlex one positive
             content = gcd(*coeffs.values())
             if coeffs[max(coeffs, key=lambda m: (sum(m), m))] < 0:
                 content = -content
             seen.add(frozenset((m, c // content) for m, c in coeffs.items()))
-    # ordered by (total degree, term count, text); only a tie on the first
-    # two is printed to break it
-    generators = sorted((_interned(_GENERATORS, (params, form), lambda: _canonical(
-        params, ((m, Fraction(c)) for m, c in form))) for form in seen), key=_degree_and_length)
+    generators = [_interned(_GENERATORS, (params, form), lambda: _canonical(
+        params, ((m, Fraction(c)) for m, c in form))) for form in seen]
+    return _interned(_SETS, (params, frozenset(map(id, generators))),
+                     lambda: ConstraintSet(params, _ordered(generators)))
+
+
+def _ordered(generators: list[Poly]) -> tuple[Poly, ...]:
+    """The generators ordered by (total degree, term count, text); only a tie
+    on the first two is printed to break it."""
+    generators = sorted(generators, key=_degree_and_length)
     ordered = []
     for _, group in itertools.groupby(generators, key=_degree_and_length):
         group = list(group)
         ordered += sorted(group, key=str) if len(group) > 1 else group
-    key = (params, tuple(ordered))
-    return _interned(_SETS, key, lambda: ConstraintSet(*key))
+    return tuple(ordered)
 
 
 def _degree_and_length(g: Poly) -> tuple[int, int]:

@@ -176,29 +176,64 @@ class Algebra:
         ``__init__`` and the memoised ``aij_table`` values are shared) is
         packed once.
         """
-        table, dim = self._table, self.dim
-        polys = {id(poly): poly for targets in table.values() for poly in targets.values()}
+        polys = _polys(self._table)
         scale = lcm(*(c.denominator for poly in polys.values() for _, c in poly.terms))
-        # the leading grlex term of a stored (nonzero) constant has its total degree
-        base = 2 * max((sum(poly.terms[0][0]) for poly in polys.values()), default=0) + 1
-        places = [dim * base ** p for p in reversed(range(len(self.params)))]
-        shifts: dict[tuple, int] = {}  # dim times the code of each distinct monomial
-        packed: dict[int, list[tuple[int, int]]] = {}
-        for key, poly in polys.items():
-            terms = packed[key] = []
-            for mono, c in poly.terms:
-                shift = shifts.get(mono)
-                if shift is None:
-                    shift = shifts[mono] = sum(map(mul, mono, places))
-                terms.append((shift, c.numerator * (scale // c.denominator)))
-        view: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
-        for (i, j), targets in table.items():
-            forward = view[i][j] = {}
-            for k, poly in targets.items():
-                for shift, c in packed[id(poly)]:
-                    forward[k + shift] = c
-            view[j][i] = {key: -c for key, c in forward.items()}
-        return scale, base, view
+        base = 2 * _degree(polys) + 1
+        return scale, base, _pack(self._table, polys, self.dim, len(self.params), scale, base)
+
+    @cached_property
+    def _as_part(self) -> tuple[dict[int, list], dict, dict, dict]:
+        """``(by_target, sums, scaled, monomials)``, this table as the ``part``
+        of a split Jacobi check (see ``jacobi_check``), built once and read
+        only: its terms grouped by target, ``by_target[m]`` a list of
+        ``(a, b, terms)`` with ``terms`` the keys of ``_view[a][b]`` at target m
+        (a < b); its own Jacobi sums K(v, v) of ``_products``, their nonzero
+        keys and decoded; and the cache of ``_decode`` that every check on the
+        part shares, which grows."""
+        _, base, view = self._view
+        dim = self.dim
+        by_target: dict[int, list] = {}
+        for (a, b), targets in self._table.items():
+            terms = view[a][b]
+            for m in targets:
+                by_target.setdefault(m, []).append((a, b, terms if len(targets) == 1 else
+                                                    {key: c for key, c in terms.items() if key % dim == m}))
+        sums = {triple: {key: c for key, c in component.items() if c}
+                for triple, component in _self_products(self).items()}
+        monomials: dict[int, tuple[int, ...]] = {}
+        return by_target, sums, _decode(sums, dim, base, len(self.params), monomials), monomials
+
+    def _plus(self, rest: Mapping) -> "Algebra":
+        """This table plus ``rest``, ``{(i, j): {k: constant}}`` with i < j < dim,
+        without checking this table's Polys again: an entry ``rest`` does not
+        touch is shared, each distinct constant of ``rest`` becomes one ``Poly``,
+        and a target the two share is summed.  In an entry both touch, the
+        targets of ``rest`` come first."""
+        params = self.params
+        consts: dict[tuple, Poly] = {}
+        table = dict(self._table)
+        for pair, targets in rest.items():
+            entry = {}
+            for k, c in targets.items():
+                if (poly := consts.get((type(c), c))) is None:
+                    poly = consts[type(c), c] = Poly.const(params, c)
+                entry[k] = poly
+            for k, poly in table.get(pair, {}).items():
+                entry[k] = entry[k] + poly if k in entry else poly
+            entry = {k: poly for k, poly in entry.items() if poly.terms}
+            if entry:
+                table[pair] = entry
+            else:
+                table.pop(pair, None)
+        return Algebra._checked(self.dim, params, table)
+
+    @classmethod
+    def _checked(cls, dim: int, params: tuple[str, ...], table: BracketTable) -> "Algebra":
+        """An algebra on ``table`` as is, whose indices are in range and whose
+        constants are nonzero Polys over ``params``, checked by the caller."""
+        algebra = cls.__new__(cls)
+        algebra.dim, algebra.params, algebra._table = dim, params, table
+        return algebra
 
     @property
     def scaled_ad(self) -> tuple[int, list[dict[int, dict[int, int]]]]:
@@ -211,6 +246,41 @@ class Algebra:
 
 def abelian(dim: int, params: Sequence[str] = ()) -> Algebra:
     return Algebra(dim, {}, params=params)
+
+
+def _polys(table: Mapping) -> dict[int, Poly]:
+    """Each distinct ``Poly`` object of a table, keyed by its id."""
+    return {id(poly): poly for targets in table.values() for poly in targets.values()}
+
+
+def _degree(polys: Mapping[int, Poly]) -> int:
+    # the leading grlex term of a stored (nonzero) constant has its total degree
+    return max((sum(poly.terms[0][0]) for poly in polys.values()), default=0)
+
+
+def _pack(table: Mapping, polys: Mapping[int, Poly], dim: int, nparams: int, scale: int,
+          base: int) -> list[dict[int, dict[int, int]]]:
+    """The view of ``Algebra._view`` of ``table`` at a given ``scale`` (a
+    multiple of every denominator) and ``base`` (above twice every degree);
+    ``polys`` are the table's (``_polys``)."""
+    places = [dim * base ** p for p in reversed(range(nparams))]
+    shifts: dict[tuple, int] = {}  # dim times the code of each distinct monomial
+    packed: dict[int, list[tuple[int, int]]] = {}
+    for key, poly in polys.items():
+        terms = packed[key] = []
+        for mono, c in poly.terms:
+            shift = shifts.get(mono)
+            if shift is None:
+                shift = shifts[mono] = sum(map(mul, mono, places))
+            terms.append((shift, c.numerator * (scale // c.denominator)))
+    view: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
+    for (i, j), targets in table.items():
+        forward = view[i][j] = {}
+        for k, poly in targets.items():
+            for shift, c in packed[id(poly)]:
+                forward[k + shift] = c
+        view[j][i] = {key: -c for key, c in forward.items()}
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +375,24 @@ def _unpack(code: int, base: int, nparams: int) -> tuple[int, ...]:
     return tuple(exponents)
 
 
-def _jacobi(algebra: Algebra) -> JacobiReport:
-    """The Jacobi report of a table in its given basis, summed on the keys of
-    ``Algebra._view``; see ``jacobi_check``.  The report is not sorted."""
-    scale, base, view = algebra._view
-    dim = algebra.dim
-    acc: dict[tuple, dict[int, int]] = {}
-    for a, b in algebra._table:
-        for key, coeff in view[a][b].items():
+def _products(sums: dict, inner: Iterable[tuple[int, int, Mapping[int, int]]],
+              outer: list[dict[int, dict[int, int]]], dim: int, mult: int = 1) -> None:
+    """Add K(inner, outer) to the Jacobi sums ``sums``: the terms of
+    [[Xa,Xb],Xc] with [Xa,Xb] read in the inner table and the bracket with Xc
+    in the outer one, each times ``mult``.  ``inner`` gives terms of stored
+    brackets, ``(a, b, terms)`` with a < b and ``terms`` keys of
+    ``Algebra._view``; ``outer`` is a view.  ``sums[triple]`` maps the key
+    ``e + dim * code`` of each term of the sorted triple's residual to its
+    integer coefficient, zeros kept."""
+    for a, b, terms in inner:
+        for key, coeff in terms.items():
             m = key % dim
             shift = key - m  # dim times the code of the term's monomial
+            coeff *= mult
             # the terms [[Xa,Xb],Xc]: in the cyclic sum of the sorted triple
             # i<j<k one is [[Xi,Xj],Xk] or [[Xj,Xk],Xi], except when a < c < b,
             # where it is [[Xk,Xi],Xj], read with the pair reversed
-            for c, outer in view[m].items():
+            for c, targets in outer[m].items():
                 if c > b:
                     triple, factor = (a, b, c), coeff
                 elif c < a:
@@ -327,16 +401,29 @@ def _jacobi(algebra: Algebra) -> JacobiReport:
                     triple, factor = (a, c, b), -coeff
                 else:
                     continue
-                component = acc.get(triple)
+                component = sums.get(triple)
                 if component is None:
-                    component = acc[triple] = {}
-                for e, d in outer.items():
+                    component = sums[triple] = {}
+                for e, d in targets.items():
                     e += shift
                     component[e] = component.get(e, 0) + factor * d
-    monomials: dict[int, tuple[int, ...]] = {}  # each distinct code decoded once
-    nparams = len(algebra.params)
+
+
+def _self_products(algebra: Algebra) -> dict:
+    """K(v, v), the Jacobi sums of a table on its own view."""
+    view = algebra._view[2]
+    sums: dict = {}
+    _products(sums, ((a, b, view[a][b]) for a, b in algebra._table), view, algebra.dim)
+    return sums
+
+
+def _decode(sums: Mapping, dim: int, base: int, nparams: int,
+            monomials: dict[int, tuple[int, ...]]) -> dict:
+    """The nonzero Jacobi sums as ``JacobiReport.scaled``: each key split by
+    ``divmod(key, dim)`` into its monomial's code and its target, each
+    distinct code decoded once into ``monomials``, a cache code -> exponents."""
     scaled = {}
-    for triple, component in acc.items():
+    for triple, component in sums.items():
         nonzero: dict[int, dict] = {}
         for key, c in component.items():
             if c:
@@ -347,7 +434,72 @@ def _jacobi(algebra: Algebra) -> JacobiReport:
                 nonzero.setdefault(e, {})[mono] = c
         if nonzero:
             scaled[triple] = nonzero
+    return scaled
+
+
+def _jacobi(algebra: Algebra) -> JacobiReport:
+    """The Jacobi report of a table in its given basis, summed on the keys of
+    ``Algebra._view``; see ``jacobi_check``.  The report is not sorted."""
+    scale, base, _ = algebra._view
+    scaled = _decode(_self_products(algebra), algebra.dim, base, len(algebra.params), {})
     return JacobiReport(algebra.params, scaled, scale * scale)
+
+
+def _difference(table: Mapping, part: Mapping) -> dict:
+    """``table`` minus ``part``, target by target and exactly, without zeros;
+    an entry or a constant that is the part's own object is skipped unread."""
+    rest, shared = {}, 0
+    for pair, entry in table.items():
+        own = part.get(pair)
+        if own is not None:
+            shared += 1
+            if own is entry:
+                continue
+        diff = dict(entry)
+        for k, o in (own or {}).items():
+            c = diff.pop(k, None)
+            if c is None:
+                diff[k] = -o
+            elif c is not o and (d := c - o).terms:
+                diff[k] = d
+        if diff:
+            rest[pair] = diff
+    if shared < len(part):  # the part's entries that the table lacks
+        for pair, own in part.items():
+            if pair not in table:
+                rest[pair] = {k: -o for k, o in own.items()}
+    return rest
+
+
+def _split_jacobi(algebra: Algebra, part: Algebra) -> JacobiReport:
+    """``_jacobi(algebra)`` as the part's own sums, memoised on it, plus the
+    products that touch the rest; see ``jacobi_check``."""
+    if (part.dim, part.params) != (algebra.dim, algebra.params):
+        raise ValueError("the part must have the algebra's dimension and parameters")
+    dim, nparams = algebra.dim, len(algebra.params)
+    rest = _difference(algebra._table, part._table)
+    polys = _polys(rest)
+    scale, base, view = part._view
+    if nparams and 2 * _degree(polys) >= base:  # the rest's products would carry
+        return _jacobi(algebra)
+    common = lcm(scale, *(c.denominator for poly in polys.values() for _, c in poly.terms))
+    mult, square = common // scale, (common // scale) ** 2
+    rest_view = _pack(rest, polys, dim, nparams, common, base)
+    by_target, own, own_scaled, monomials = part._as_part
+    sums: dict = {}
+    _products(sums, (t for m, row in enumerate(rest_view) if row for t in by_target.get(m, ())),
+              rest_view, dim, mult)
+    rest_terms = [(a, b, rest_view[a][b]) for a, b in rest]
+    _products(sums, rest_terms, view, dim, mult)
+    _products(sums, rest_terms, rest_view, dim)
+    for triple, component in sums.items():
+        for key, c in own.get(triple, {}).items():
+            component[key] = component.get(key, 0) + square * c
+    scaled = {triple: components if square == 1 else
+              {e: {mono: square * c for mono, c in coeffs.items()} for e, coeffs in components.items()}
+              for triple, components in own_scaled.items() if triple not in sums}
+    scaled.update(_decode(sums, dim, base, nparams, monomials))
+    return JacobiReport(algebra.params, scaled, common * common)
 
 
 # A concrete table whose stored brackets hold more targets than this on
@@ -355,7 +507,7 @@ def _jacobi(algebra: Algebra) -> JacobiReport:
 _DENSE_TARGETS = 3
 
 
-def jacobi_check(algebra: Algebra) -> JacobiReport:
+def jacobi_check(algebra: Algebra, part: Algebra | None = None) -> JacobiReport:
     """Residuals [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] for all i<j<k.
 
     An empty report means the Jacobi identity holds identically in the
@@ -368,7 +520,22 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     in base 2d + 1, so adding two keys' codes multiplies the monomials.  Each
     key of the sums is split by ``divmod(key, dim)`` once, when the report is
     built, and that report is not sorted: ``lines()`` sorts, ``residuals``
-    compares as a dict and ``catalog`` reads it into a set.
+    compares as a dict and ``catalog`` reads it into a set.  The report is
+    read only: a split report shares components with its part.
+
+    ``part`` splits the table as μ = σ + ρ, σ the part (same dimension and
+    parameters) and ρ the rest, ``algebra`` minus ``part`` computed exactly.
+    The Jacobiator is bilinear in the table, so J(σ + ρ) = K(σ,σ) + K(σ,ρ) +
+    K(ρ,σ) + K(ρ,ρ), K(inner, outer) the one kernel ``_products`` (and
+    ``_jacobi`` is K(μ,μ)).  K(σ,σ) is memoised on the part, with its terms by
+    target, so a check pays only for the products that touch ρ: K(σ,ρ) reads
+    the part's terms whose target has a row in ρ.  For a deformation
+    σ = μ0 + φ of a filiform model this is the deformation equation of
+    Nijenhuis and Richardson, and K(σ,ρ) + K(ρ,σ) is the cross term δφ of
+    the rest φ = ρ.  The split shares the part's packing, so a rest of higher
+    degree than the part is checked whole.  The split report has the same
+    ``residuals``; it is scaled by the square of the common denominator of
+    part and rest, which may differ from the table's.
 
     A concrete table is dense when its stored brackets hold more than
     ``_DENSE_TARGETS`` targets on average; the catalog's tables and their
@@ -383,8 +550,11 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     the given one, with the given table's ``square``.  A dense table that
     fails there, or whose series does not reach 0, is checked again in the
     given basis, on the view its series built, so every report names the
-    given basis; it pays for its series on top.
+    given basis; it pays for its series on top.  A split check is never
+    moved to the adapted basis.
     """
+    if part is not None:
+        return _split_jacobi(algebra, part)
     if not algebra.params:
         table = algebra._table
         if sum(map(len, table.values())) > _DENSE_TARGETS * len(table):

@@ -283,6 +283,63 @@ def test_jacobi_matches_naive_oracle_on_random_tables(drawn):
     assert _raw_residuals(Algebra(n, table, params=params)) == naive_jacobi(raw, n)
 
 
+@st.composite
+def split_tables(draw):
+    """A random parametric table, and a part of it: each slot goes to the part,
+    to the rest or to both (the part holding the value less 1/2), and some
+    slots the table lacks are put in the part, so the rest cancels them."""
+    n, params, raw = draw(parametric_tables())
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    extra = draw(st.dictionaries(
+        st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)] or [(0, 1)]),
+        st.dictionaries(st.integers(min_value=0, max_value=max(n - 1, 0)), coefficient,
+                        min_size=1, max_size=2), max_size=3)) if n > 1 else {}
+    table, part = {}, {}
+    for pair, targets in raw.items():
+        for k, terms in targets.items():
+            value = table.setdefault(pair, {})[k] = Poly.from_map(params, terms)
+            where = draw(st.sampled_from(("part", "rest", "both")))
+            if where != "rest":
+                part.setdefault(pair, {})[k] = value - Fraction(1, 2) if where == "both" else value
+    for pair, targets in extra.items():
+        for k, c in targets.items():
+            if k not in table.get(pair, {}):
+                part.setdefault(pair, {})[k] = Poly.const(params, c)
+    return Algebra(n, table, params=params), Algebra(n, part, params=params)
+
+
+@given(split_tables())
+@settings(max_examples=150, deadline=None)
+def test_split_jacobi_equals_the_whole_check(drawn):
+    algebra, part = drawn
+    whole = jacobi_check(algebra)
+    assert jacobi_check(algebra, part=part).residuals == whole.residuals
+    # the part's own sums are memoised, and a second check reads them again
+    assert jacobi_check(algebra, part=part).residuals == whole.residuals
+
+
+def test_split_jacobi_on_the_catalog_deformations():
+    # every table built from a filiform part and a rest, printed and misprinted
+    checked = 0
+    for token in catalog.all_family_tokens():
+        fam = catalog.family_def(token)
+        for spec in fam.tuples(11):
+            for misprint in (False, True) if fam.misprinted_table else (False,):
+                algebra, part = catalog._symbolic(replace(spec, misprint=misprint))
+                if part is not None:
+                    report = jacobi_check(algebra, part=part)
+                    assert report.residuals == jacobi_check(algebra).residuals, (spec, misprint)
+                    checked += 1
+    assert checked == 458
+
+
+def test_split_jacobi_rejects_a_part_of_another_shape():
+    algebra = Algebra(4, {(0, 1): {2: 1}}, params=("a1",))
+    for part in (Algebra(5, {}, params=("a1",)), Algebra(4, {}, params=("a2",))):
+        with pytest.raises(ValueError):
+            jacobi_check(algebra, part=part)
+
+
 def _check_against_oracle(algebra):
     from oracles import naive_jacobi
 
