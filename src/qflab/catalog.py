@@ -43,6 +43,13 @@ one piece to it; e below is the end of the model's chain [Y0, Y_i] = Y_{i+1}:
 QarrCc adds [Y0, Y_{n-1}] = Y_{n-2} to QsumC, and Gnrk adds [Y1, Y_{n-1}] =
 Y_{n-2} at k = 2 to its line.
 
+A deformation (a family that adds the a_{i,j} line, and Gnrk) is built split:
+its filiform part is the chain [Y0, Y_i] = Y_{i+1} for i < e plus the line,
+one shared table per (n, e, k, misprint), and its rest is every other
+bracket, all constants.  The table is the part's plus the rest, and
+``extract_constraints`` checks it as ``jacobi_check(table, part=part)``, so
+the part's own Jacobi sums are summed once for all the tuples that share it.
+
 ``DISCREPANCIES`` records every disagreement with the source.  The misprinted
 tables and diagonals among them are generated corrected, and a tuple with
 ``misprint=True`` is the variant the source prints.  Each table misprint lives
@@ -448,10 +455,12 @@ class FamilyDef:
     that parameter (``r`` is always odd, and the range of ``k`` may read
     ``r``); a family without a range takes no such parameter.
 
-    ``build`` makes the table.  A naturally graded model (Ln, Qn, Tn4, Tn3,
-    the special algebras) and Cn build theirs whole; every other family adds
-    one piece to the table of its ``model`` (see the module docstring), and
-    ``shift(spec)`` is the step of its chain shift where it has one.  The
+    ``build`` makes the table: its parameters and its brackets, or for a
+    deformation its filiform part and the rest (see ``_split``).  A naturally
+    graded model (Ln, Qn, Tn4, Tn3, the special algebras) and Cn build theirs
+    whole; every other family adds one piece to the table of its ``model``
+    (see the module docstring), and ``shift(spec)`` is the step of its chain
+    shift where it has one.  The
     alpha count is the number of parameters of the symbolic table.
 
     The claimed diagonal is ``l0``, the chain ``(i-1)*l0 + l1`` and then
@@ -463,7 +472,7 @@ class FamilyDef:
     """
 
     token: str
-    build: Callable[[FamilySpec], tuple[tuple, Table]]
+    build: Callable[[FamilySpec], tuple[tuple | Algebra, Table]]
     least: int
     rank: int  # in the generated basis at generic alpha
     gr: str

@@ -9,7 +9,10 @@ immutable).  Every algebra carries one cached integer view of its table,
 ``_view``: both orders of every bracket, one row per dimension, each term
 keyed by its target and its monomial packed into one int (a concrete
 table's keys are its targets).  ``jacobi_check`` runs one kernel on it for
-any table; its report is not sorted (``lines()`` sorts).  ``scaled_ad`` is
+any table; its report is not sorted (``lines()`` sorts).  Given a ``part``
+of the table, it adds to the part's own sums, memoised on the part, only the
+products that touch the rest (the table minus the part): the catalog checks
+each deformation as its shared filiform part plus its rest this way.  ``scaled_ad`` is
 the same view for a concrete algebra and raises on a parametric one, and
 the numeric entry points read it or call ``concrete()``, so a family is
 specialized first.
@@ -38,9 +41,10 @@ such conversion.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from qflab.exact import Poly, QflabError, _integer_vector, invert_matrix, rat
@@ -51,6 +55,13 @@ class DimensionMismatchError(QflabError):
 
 
 BracketTable = dict  # {(i, j): {k: Poly}} with i < j
+
+
+# The rest of a catalog table holds a few constants (1, -1, halves) that
+# recur in every table; a Poly is immutable, so each is made once.  Typed, so
+# that a float still reaches Poly.const and its TypeError.
+_constant = lru_cache(maxsize=64, typed=True)(Poly.const)
+_NOTHING: Mapping = MappingProxyType({})
 
 
 class Algebra:
@@ -206,21 +217,23 @@ class Algebra:
     def _plus(self, rest: Mapping) -> "Algebra":
         """This table plus ``rest``, ``{(i, j): {k: constant}}`` with i < j < dim,
         without checking this table's Polys again: an entry ``rest`` does not
-        touch is shared, each distinct constant of ``rest`` becomes one ``Poly``,
-        and a target the two share is summed.  In an entry both touch, the
+        touch is shared, each constant of ``rest`` becomes a shared ``Poly``, and
+        a target the two share is summed.  In an entry both touch, the
         targets of ``rest`` come first."""
         params = self.params
-        consts: dict[tuple, Poly] = {}
         table = dict(self._table)
         for pair, targets in rest.items():
             entry = {}
             for k, c in targets.items():
-                if (poly := consts.get((type(c), c))) is None:
-                    poly = consts[type(c), c] = Poly.const(params, c)
-                entry[k] = poly
-            for k, poly in table.get(pair, {}).items():
-                entry[k] = entry[k] + poly if k in entry else poly
-            entry = {k: poly for k, poly in entry.items() if poly.terms}
+                if (poly := _constant(params, c)).terms:
+                    entry[k] = poly
+            for k, poly in table.get(pair, _NOTHING).items():
+                if k not in entry:
+                    entry[k] = poly
+                elif (total := entry[k] + poly).terms:
+                    entry[k] = total
+                else:
+                    del entry[k]
             if entry:
                 table[pair] = entry
             else:
@@ -529,11 +542,14 @@ def jacobi_check(algebra: Algebra, part: Algebra | None = None) -> JacobiReport:
     K(ρ,σ) + K(ρ,ρ), K(inner, outer) the one kernel ``_products`` (and
     ``_jacobi`` is K(μ,μ)).  K(σ,σ) is memoised on the part, with its terms by
     target, so a check pays only for the products that touch ρ: K(σ,ρ) reads
-    the part's terms whose target has a row in ρ.  For a deformation
-    σ = μ0 + φ of a filiform model this is the deformation equation of
-    Nijenhuis and Richardson, and K(σ,ρ) + K(ρ,σ) is the cross term δφ of
-    the rest φ = ρ.  The split shares the part's packing, so a rest of higher
-    degree than the part is checked whole.  The split report has the same
+    the part's terms whose target has a row in ρ.  With σ a Lie algebra μ0
+    and ρ a deformation φ of it, this is the deformation equation of
+    Nijenhuis and Richardson: K(σ,σ) = J(μ0), K(σ,ρ) + K(ρ,σ) the cross term
+    δφ, linear in φ, and K(ρ,ρ) the self term.  The catalog splits the other
+    way round: its part (a filiform chain and its a_{i,j} line) is shared by
+    many tables and its rest is each table's own constants.  The split
+    shares the part's packing, so a rest of higher degree than the part is
+    checked whole.  The split report has the same
     ``residuals``; it is scaled by the square of the common denominator of
     part and rest, which may differ from the table's.
 
