@@ -45,10 +45,11 @@ Y_{n-2} at k = 2 to its line.
 
 A deformation (a family that adds the a_{i,j} line, and Gnrk) is built split:
 its filiform part is the chain [Y0, Y_i] = Y_{i+1} for i < e plus the line,
-one shared table per (n, e, k, misprint), and its rest is every other
-bracket, all constants.  The table is the part's plus the rest, and
-``extract_constraints`` checks it as ``jacobi_check(table, part=part)``, so
-the part's own Jacobi sums are summed once for all the tuples that share it.
+one shared table of dimension e + 1 per (e, k, misprint) for every n, and
+its rest is every other bracket, all constants.  The table is the part's
+plus the rest, at the tuple's n, and ``extract_constraints`` checks it as
+``jacobi_check(table, part=part)``, so the part's own Jacobi sums are summed
+once for all the tuples that share it.
 
 ``DISCREPANCIES`` records every disagreement with the source.  The misprinted
 tables and diagonals among them are generated corrected, and a tuple with
@@ -373,26 +374,25 @@ def _split(s: FamilySpec, table: Table, short: bool) -> tuple[Algebra, Table]:
             del entry[i + 1]
             if not entry:
                 del table[0, i]
-    return _filiform_part(s.n, e, s.k, short), table
+    return _filiform_part(e, s.k, short), table
 
 
-# The sound tuples with n <= 17 have 271 distinct parts.  The symbolic
-# workload meets them in runs of tuples that share one (the l of a family at
-# fixed n and k; the r of Cnrk and Enrk, over the at most 12 k of one n), so
-# 16 parts give it the hits of 32 (571 builds for 1,778 tuples); only a memo
-# of all 271 would add the reuse across families.  A part keeps its view, its
-# terms by target and its own Jacobi sums, about 32 KB (all 271: 9 MB).
-@lru_cache(maxsize=16)
-def _filiform_part(n: int, e: int, k: int, short: bool) -> Algebra:
-    """σ in dimension n: the chain of end e and the a_{i,j} line of offset k.
-    The known-bad BsumC (``short``) lands the superdiagonal brackets
+# A part does not depend on n: its keys are target-major (see Algebra._view),
+# so its own Jacobi sums serve every table that contains it.  The sound
+# tuples with n <= 17 have 97 classes (e, k, short), met by 1,778 tuples of
+# every family, so the memo keeps them all; a part keeps its view, its terms
+# by target and its own sums, 2.6 MB for the 97, and 128 bound it.
+@lru_cache(maxsize=128)
+def _filiform_part(e: int, k: int, short: bool) -> Algebra:
+    """σ in dimension e + 1: the chain of end e and the a_{i,j} line of offset
+    k.  The known-bad BsumC (``short``) lands the superdiagonal brackets
     [Y_i, Y_{i+1}] one step short, at Y_{2i+k-1}."""
     aij = aij_table(e + 1 - k)
     one = Poly.const(aij.params, 1)
     table = {(0, i): {i + 1: one} for i in range(1, e)}
     for (i, j), coeff in aij.values.items():
         table[i, j] = {i + j + k - 1 - (short and j == i + 1): coeff}
-    return Algebra._checked(n, aij.params, table)
+    return Algebra._checked(e + 1, aij.params, table)
 
 
 def _fixed_table(brackets: Mapping) -> Callable:
@@ -771,7 +771,7 @@ def _symbolic(symbolic: FamilySpec) -> tuple[Algebra, Algebra | None]:
         symbolic = replace(symbolic, misprint=False)
     built, table = fam.build(symbolic)
     if isinstance(built, Algebra):
-        return built._plus(table), built
+        return built._plus(table, symbolic.n), built
     return Algebra(symbolic.n, table, params=built), None
 
 
@@ -879,11 +879,14 @@ def extract_constraints(spec: FamilySpec) -> ConstraintSet:
 # distinct generators, against 1,784 sets of 5,295 generators built, so each
 # distinct value is kept once.  The tables hold weak references: an entry
 # lives only while a set, the memo of _constraints_of or a caller holds it.
-# A set is keyed by the ids of its interned generators, so a lookup hashes no
-# Poly and orders nothing: an id is unique while its generator lives, a live
-# set holds its own, and the order is a function of the generators.
+# A generator is keyed by the sorted terms of its primitive form, and a set
+# by the sorted ids of its interned generators, so a lookup hashes no Poly
+# and orders nothing: an id is unique while its generator lives, a live set
+# holds its own, and the order is a function of the generators.  Tuples keep
+# the keys small, and the coefficients (small integers) are shared Fractions.
 _GENERATORS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _SETS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_fraction = lru_cache(maxsize=64)(Fraction)
 
 
 def _interned(table: weakref.WeakValueDictionary, key, make: Callable):
@@ -912,10 +915,10 @@ def _constraints_of(symbolic: FamilySpec) -> ConstraintSet:
             content = gcd(*coeffs.values())
             if coeffs[max(coeffs, key=lambda m: (sum(m), m))] < 0:
                 content = -content
-            seen.add(frozenset((m, c // content) for m, c in coeffs.items()))
+            seen.add(tuple(sorted((m, c // content) for m, c in coeffs.items())))
     generators = [_interned(_GENERATORS, (params, form), lambda: _canonical(
-        params, ((m, Fraction(c)) for m, c in form))) for form in seen]
-    return _interned(_SETS, (params, frozenset(map(id, generators))),
+        params, ((m, _fraction(c)) for m, c in form))) for form in seen]
+    return _interned(_SETS, (params, tuple(sorted(map(id, generators)))),
                      lambda: ConstraintSet(params, _ordered(generators)))
 
 

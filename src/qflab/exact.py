@@ -54,6 +54,7 @@ from bisect import insort
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import add
 
@@ -242,6 +243,12 @@ class Poly:
     # -- canonical text form -------------------------------------------------
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The text of ``__str__``, built once: sorting a constraint set breaks
+        ties by it, and an interned generator is in many sets."""
         if not self.terms:
             return "0"
         out: list[str] = []

@@ -7,15 +7,17 @@ and parametric families.  The constructor shares one constant ``Poly`` among
 the entries of its table that give the same plain value (a ``Poly`` is
 immutable).  Every algebra carries one cached integer view of its table,
 ``_view``: both orders of every bracket, one row per dimension, each term
-keyed by its target and its monomial packed into one int (a concrete
-table's keys are its targets).  ``jacobi_check`` runs one kernel on it for
-any table; its report is not sorted (``lines()`` sorts).  Given a ``part``
-of the table, it adds to the part's own sums, memoised on the part, only the
-products that touch the rest (the table minus the part): the catalog checks
-each deformation as its shared filiform part plus its rest this way.  ``scaled_ad`` is
-the same view for a concrete algebra and raises on a parametric one, and
-the numeric entry points read it or call ``concrete()``, so a family is
-specialized first.
+keyed target-major by one int, its target times a stride plus its
+monomial's code, which does not depend on the dimension (a concrete
+table's stride is 1 and its keys are its targets).  ``jacobi_check`` runs
+one kernel on it for any table; its report is not sorted (``lines()``
+sorts).  Given a ``part`` of the table, of at most the algebra's dimension,
+it adds to the part's own sums, memoised on the part, only the products that
+touch the rest (the table minus the part): the catalog checks each
+deformation as its filiform part, shared by every dimension, plus its rest
+this way.  ``scaled_ad`` is the same view for a concrete algebra and raises
+on a parametric one, and the numeric entry points read it or call
+``concrete()``, so a family is specialized first.
 A concrete table whose stored brackets hold more than three targets on
 average (a table moved to a dense basis; the catalog's hold about one) is
 checked in the basis adapted to its lower central series first: the
@@ -175,14 +177,17 @@ class Algebra:
         """``(scale, base, view)``, the integer view of any table; built once and
         shared, read only.
 
-        ``view[i][j]`` maps the key ``k + dim * code`` of each term of [X_i, X_j]
-        at target k to ``scale`` times its coefficient, ``scale`` the common
-        denominator of the table's, for both orders of every bracket: one row
-        per dimension, ``view[i]`` the support of ad(X_i).  ``code`` is the
+        ``view[i][j]`` maps the key ``k * stride + code`` of each term of
+        [X_i, X_j] at target k to ``scale`` times its coefficient, ``scale`` the
+        common denominator of the table's, for both orders of every bracket: one
+        row per dimension, ``view[i]`` the support of ad(X_i).  ``code`` is the
         term's monomial, its exponents read as digits in ``base`` = 2d + 1 (the
         first parameter the most significant, d the largest total degree of a
         stored constant), so adding two codes never carries and gives the code
-        of the product.  A concrete table has base 1 and every code 0: its keys
+        of the product, and ``stride`` = base ** nparams is above every code.
+        The keys are target-major and do not depend on the dimension, so the
+        sums of a part hold in any table that contains it (see
+        ``jacobi_check``).  A concrete table has base 1 and stride 1: its keys
         are the targets.  Each distinct ``Poly`` of the table (the constants of
         ``__init__`` and the memoised ``aij_table`` values are shared) is
         packed once.
@@ -202,24 +207,26 @@ class Algebra:
         keys and decoded; and the cache of ``_decode`` that every check on the
         part shares, which grows."""
         _, base, view = self._view
-        dim = self.dim
+        nparams = len(self.params)
+        stride = base ** nparams
         by_target: dict[int, list] = {}
         for (a, b), targets in self._table.items():
             terms = view[a][b]
             for m in targets:
                 by_target.setdefault(m, []).append((a, b, terms if len(targets) == 1 else
-                                                    {key: c for key, c in terms.items() if key % dim == m}))
+                                                    {key: c for key, c in terms.items() if key // stride == m}))
         sums = {triple: {key: c for key, c in component.items() if c}
                 for triple, component in _self_products(self).items()}
         monomials: dict[int, tuple[int, ...]] = {}
-        return by_target, sums, _decode(sums, dim, base, len(self.params), monomials), monomials
+        return by_target, sums, _decode(sums, stride, base, nparams, monomials), monomials
 
-    def _plus(self, rest: Mapping) -> "Algebra":
+    def _plus(self, rest: Mapping, dim: int) -> "Algebra":
         """This table plus ``rest``, ``{(i, j): {k: constant}}`` with i < j < dim,
-        without checking this table's Polys again: an entry ``rest`` does not
-        touch is shared, each constant of ``rest`` becomes a shared ``Poly``, and
-        a target the two share is summed.  In an entry both touch, the
-        targets of ``rest`` come first."""
+        in dimension ``dim`` (at least this one's), without checking this
+        table's Polys again: an entry ``rest`` does not touch is shared, each
+        constant of ``rest`` becomes a shared ``Poly``, and a target the two
+        share is summed.  In an entry both touch, the targets of ``rest`` come
+        first."""
         params = self.params
         table = dict(self._table)
         for pair, targets in rest.items():
@@ -238,7 +245,7 @@ class Algebra:
                 table[pair] = entry
             else:
                 table.pop(pair, None)
-        return Algebra._checked(self.dim, params, table)
+        return Algebra._checked(dim, params, table)
 
     @classmethod
     def _checked(cls, dim: int, params: tuple[str, ...], table: BracketTable) -> "Algebra":
@@ -273,11 +280,12 @@ def _degree(polys: Mapping[int, Poly]) -> int:
 
 def _pack(table: Mapping, polys: Mapping[int, Poly], dim: int, nparams: int, scale: int,
           base: int) -> list[dict[int, dict[int, int]]]:
-    """The view of ``Algebra._view`` of ``table`` at a given ``scale`` (a
-    multiple of every denominator) and ``base`` (above twice every degree);
-    ``polys`` are the table's (``_polys``)."""
-    places = [dim * base ** p for p in reversed(range(nparams))]
-    shifts: dict[tuple, int] = {}  # dim times the code of each distinct monomial
+    """The view of ``Algebra._view`` of ``table`` in dimension ``dim`` at a
+    given ``scale`` (a multiple of every denominator) and ``base`` (above twice
+    every degree); ``polys`` are the table's (``_polys``)."""
+    places = [base ** p for p in reversed(range(nparams))]
+    stride = base ** nparams
+    shifts: dict[tuple, int] = {}  # the code of each distinct monomial
     packed: dict[int, list[tuple[int, int]]] = {}
     for key, poly in polys.items():
         terms = packed[key] = []
@@ -290,8 +298,9 @@ def _pack(table: Mapping, polys: Mapping[int, Poly], dim: int, nparams: int, sca
     for (i, j), targets in table.items():
         forward = view[i][j] = {}
         for k, poly in targets.items():
+            key = k * stride
             for shift, c in packed[id(poly)]:
-                forward[k + shift] = c
+                forward[key + shift] = c
         view[j][i] = {key: -c for key, c in forward.items()}
     return view
 
@@ -389,18 +398,18 @@ def _unpack(code: int, base: int, nparams: int) -> tuple[int, ...]:
 
 
 def _products(sums: dict, inner: Iterable[tuple[int, int, Mapping[int, int]]],
-              outer: list[dict[int, dict[int, int]]], dim: int, mult: int = 1) -> None:
+              outer: Sequence[Mapping[int, Mapping[int, int]]], stride: int, mult: int = 1) -> None:
     """Add K(inner, outer) to the Jacobi sums ``sums``: the terms of
     [[Xa,Xb],Xc] with [Xa,Xb] read in the inner table and the bracket with Xc
     in the outer one, each times ``mult``.  ``inner`` gives terms of stored
     brackets, ``(a, b, terms)`` with a < b and ``terms`` keys of
-    ``Algebra._view``; ``outer`` is a view.  ``sums[triple]`` maps the key
-    ``e + dim * code`` of each term of the sorted triple's residual to its
-    integer coefficient, zeros kept."""
+    ``Algebra._view`` at ``stride``; ``outer`` is a view.  ``sums[triple]``
+    maps the key ``e * stride + code`` of each term of the sorted triple's
+    residual to its integer coefficient, zeros kept."""
     for a, b, terms in inner:
         for key, coeff in terms.items():
-            m = key % dim
-            shift = key - m  # dim times the code of the term's monomial
+            m = key // stride
+            shift = key - m * stride  # the code of the term's monomial
             coeff *= mult
             # the terms [[Xa,Xb],Xc]: in the cyclic sum of the sorted triple
             # i<j<k one is [[Xi,Xj],Xk] or [[Xj,Xk],Xi], except when a < c < b,
@@ -424,23 +433,24 @@ def _products(sums: dict, inner: Iterable[tuple[int, int, Mapping[int, int]]],
 
 def _self_products(algebra: Algebra) -> dict:
     """K(v, v), the Jacobi sums of a table on its own view."""
-    view = algebra._view[2]
+    _, base, view = algebra._view
     sums: dict = {}
-    _products(sums, ((a, b, view[a][b]) for a, b in algebra._table), view, algebra.dim)
+    _products(sums, ((a, b, view[a][b]) for a, b in algebra._table), view,
+              base ** len(algebra.params))
     return sums
 
 
-def _decode(sums: Mapping, dim: int, base: int, nparams: int,
+def _decode(sums: Mapping, stride: int, base: int, nparams: int,
             monomials: dict[int, tuple[int, ...]]) -> dict:
     """The nonzero Jacobi sums as ``JacobiReport.scaled``: each key split by
-    ``divmod(key, dim)`` into its monomial's code and its target, each
+    ``divmod(key, stride)`` into its target and its monomial's code, each
     distinct code decoded once into ``monomials``, a cache code -> exponents."""
     scaled = {}
     for triple, component in sums.items():
         nonzero: dict[int, dict] = {}
         for key, c in component.items():
             if c:
-                code, e = divmod(key, dim)
+                e, code = divmod(key, stride)
                 mono = monomials.get(code)
                 if mono is None:
                     mono = monomials[code] = _unpack(code, base, nparams)
@@ -454,7 +464,8 @@ def _jacobi(algebra: Algebra) -> JacobiReport:
     """The Jacobi report of a table in its given basis, summed on the keys of
     ``Algebra._view``; see ``jacobi_check``.  The report is not sorted."""
     scale, base, _ = algebra._view
-    scaled = _decode(_self_products(algebra), algebra.dim, base, len(algebra.params), {})
+    nparams = len(algebra.params)
+    scaled = _decode(_self_products(algebra), base ** nparams, base, nparams, {})
     return JacobiReport(algebra.params, scaled, scale * scale)
 
 
@@ -487,31 +498,33 @@ def _difference(table: Mapping, part: Mapping) -> dict:
 def _split_jacobi(algebra: Algebra, part: Algebra) -> JacobiReport:
     """``_jacobi(algebra)`` as the part's own sums, memoised on it, plus the
     products that touch the rest; see ``jacobi_check``."""
-    if (part.dim, part.params) != (algebra.dim, algebra.params):
-        raise ValueError("the part must have the algebra's dimension and parameters")
+    if part.dim > algebra.dim or part.params != algebra.params:
+        raise ValueError("the part must have at most the algebra's dimension and its parameters")
     dim, nparams = algebra.dim, len(algebra.params)
     rest = _difference(algebra._table, part._table)
     polys = _polys(rest)
     scale, base, view = part._view
     if nparams and 2 * _degree(polys) >= base:  # the rest's products would carry
         return _jacobi(algebra)
+    stride = base ** nparams
     common = lcm(scale, *(c.denominator for poly in polys.values() for _, c in poly.terms))
     mult, square = common // scale, (common // scale) ** 2
     rest_view = _pack(rest, polys, dim, nparams, common, base)
     by_target, own, own_scaled, monomials = part._as_part
     sums: dict = {}
     _products(sums, (t for m, row in enumerate(rest_view) if row for t in by_target.get(m, ())),
-              rest_view, dim, mult)
+              rest_view, stride, mult)
     rest_terms = [(a, b, rest_view[a][b]) for a, b in rest]
-    _products(sums, rest_terms, view, dim, mult)
-    _products(sums, rest_terms, rest_view, dim)
+    # the rows the part lacks are empty
+    _products(sums, rest_terms, view + [_NOTHING] * (dim - part.dim), stride, mult)
+    _products(sums, rest_terms, rest_view, stride)
     for triple, component in sums.items():
         for key, c in own.get(triple, {}).items():
             component[key] = component.get(key, 0) + square * c
     scaled = {triple: components if square == 1 else
               {e: {mono: square * c for mono, c in coeffs.items()} for e, coeffs in components.items()}
               for triple, components in own_scaled.items() if triple not in sums}
-    scaled.update(_decode(sums, dim, base, nparams, monomials))
+    scaled.update(_decode(sums, stride, base, nparams, monomials))
     return JacobiReport(algebra.params, scaled, common * common)
 
 
@@ -529,15 +542,18 @@ def jacobi_check(algebra: Algebra, part: Algebra | None = None) -> JacobiReport:
     nonzero products of structure constants, not to dim^3.  The kernel reads
     ``Algebra._view``: every coefficient is multiplied by the common
     denominator of the table, so each residual comes out scaled by its
-    square, and a term's key is its target plus dim times its monomial's code
-    in base 2d + 1, so adding two keys' codes multiplies the monomials.  Each
-    key of the sums is split by ``divmod(key, dim)`` once, when the report is
+    square, and a term's key is its target times the stride base ** nparams
+    plus its monomial's code in base 2d + 1, so adding two keys' codes
+    multiplies the monomials.  Each key of the sums is split by
+    ``divmod(key, stride)`` once, when the report is
     built, and that report is not sorted: ``lines()`` sorts, ``residuals``
     compares as a dict and ``catalog`` reads it into a set.  The report is
     read only: a split report shares components with its part.
 
-    ``part`` splits the table as μ = σ + ρ, σ the part (same dimension and
-    parameters) and ρ the rest, ``algebra`` minus ``part`` computed exactly.
+    ``part`` splits the table as μ = σ + ρ, σ the part (a table of at most the
+    algebra's dimension over its parameters, read as one with empty rows
+    above its own) and ρ the rest, ``algebra`` minus ``part`` computed
+    exactly.
     The Jacobiator is bilinear in the table, so J(σ + ρ) = K(σ,σ) + K(σ,ρ) +
     K(ρ,σ) + K(ρ,ρ), K(inner, outer) the one kernel ``_products`` (and
     ``_jacobi`` is K(μ,μ)).  K(σ,σ) is memoised on the part, with its terms by
@@ -547,7 +563,9 @@ def jacobi_check(algebra: Algebra, part: Algebra | None = None) -> JacobiReport:
     Nijenhuis and Richardson: K(σ,σ) = J(μ0), K(σ,ρ) + K(ρ,σ) the cross term
     δφ, linear in φ, and K(ρ,ρ) the self term.  The catalog splits the other
     way round: its part (a filiform chain and its a_{i,j} line) is shared by
-    many tables and its rest is each table's own constants.  The split
+    many tables and its rest is each table's own constants.  The keys do not
+    depend on the dimension, so a part's sums serve the tables of every
+    dimension that contain it.  The split
     shares the part's packing, so a rest of higher degree than the part is
     checked whole.  The split report has the same
     ``residuals``; it is scaled by the square of the common denominator of

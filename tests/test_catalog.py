@@ -244,6 +244,29 @@ def test_shared_constraints_and_alphas_equal_fresh_ones():
     assert len(specs) > 400
 
 
+def test_each_filiform_part_is_built_once_for_every_n(monkeypatch):
+    # the sound tuples of the parametric families with n <= 17, in every
+    # family, share 97 parts (e, k, short), each of dimension e + 1
+    specs = [spec for token in catalog.all_family_tokens() if token not in catalog.NONPARAMETRIC_TOKENS
+             for spec in catalog.sound_tuples(token, 17)]
+    build = catalog._filiform_part
+    parts = {}
+
+    def recorded(e, k, short):
+        part = build(e, k, short)
+        assert part.dim == e + 1 and parts.setdefault((e, k, short), part) is part
+        return part
+
+    monkeypatch.setattr(catalog, "_filiform_part", recorded)
+    catalog._constraints_of.cache_clear()
+    catalog._symbolic.cache_clear()
+    build.cache_clear()
+    for spec in specs:
+        catalog.extract_constraints(spec)
+    assert build.cache_info().misses == len(parts) == 97
+    assert len(specs) == 1784
+
+
 def test_constraint_check_on_rational_coefficients():
     # a1/2 - a2/3 and a1^2 - 3/4*a2 vanish together at (0, 0) and (9/8, 27/16)
     params = ("a1", "a2")

@@ -285,27 +285,30 @@ def test_jacobi_matches_naive_oracle_on_random_tables(drawn):
 
 @st.composite
 def split_tables(draw):
-    """A random parametric table, and a part of it: each slot goes to the part,
-    to the rest or to both (the part holding the value less 1/2), and some
-    slots the table lacks are put in the part, so the rest cancels them."""
+    """A random parametric table, and a part of it of at most its dimension:
+    each slot inside the part's dimension goes to the part, to the rest or to
+    both (the part holding the value less 1/2), the others to the rest, and
+    some slots the table lacks are put in the part, so the rest cancels them."""
     n, params, raw = draw(parametric_tables())
+    size = n - draw(st.integers(min_value=0, max_value=n))  # the part's dimension
     coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
     extra = draw(st.dictionaries(
-        st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)] or [(0, 1)]),
-        st.dictionaries(st.integers(min_value=0, max_value=max(n - 1, 0)), coefficient,
-                        min_size=1, max_size=2), max_size=3)) if n > 1 else {}
+        st.sampled_from([(i, j) for i in range(size) for j in range(i + 1, size)]),
+        st.dictionaries(st.integers(min_value=0, max_value=size - 1), coefficient,
+                        min_size=1, max_size=2), max_size=3)) if size > 1 else {}
     table, part = {}, {}
     for pair, targets in raw.items():
         for k, terms in targets.items():
             value = table.setdefault(pair, {})[k] = Poly.from_map(params, terms)
-            where = draw(st.sampled_from(("part", "rest", "both")))
+            inside = pair[1] < size and k < size
+            where = draw(st.sampled_from(("part", "rest", "both"))) if inside else "rest"
             if where != "rest":
                 part.setdefault(pair, {})[k] = value - Fraction(1, 2) if where == "both" else value
     for pair, targets in extra.items():
         for k, c in targets.items():
             if k not in table.get(pair, {}):
                 part.setdefault(pair, {})[k] = Poly.const(params, c)
-    return Algebra(n, table, params=params), Algebra(n, part, params=params)
+    return Algebra(n, table, params=params), Algebra(size, part, params=params)
 
 
 @given(split_tables())
