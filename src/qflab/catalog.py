@@ -378,10 +378,11 @@ def _split(s: FamilySpec, table: Table, short: bool) -> tuple[Algebra, Table]:
 
 
 # A part does not depend on n: its keys are target-major (see Algebra._view),
-# so its own Jacobi sums serve every table that contains it.  The sound
-# tuples with n <= 17 have 97 classes (e, k, short), met by 1,778 tuples of
-# every family, so the memo keeps them all; a part keeps its view, its terms
-# by target and its own sums, 2.6 MB for the 97, and 128 bound it.
+# so its own Jacobi sums serve every table that contains it.  The 1,778 split
+# tuples among the sound tuples with n <= 17 have 97 classes (e, k, short),
+# and the families meet them in any order, so the memo keeps them all: 128
+# parts at most, each with its view, its terms by target and its own sums
+# (the 97 hold 2.75 MB under tracemalloc, about 28 KB a part).
 @lru_cache(maxsize=128)
 def _filiform_part(e: int, k: int, short: bool) -> Algebra:
     """σ in dimension e + 1: the chain of end e and the a_{i,j} line of offset

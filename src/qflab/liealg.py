@@ -545,29 +545,27 @@ def jacobi_check(algebra: Algebra, part: Algebra | None = None) -> JacobiReport:
     square, and a term's key is its target times the stride base ** nparams
     plus its monomial's code in base 2d + 1, so adding two keys' codes
     multiplies the monomials.  Each key of the sums is split by
-    ``divmod(key, stride)`` once, when the report is
-    built, and that report is not sorted: ``lines()`` sorts, ``residuals``
-    compares as a dict and ``catalog`` reads it into a set.  The report is
-    read only: a split report shares components with its part.
+    ``divmod(key, stride)`` once, when the report is built, and that report is
+    not sorted: ``lines()`` sorts, ``residuals`` compares as a dict and
+    ``catalog`` reads it into a set.  The report is read only: a split report
+    shares components with its part.
 
     ``part`` splits the table as μ = σ + ρ, σ the part (a table of at most the
-    algebra's dimension over its parameters, read as one with empty rows
-    above its own) and ρ the rest, ``algebra`` minus ``part`` computed
-    exactly.
-    The Jacobiator is bilinear in the table, so J(σ + ρ) = K(σ,σ) + K(σ,ρ) +
+    algebra's dimension over its parameters, read as one with empty rows above
+    its own) and ρ the rest, ``algebra`` minus ``part`` computed exactly.  The
+    Jacobiator is bilinear in the table, so J(σ + ρ) = K(σ,σ) + K(σ,ρ) +
     K(ρ,σ) + K(ρ,ρ), K(inner, outer) the one kernel ``_products`` (and
     ``_jacobi`` is K(μ,μ)).  K(σ,σ) is memoised on the part, with its terms by
     target, so a check pays only for the products that touch ρ: K(σ,ρ) reads
-    the part's terms whose target has a row in ρ.  With σ a Lie algebra μ0
-    and ρ a deformation φ of it, this is the deformation equation of
-    Nijenhuis and Richardson: K(σ,σ) = J(μ0), K(σ,ρ) + K(ρ,σ) the cross term
-    δφ, linear in φ, and K(ρ,ρ) the self term.  The catalog splits the other
-    way round: its part (a filiform chain and its a_{i,j} line) is shared by
-    many tables and its rest is each table's own constants.  The keys do not
-    depend on the dimension, so a part's sums serve the tables of every
-    dimension that contain it.  The split
-    shares the part's packing, so a rest of higher degree than the part is
-    checked whole.  The split report has the same
+    the part's terms whose target has a row in ρ.  With σ a Lie algebra μ0 and
+    ρ a deformation φ of it, this is the deformation equation of Nijenhuis and
+    Richardson: K(σ,σ) = J(μ0), K(σ,ρ) + K(ρ,σ) the cross term δφ, linear in
+    φ, and K(ρ,ρ) the self term.  The catalog splits the other way round: its
+    part (a filiform chain and its a_{i,j} line) is shared by many tables and
+    its rest is each table's own constants.  The keys do not depend on the
+    dimension, so a part's sums serve the tables of every dimension that
+    contain it.  The split shares the part's packing, so a rest of higher
+    degree than the part is checked whole.  The split report has the same
     ``residuals``; it is scaled by the square of the common denominator of
     part and rest, which may differ from the table's.
 
