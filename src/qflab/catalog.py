@@ -47,9 +47,9 @@ A deformation (a family that adds the a_{i,j} line, and Gnrk) is built split:
 its filiform part is the chain [Y0, Y_i] = Y_{i+1} for i < e plus the line,
 one shared table of dimension e + 1 per (e, k, misprint) for every n, and
 its rest is every other bracket, all constants.  The table is the part's
-plus the rest, at the tuple's n, and ``extract_constraints`` checks it as
-``jacobi_check(table, part=part)``, so the part's own Jacobi sums are summed
-once for all the tuples that share it.
+plus the rest, at the tuple's n (``Algebra._plus``), and the table records
+that split, so ``jacobi_check(table)`` sums the part's own Jacobi sums once
+for all the tuples that share it.
 
 ``DISCREPANCIES`` records every disagreement with the source.  The misprinted
 tables and diagonals among them are generated corrected, and a tuple with
@@ -736,7 +736,7 @@ def validate_spec(spec: FamilySpec) -> None:
 
 def alpha_count(spec: FamilySpec) -> int:
     """The number of alpha values of the tuple: the parameters of its table."""
-    return len(_symbolic(_alpha_free(spec))[0].params)
+    return len(_symbolic(_alpha_free(spec)).params)
 
 
 def generate(spec: FamilySpec) -> Algebra:
@@ -749,7 +749,7 @@ def generate(spec: FamilySpec) -> Algebra:
     and the corrected one of QarrCb and QarrCc, whose misprint is a diagonal.
     """
     validate_spec(spec)
-    algebra = _symbolic(_alpha_free(spec))[0]
+    algebra = _symbolic(_alpha_free(spec))
     if spec.alphas is not None and algebra.params:
         algebra = algebra.specialize(dict(zip(algebra.params, spec.alphas)))
     return algebra
@@ -762,18 +762,18 @@ def _alpha_free(spec: FamilySpec) -> FamilySpec:
 # The calls on one tuple (its alpha count, table, constraints and weight
 # audit) come one after the other, so a small memo serves them all.
 @lru_cache(maxsize=8)
-def _symbolic(symbolic: FamilySpec) -> tuple[Algebra, Algebra | None]:
+def _symbolic(symbolic: FamilySpec) -> Algebra:
     """The table of an alpha-free spec, built once and shared (it is
-    immutable), and its filiform part where it has one (see ``_split``):
-    the table is then the part's shared table plus the rest."""
+    immutable); where it has a filiform part (see ``_split``) it is the
+    part's shared table plus the rest, and records that split."""
     validate_spec(symbolic)
     fam = FAMILIES[symbolic.family]
     if symbolic.misprint and not fam.misprinted_table:  # a misprinted diagonal
         symbolic = replace(symbolic, misprint=False)
     built, table = fam.build(symbolic)
     if isinstance(built, Algebra):
-        return built._plus(table, symbolic.n), built
-    return Algebra(symbolic.n, table, params=built), None
+        return built._plus(table, symbolic.n)
+    return Algebra(symbolic.n, table, params=built)
 
 
 def natural_gr_class(spec: FamilySpec) -> FamilySpec:
@@ -907,10 +907,10 @@ def _constraints_of(symbolic: FamilySpec) -> ConstraintSet:
     that equal values are one shared object."""
     from qflab.liealg import jacobi_check
 
-    algebra, part = _symbolic(symbolic)
+    algebra = _symbolic(symbolic)
     params = algebra.params
     seen = set()
-    for components in jacobi_check(algebra, part=part).scaled.values():
+    for components in jacobi_check(algebra).scaled.values():
         for coeffs in components.values():
             # primitive: coprime integer coefficients, the leading grlex one positive
             content = gcd(*coeffs.values())

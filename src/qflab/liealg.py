@@ -11,9 +11,9 @@ keyed target-major by one int, its target times a stride plus its
 monomial's code, which does not depend on the dimension (a concrete
 table's stride is 1 and its keys are its targets).  ``jacobi_check`` runs
 one kernel on it for any table; its report is not sorted (``lines()``
-sorts).  Given a ``part`` of the table, of at most the algebra's dimension,
-it adds to the part's own sums, memoised on the part, only the products that
-touch the rest (the table minus the part): the catalog checks each
+sorts).  A table made as a part plus a constant rest (``Algebra._plus``)
+records that split, and the check adds to the part's own sums, memoised on
+the part, only the products that touch the rest: the catalog builds each
 deformation as its filiform part, shared by every dimension, plus its rest
 this way.  ``scaled_ad`` is the same view for a concrete algebra and raises
 on a parametric one, and the numeric entry points read it or call
@@ -71,8 +71,13 @@ class Algebra:
 
     Immutable by convention: no method mutates an instance, all operations
     return fresh algebras.  Equality is structural equality of the canonical
-    constant table (plus dimension and parameter universe).
+    constant table (plus dimension and parameter universe).  A table made by
+    ``_plus`` records its split ``(part, rest)`` as ``_split``, which
+    ``jacobi_check`` reads; every other algebra has ``None``, and equality
+    and the hash ignore it.
     """
+
+    _split: tuple["Algebra", Mapping] | None = None
 
     def __init__(self, dim: int, table: Mapping | None = None, params: Sequence[str] = ()):
         if dim < 0:
@@ -226,7 +231,9 @@ class Algebra:
         table's Polys again: an entry ``rest`` does not touch is shared, each
         constant of ``rest`` becomes a shared ``Poly``, and a target the two
         share is summed.  In an entry both touch, the targets of ``rest`` come
-        first."""
+        first.  The table records the split ``(self, rest)`` as ``_split``, so
+        ``jacobi_check`` adds the products that touch ``rest`` to this table's
+        own sums; ``rest`` is held, not copied, and is read only."""
         params = self.params
         table = dict(self._table)
         for pair, targets in rest.items():
@@ -245,7 +252,9 @@ class Algebra:
                 table[pair] = entry
             else:
                 table.pop(pair, None)
-        return Algebra._checked(dim, params, table)
+        algebra = Algebra._checked(dim, params, table)
+        algebra._split = (self, rest)
+        return algebra
 
     @classmethod
     def _checked(cls, dim: int, params: tuple[str, ...], table: BracketTable) -> "Algebra":
@@ -469,54 +478,29 @@ def _jacobi(algebra: Algebra) -> JacobiReport:
     return JacobiReport(algebra.params, scaled, scale * scale)
 
 
-def _difference(table: Mapping, part: Mapping) -> dict:
-    """``table`` minus ``part``, target by target and exactly, without zeros;
-    an entry or a constant that is the part's own object is skipped unread."""
-    rest, shared = {}, 0
-    for pair, entry in table.items():
-        own = part.get(pair)
-        if own is not None:
-            shared += 1
-            if own is entry:
-                continue
-        diff = dict(entry)
-        for k, o in (own or {}).items():
-            c = diff.pop(k, None)
-            if c is None:
-                diff[k] = -o
-            elif c is not o and (d := c - o).terms:
-                diff[k] = d
-        if diff:
-            rest[pair] = diff
-    if shared < len(part):  # the part's entries that the table lacks
-        for pair, own in part.items():
-            if pair not in table:
-                rest[pair] = {k: -o for k, o in own.items()}
-    return rest
-
-
-def _split_jacobi(algebra: Algebra, part: Algebra) -> JacobiReport:
-    """``_jacobi(algebra)`` as the part's own sums, memoised on it, plus the
-    products that touch the rest; see ``jacobi_check``."""
-    if part.dim > algebra.dim or part.params != algebra.params:
-        raise ValueError("the part must have at most the algebra's dimension and its parameters")
-    dim, nparams = algebra.dim, len(algebra.params)
-    rest = _difference(algebra._table, part._table)
-    polys = _polys(rest)
+def _split_jacobi(algebra: Algebra) -> JacobiReport:
+    """``_jacobi(algebra)`` for a table made by ``Algebra._plus``: its part's
+    own sums, memoised on the part, plus the products that touch the rest,
+    packed at the part's stride; see ``jacobi_check``."""
+    part, rest = algebra._split
+    nparams = len(algebra.params)
     scale, base, view = part._view
-    if nparams and 2 * _degree(polys) >= base:  # the rest's products would carry
-        return _jacobi(algebra)
     stride = base ** nparams
-    common = lcm(scale, *(c.denominator for poly in polys.values() for _, c in poly.terms))
+    common = lcm(scale, *(c.denominator for targets in rest.values() for c in targets.values()))
     mult, square = common // scale, (common // scale) ** 2
-    rest_view = _pack(rest, polys, dim, nparams, common, base)
+    # the rest is constant: its keys are its targets at the part's stride
+    rest_view: list[dict[int, dict[int, int]]] = [{} for _ in range(algebra.dim)]
+    for (a, b), targets in rest.items():
+        terms = rest_view[a][b] = {k * stride: c.numerator * (common // c.denominator)
+                                   for k, c in targets.items()}
+        rest_view[b][a] = {key: -c for key, c in terms.items()}
+    rest_terms = [(a, b, rest_view[a][b]) for a, b in rest]
     by_target, own, own_scaled, monomials = part._as_part
     sums: dict = {}
     _products(sums, (t for m, row in enumerate(rest_view) if row for t in by_target.get(m, ())),
               rest_view, stride, mult)
-    rest_terms = [(a, b, rest_view[a][b]) for a, b in rest]
     # the rows the part lacks are empty
-    _products(sums, rest_terms, view + [_NOTHING] * (dim - part.dim), stride, mult)
+    _products(sums, rest_terms, view + [_NOTHING] * (algebra.dim - part.dim), stride, mult)
     _products(sums, rest_terms, rest_view, stride)
     for triple, component in sums.items():
         for key, c in own.get(triple, {}).items():
@@ -533,7 +517,7 @@ def _split_jacobi(algebra: Algebra, part: Algebra) -> JacobiReport:
 _DENSE_TARGETS = 3
 
 
-def jacobi_check(algebra: Algebra, part: Algebra | None = None) -> JacobiReport:
+def jacobi_check(algebra: Algebra) -> JacobiReport:
     """Residuals [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] for all i<j<k.
 
     An empty report means the Jacobi identity holds identically in the
@@ -550,24 +534,22 @@ def jacobi_check(algebra: Algebra, part: Algebra | None = None) -> JacobiReport:
     ``catalog`` reads it into a set.  The report is read only: a split report
     shares components with its part.
 
-    ``part`` splits the table as μ = σ + ρ, σ the part (a table of at most the
-    algebra's dimension over its parameters, read as one with empty rows above
-    its own) and ρ the rest, ``algebra`` minus ``part`` computed exactly.  The
-    Jacobiator is bilinear in the table, so J(σ + ρ) = K(σ,σ) + K(σ,ρ) +
-    K(ρ,σ) + K(ρ,ρ), K(inner, outer) the one kernel ``_products`` (and
-    ``_jacobi`` is K(μ,μ)).  K(σ,σ) is memoised on the part, with its terms by
-    target, so a check pays only for the products that touch ρ: K(σ,ρ) reads
-    the part's terms whose target has a row in ρ.  With σ a Lie algebra μ0 and
-    ρ a deformation φ of it, this is the deformation equation of Nijenhuis and
-    Richardson: K(σ,σ) = J(μ0), K(σ,ρ) + K(ρ,σ) the cross term δφ, linear in
-    φ, and K(ρ,ρ) the self term.  The catalog splits the other way round: its
-    part (a filiform chain and its a_{i,j} line) is shared by many tables and
-    its rest is each table's own constants.  The keys do not depend on the
-    dimension, so a part's sums serve the tables of every dimension that
-    contain it.  The split shares the part's packing, so a rest of higher
-    degree than the part is checked whole.  The split report has the same
-    ``residuals``; it is scaled by the square of the common denominator of
-    part and rest, which may differ from the table's.
+    A table made by ``Algebra._plus`` is split as μ = σ + ρ, σ the part (a
+    table of at most the algebra's dimension over its parameters, read as one
+    with empty rows above its own) and ρ the rest of constants, both as
+    recorded in ``algebra._split``.  The Jacobiator is bilinear in the table,
+    so J(σ + ρ) = K(σ,σ) + K(σ,ρ) + K(ρ,σ) + K(ρ,ρ), K(inner, outer) the one
+    kernel ``_products`` (and ``_jacobi`` is K(μ,μ)).  K(σ,σ) is memoised on
+    the part, with its terms by target, so a check pays only for the products
+    that touch ρ: K(σ,ρ) reads the part's terms whose target has a row in ρ.
+    ρ is constant, so its terms are packed at the part's stride with the code
+    0 and adding them never carries.  The catalog's part (a filiform chain and
+    its a_{i,j} line) is shared by many tables and its rest is each table's
+    own constants.  The keys do not depend on the dimension, so a part's sums
+    serve the tables of every dimension that contain it.  The split report
+    has the same ``residuals``; it is scaled by the square of the common
+    denominator of part and rest, which may differ from the table's, so two
+    equal algebras may give reports with different ``square`` and ``scaled``.
 
     A concrete table is dense when its stored brackets hold more than
     ``_DENSE_TARGETS`` targets on average; the catalog's tables and their
@@ -585,8 +567,8 @@ def jacobi_check(algebra: Algebra, part: Algebra | None = None) -> JacobiReport:
     given basis; it pays for its series on top.  A split check is never
     moved to the adapted basis.
     """
-    if part is not None:
-        return _split_jacobi(algebra, part)
+    if algebra._split is not None:
+        return _split_jacobi(algebra)
     if not algebra.params:
         table = algebra._table
         if sum(map(len, table.values())) > _DENSE_TARGETS * len(table):

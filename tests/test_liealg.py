@@ -6,7 +6,7 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qflab import catalog, derivations, gradation, isomorphy
+from qflab import catalog, derivations, gradation, isomorphy, liealg
 from qflab.exact import Poly, QflabError, SingularMatrixError, mat_mul
 from qflab.liealg import (
     Algebra,
@@ -285,40 +285,42 @@ def test_jacobi_matches_naive_oracle_on_random_tables(drawn):
 
 @st.composite
 def split_tables(draw):
-    """A random parametric table, and a part of it of at most its dimension:
-    each slot inside the part's dimension goes to the part, to the rest or to
-    both (the part holding the value less 1/2), the others to the rest, and
-    some slots the table lacks are put in the part, so the rest cancels them."""
+    """A random parametric part of at most the table's dimension plus a
+    constant rest, as ``Algebra._plus`` makes it: each slot inside the part's
+    dimension goes to the part, to the rest, to both, or to both with the part
+    holding a constant c that the rest's -c cancels; the others go to the
+    rest."""
     n, params, raw = draw(parametric_tables())
     size = n - draw(st.integers(min_value=0, max_value=n))  # the part's dimension
-    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
-    extra = draw(st.dictionaries(
-        st.sampled_from([(i, j) for i in range(size) for j in range(i + 1, size)]),
-        st.dictionaries(st.integers(min_value=0, max_value=size - 1), coefficient,
-                        min_size=1, max_size=2), max_size=3)) if size > 1 else {}
-    table, part = {}, {}
+    constant = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    part, rest = {}, {}
     for pair, targets in raw.items():
         for k, terms in targets.items():
-            value = table.setdefault(pair, {})[k] = Poly.from_map(params, terms)
             inside = pair[1] < size and k < size
-            where = draw(st.sampled_from(("part", "rest", "both"))) if inside else "rest"
-            if where != "rest":
-                part.setdefault(pair, {})[k] = value - Fraction(1, 2) if where == "both" else value
-    for pair, targets in extra.items():
-        for k, c in targets.items():
-            if k not in table.get(pair, {}):
+            where = draw(st.sampled_from(("part", "rest", "both", "cancel"))) if inside else "rest"
+            if where == "cancel":
+                c = draw(constant)
                 part.setdefault(pair, {})[k] = Poly.const(params, c)
-    return Algebra(n, table, params=params), Algebra(size, part, params=params)
+                rest.setdefault(pair, {})[k] = -c
+                continue
+            if where != "rest":
+                part.setdefault(pair, {})[k] = Poly.from_map(params, terms)
+            if where != "part":
+                rest.setdefault(pair, {})[k] = draw(constant)
+    return Algebra(size, part, params=params)._plus(rest, n)
 
 
 @given(split_tables())
 @settings(max_examples=150, deadline=None)
-def test_split_jacobi_equals_the_whole_check(drawn):
-    algebra, part = drawn
-    whole = jacobi_check(algebra)
-    assert jacobi_check(algebra, part=part).residuals == whole.residuals
+def test_split_jacobi_equals_the_whole_check(table):
+    from oracles import naive_jacobi
+
+    assert table._split is not None
+    whole = liealg._jacobi(table).residuals
+    assert jacobi_check(table).residuals == whole
+    assert _raw_residuals(table) == naive_jacobi(_raw_table(table), table.dim)
     # the part's own sums are memoised, and a second check reads them again
-    assert jacobi_check(algebra, part=part).residuals == whole.residuals
+    assert jacobi_check(table).residuals == whole
 
 
 def test_split_jacobi_on_the_catalog_deformations():
@@ -328,19 +330,29 @@ def test_split_jacobi_on_the_catalog_deformations():
         fam = catalog.family_def(token)
         for spec in fam.tuples(11):
             for misprint in (False, True) if fam.misprinted_table else (False,):
-                algebra, part = catalog._symbolic(replace(spec, misprint=misprint))
-                if part is not None:
-                    report = jacobi_check(algebra, part=part)
-                    assert report.residuals == jacobi_check(algebra).residuals, (spec, misprint)
+                algebra = catalog._symbolic(replace(spec, misprint=misprint))
+                if algebra._split is not None:
+                    report = jacobi_check(algebra)
+                    assert report.residuals == liealg._jacobi(algebra).residuals, (spec, misprint)
                     checked += 1
     assert checked == 458
 
 
-def test_split_jacobi_rejects_a_part_of_another_shape():
-    algebra = Algebra(4, {(0, 1): {2: 1}}, params=("a1",))
-    for part in (Algebra(5, {}, params=("a1",)), Algebra(4, {}, params=("a2",))):
-        with pytest.raises(ValueError):
-            jacobi_check(algebra, part=part)
+def test_the_split_does_not_outlive_plus():
+    # a specialized table and a document read back are checked whole, and the
+    # read-back table reports as the split one does
+    from qflab.cli import algebra_to_doc, doc_to_algebra
+
+    specs = (catalog.spec_for("AarrC", 9, k=2, l=2), catalog.spec_for("Cnrk", 10, r=7, k=2),
+             catalog.spec_for("Enrk", 11, r=3, k=2))
+    for spec in specs:
+        table = catalog.generate(spec)
+        assert table._split is not None, spec
+        point = {name: Fraction(i + 1) for i, name in enumerate(table.params)}
+        assert table.specialize(point)._split is None
+        loaded = doc_to_algebra(algebra_to_doc(table))
+        assert loaded._split is None and loaded == table, spec
+        assert jacobi_check(loaded).lines() == jacobi_check(table).lines(), spec
 
 
 def _check_against_oracle(algebra):
