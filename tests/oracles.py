@@ -4,12 +4,20 @@ These are deliberately written with no code shared with the package: plain
 dense Gaussian elimination, a dense fraction-free rank, naive span growing,
 a dense derivation-space eliminator, a Leibniz check and a block sum of raw
 tables.  They exist to cross-check the production routines.
+
+``staged_cn_to_qn`` is the one exception: it keeps the earlier Cn -> Qn
+elimination, which rewrites the whole algebra with the package's
+``change_of_basis`` after every stage, as the reference for the composed
+transform of ``isomorphy.cn_to_qn_transform``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from qflab import catalog
+from qflab.liealg import change_of_basis
 
 
 def dense_solve(matrix, rhs):
@@ -283,3 +291,31 @@ def naive_jacobi(table, n):
                 if clean:
                     residuals[(i, j, k)] = clean
     return residuals
+
+
+def staged_cn_to_qn(n, alphas):
+    """``(stages, composed, image)`` of the Cn(alphas) -> Qn elimination, each
+    stage applied to the algebra the previous one left: stage j reads the
+    coefficient c_j of Y_{n-1} in [Y_1, Y_{n-2j-2}] and substitutes
+    Y_i -> Y_i + (c_j/2) Y_{i+2j} for i = 1..n-2-2j; a sign flip on the last
+    basis vector ends the chain.  Matrices are tuples of rows."""
+    current = catalog.generate(catalog.spec_for("Cn", n, alphas=tuple(Fraction(a) for a in alphas)))
+    unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    stages, composed = [], unit
+    for j in range(1, n // 2):
+        P = [list(row) for row in unit]
+        if j < n // 2 - 1:
+            coeff = current.bracket_of(1, n - 2 * j - 2).get(n - 1)
+            value = coeff.constant_value() if coeff is not None else Fraction(0)
+            for i in range(1, n - 1 - 2 * j):
+                P[i][i + 2 * j] = value / 2
+        else:
+            P[n - 1][n - 1] = Fraction(-1)
+        current = change_of_basis(current, P)
+        product = []
+        for row in P:
+            terms = [(c, composed[k]) for k, c in enumerate(row) if c]
+            product.append([sum((c * other[b] for c, other in terms), Fraction(0)) for b in range(n)])
+        composed = product
+        stages.append(tuple(tuple(row) for row in P))
+    return tuple(stages), tuple(tuple(row) for row in composed), current

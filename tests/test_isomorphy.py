@@ -25,6 +25,7 @@ from oracles import (
     naive_centralizer_dim,
     naive_derived_dims,
     naive_lcs,
+    staged_cn_to_qn,
 )
 from test_derivations import anticommutative_tables
 from test_liealg import random_unimodular
@@ -57,6 +58,19 @@ def test_cn_transform_stage_count_and_composition():
     assert len(t.stages) == 4  # three eliminations plus the sign flip
     # the composed matrix reproduces the chained change of basis
     assert change_of_basis(t.source, t.composed) == t.image
+
+
+def test_cn_transform_equals_the_staged_rewrite():
+    # one change of basis by the composed matrix against a rewrite after every
+    # stage, on random rational alphas with zeros among them
+    rng = random.Random(38)
+    for n in range(6, 21, 2):
+        for _ in range(2):
+            alphas = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7
+                      else Fraction(0) for _ in range(n // 2 - 2)]
+            t = cn_to_qn_transform(n, alphas)
+            assert (t.stages, t.composed, t.image) == staged_cn_to_qn(n, alphas), (n, alphas)
+            assert t.matches_qn(), (n, alphas)
 
 
 def test_cn_transform_rejects_bad_input():
