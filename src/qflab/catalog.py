@@ -155,9 +155,10 @@ class AijTable:
         return self.values.get((i, j), Poly.zero(self.params))
 
 
-# The table depends on its argument only, and _line asks for the same few
-# bounds once per parametric tuple, so one table is built per bound and
-# shared; its values are a read-only view.
+# The table depends on its argument only, and its one caller,
+# _filiform_part, asks for the same few bounds (14 bounds for the 97 parts of
+# the sound tuples with n <= 17), so one table is built per bound and shared;
+# its values are a read-only view.
 @lru_cache(maxsize=64)
 def aij_table(range_bound: int) -> AijTable:
     """Build the a_{i,j} table for pairs with i + j <= range_bound.
@@ -903,8 +904,9 @@ def _constraints_of(symbolic: FamilySpec) -> ConstraintSet:
     """The constraint set of an alpha-free spec.  The Jacobi report is
     computed per tuple, split at the filiform part where the table has one;
     each generator is then looked up by its parameters and primitive integer
-    form, and the ordered set by its parameters and its generators' ids, so
-    that equal values are one shared object."""
+    form, and the set, ordered by (total degree, term count, text), by its
+    parameters and its generators' ids, so that equal values are one shared
+    object."""
     from qflab.liealg import jacobi_check
 
     algebra = _symbolic(symbolic)
@@ -920,22 +922,8 @@ def _constraints_of(symbolic: FamilySpec) -> ConstraintSet:
     generators = [_interned(_GENERATORS, (params, form), lambda: _canonical(
         params, ((m, _fraction(c)) for m, c in form))) for form in seen]
     return _interned(_SETS, (params, tuple(sorted(map(id, generators)))),
-                     lambda: ConstraintSet(params, _ordered(generators)))
-
-
-def _ordered(generators: list[Poly]) -> tuple[Poly, ...]:
-    """The generators ordered by (total degree, term count, text); only a tie
-    on the first two is printed to break it."""
-    generators = sorted(generators, key=_degree_and_length)
-    ordered = []
-    for _, group in itertools.groupby(generators, key=_degree_and_length):
-        group = list(group)
-        ordered += sorted(group, key=str) if len(group) > 1 else group
-    return tuple(ordered)
-
-
-def _degree_and_length(g: Poly) -> tuple[int, int]:
-    return g.total_degree(), len(g.terms)
+                     lambda: ConstraintSet(params, tuple(sorted(
+                         generators, key=lambda g: (g.total_degree(), len(g.terms), str(g))))))
 
 
 _SAMPLE_POOL = (

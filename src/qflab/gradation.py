@@ -24,7 +24,7 @@ Each term stays the ``RowSpace`` that built it, and its readers take its
 integer rows: the next term, the flag of the adapted basis and the derived
 series and centralizers of the fingerprint.  ``Fraction`` rows are built
 only where values are needed: the adapted basis handed to
-``change_of_basis`` and ``Filtration.ideals``.  An adapted basis made of
+``change_of_basis``.  An adapted basis made of
 unit rows only permutes the given one; its table is the stored one
 relabelled, so neither an inverse nor a ``Fraction`` is computed for it.
 The zero algebra's series is g_1 = 0 alone, with nilindex 0.
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from qflab.exact import QflabError, RowSpace, _pivot_one
@@ -53,11 +52,6 @@ class Filtration:
     ``RowSpace`` that built it; read only."""
 
     spaces: tuple[RowSpace, ...]
-
-    @property
-    def ideals(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-        """The echelonized basis of each term, read off ``RowSpace.basis()``."""
-        return tuple(tuple(space.basis()) for space in self.spaces)
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -1,5 +1,11 @@
 """Explicit change-of-variable procedures and an invariant fingerprint.
 
+``cn_to_qn_transform`` builds one certificate matrix and rewrites once: the
+stage matrices that clear the parameters of Cn are multiplied into one
+change of basis, each stage's coefficient read with ``rational_bracket`` on
+the Cn table and the rows of the product so far, and the table is rewritten
+by that product alone, whose image ``matches_qn`` compares with Qn.
+
 The fingerprint holds five invariants of the algebra, none of which depends on
 the basis: the dimensions of the lower central and derived series, of the
 center, of the derivation algebra and of the centralizer of g_3.  Isomorphic
@@ -28,7 +34,7 @@ from typing import Sequence
 from qflab import catalog
 from qflab.exact import identity_matrix, mat_mul, matrix_rank, rat
 from qflab.gradation import bracket_span, gr, lower_central_series
-from qflab.liealg import Algebra, _int_bracket, change_of_basis
+from qflab.liealg import Algebra, _int_bracket, change_of_basis, rational_bracket
 from qflab.derivations import derivation_dim, rank_in_basis
 
 
@@ -58,6 +64,13 @@ def cn_to_qn_transform(n: int, alphas: Sequence) -> CnTransform:
     a descending pass does not.  A final sign flip on the last basis vector
     lands exactly on Qn's table (the Cn convention carries the opposite sign
     on its symplectic-style pairs).
+
+    The stages compose into one matrix, and the algebra is rewritten once, by
+    that product.  c_j is the coefficient of Y_{n-1} in [Y_1, Y_{n-2j-2}] in
+    the basis of the stages before j, read on the source table: no stage row
+    touches the column of X_{n-1}, so X_{n-1} = Y_{n-1} until the flip, and
+    c_j is the X_{n-1} entry of ``rational_bracket`` of rows 1 and n-2j-2 of
+    the product so far.
     """
     if n < 6 or n % 2 != 0:
         raise catalog.InvalidParametersError("n must be even and at least 6")
@@ -67,26 +80,20 @@ def cn_to_qn_transform(n: int, alphas: Sequence) -> CnTransform:
         raise catalog.InvalidParametersError(f"expected {m - 2} alpha values, got {len(alphas)}")
     spec = catalog.spec_for("Cn", n, alphas=alphas)
     source = catalog.generate(spec)
-    current = source
     stages = []
     composed = identity_matrix(n)
     for j in range(1, m - 1):
-        # read the current coefficient of a_j from the bracket
-        # [Y_1, Y_{n-2j-2}] = (-1)^{1+1} a_j Y_{n-1}
-        coeff = current.bracket_of(1, n - 2 * j - 2).get(n - 1)
-        value = coeff.constant_value() if coeff is not None else Fraction(0)
+        value = rational_bracket(source, composed[1], composed[n - 2 * j - 2])[n - 1]
         P = identity_matrix(n)
         for i in range(1, n - 1 - 2 * j):
             P[i][i + 2 * j] = value / 2
-        current = change_of_basis(current, P)
         stages.append(tuple(tuple(row) for row in P))
         composed = mat_mul(P, composed)
     flip = identity_matrix(n)
     flip[n - 1][n - 1] = Fraction(-1)
-    current = change_of_basis(current, flip)
     stages.append(tuple(tuple(row) for row in flip))
     composed = mat_mul(flip, composed)
-    return CnTransform(source, current, tuple(stages),
+    return CnTransform(source, change_of_basis(source, composed), tuple(stages),
                        tuple(tuple(row) for row in composed))
 
 

@@ -34,8 +34,9 @@ rows times the view's scale.  Such a row may be any nonzero multiple of the
 rational vector it stands for.  That is safe wherever a span, a rank or the
 kernel of a homogeneous system is read, since no factor per vector changes
 them.  Values are read exactly elsewhere: ``rational_bracket`` is the
-``Fraction`` view over the same kernel, and ``change_of_basis`` divides the
-factors out once per structure constant.  Both take their ``Fraction``
+``Fraction`` view over the same kernel, which reads the stage coefficients of
+``isomorphy.cn_to_qn_transform``, and ``change_of_basis`` divides the factors
+out once per structure constant.  Both take their ``Fraction``
 vectors to integer rows with ``exact._integer_vector``, the package's one
 such conversion.
 """
@@ -197,10 +198,32 @@ class Algebra:
         ``__init__`` and the memoised ``aij_table`` values are shared) is
         packed once.
         """
-        polys = _polys(self._table)
+        table = self._table
+        polys = {id(poly): poly for targets in table.values() for poly in targets.values()}
         scale = lcm(*(c.denominator for poly in polys.values() for _, c in poly.terms))
-        base = 2 * _degree(polys) + 1
-        return scale, base, _pack(self._table, polys, self.dim, len(self.params), scale, base)
+        # the leading grlex term of a stored (nonzero) constant has its total degree
+        base = 2 * max((sum(poly.terms[0][0]) for poly in polys.values()), default=0) + 1
+        nparams = len(self.params)
+        places = [base ** p for p in reversed(range(nparams))]
+        stride = base ** nparams
+        shifts: dict[tuple, int] = {}  # the code of each distinct monomial
+        packed: dict[int, list[tuple[int, int]]] = {}
+        for key, poly in polys.items():
+            terms = packed[key] = []
+            for mono, c in poly.terms:
+                shift = shifts.get(mono)
+                if shift is None:
+                    shift = shifts[mono] = sum(map(mul, mono, places))
+                terms.append((shift, c.numerator * (scale // c.denominator)))
+        view: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for (i, j), targets in table.items():
+            forward = view[i][j] = {}
+            for k, poly in targets.items():
+                key = k * stride
+                for shift, c in packed[id(poly)]:
+                    forward[key + shift] = c
+            view[j][i] = {key: -c for key, c in forward.items()}
+        return scale, base, view
 
     @cached_property
     def _as_part(self) -> tuple[dict[int, list], dict, dict, dict]:
@@ -275,43 +298,6 @@ class Algebra:
 
 def abelian(dim: int, params: Sequence[str] = ()) -> Algebra:
     return Algebra(dim, {}, params=params)
-
-
-def _polys(table: Mapping) -> dict[int, Poly]:
-    """Each distinct ``Poly`` object of a table, keyed by its id."""
-    return {id(poly): poly for targets in table.values() for poly in targets.values()}
-
-
-def _degree(polys: Mapping[int, Poly]) -> int:
-    # the leading grlex term of a stored (nonzero) constant has its total degree
-    return max((sum(poly.terms[0][0]) for poly in polys.values()), default=0)
-
-
-def _pack(table: Mapping, polys: Mapping[int, Poly], dim: int, nparams: int, scale: int,
-          base: int) -> list[dict[int, dict[int, int]]]:
-    """The view of ``Algebra._view`` of ``table`` in dimension ``dim`` at a
-    given ``scale`` (a multiple of every denominator) and ``base`` (above twice
-    every degree); ``polys`` are the table's (``_polys``)."""
-    places = [base ** p for p in reversed(range(nparams))]
-    stride = base ** nparams
-    shifts: dict[tuple, int] = {}  # the code of each distinct monomial
-    packed: dict[int, list[tuple[int, int]]] = {}
-    for key, poly in polys.items():
-        terms = packed[key] = []
-        for mono, c in poly.terms:
-            shift = shifts.get(mono)
-            if shift is None:
-                shift = shifts[mono] = sum(map(mul, mono, places))
-            terms.append((shift, c.numerator * (scale // c.denominator)))
-    view: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
-    for (i, j), targets in table.items():
-        forward = view[i][j] = {}
-        for k, poly in targets.items():
-            key = k * stride
-            for shift, c in packed[id(poly)]:
-                forward[key + shift] = c
-        view[j][i] = {key: -c for key, c in forward.items()}
-    return view
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ transform of ``isomorphy.cn_to_qn_transform``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from qflab import catalog
 from qflab.liealg import change_of_basis
@@ -68,18 +68,19 @@ def dense_solve(matrix, rhs):
 
 
 def dense_rank(matrix):
-    """Rank by dense fraction-free (Bareiss) forward elimination.
+    """Rank by dense forward elimination over the integers.
 
-    Each row is scaled to integers first.  After a pivot step every entry
-    below is a minor of the matrix, so the division by the previous pivot
-    is exact and no fraction ever appears.
+    Each row is scaled to integers first.  At each pivot only the rows below
+    with a nonzero entry in the pivot column change: such a row becomes
+    (p/g) row - (f/g) pivot_row, p the pivot, f its entry and g = gcd(p, f),
+    divided by the gcd of its entries.  On the sparse Leibniz systems of
+    ``dense_derivation_dim`` that skips most rows.
     """
     rows = []
     for row in matrix:
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([int(x * scale) for x in row])
-    rank, previous = 0, 1
+        scale = lcm(*(x.denominator for x in row))  # ints and Fractions alike
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    rank = 0
     for c in range(len(rows[0]) if rows else 0):
         pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pr is None:
@@ -87,10 +88,16 @@ def dense_rank(matrix):
         rows[rank], rows[pr] = rows[pr], rows[rank]
         pivot_row = rows[rank]
         pivot = pivot_row[c]
+        support = [(k, y) for k, y in enumerate(pivot_row) if y]
         for i in range(rank + 1, len(rows)):
             f = rows[i][c]
-            rows[i] = [(pivot * x - f * y) // previous for x, y in zip(rows[i], pivot_row)]
-        previous = pivot
+            if f:
+                g = gcd(pivot, f)
+                row = [pivot // g * x for x in rows[i]]
+                for k, y in support:
+                    row[k] -= f // g * y
+                content = gcd(*row)
+                rows[i] = [x // content for x in row] if content > 1 else row
         rank += 1
     return rank
 

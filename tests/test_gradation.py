@@ -83,7 +83,7 @@ def test_series_matches_naive_oracle_on_random_tables(algebra, seed):
                 lower_central_series(a)
             assert caught.value.stabilized_dim == len(terms[-1])
             continue
-        ideals = lower_central_series(a).ideals
+        ideals = [space.basis() for space in lower_central_series(a).spaces]
         assert len(ideals) == len(terms)
         for ideal, term in zip(ideals, terms):
             span = NaiveSpan(a.dim)
@@ -140,14 +140,14 @@ def test_type_l75():
 
 def test_filtration_layers_are_ideals():
     a = gen("Qnr", 9, r=5)
-    filtration = lower_central_series(a)
+    ideals = [space.basis() for space in lower_central_series(a).spaces]
     n = a.dim
     from qflab.liealg import rational_bracket
 
     unit = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for level in range(len(filtration.ideals) - 1):
-        nxt = NaiveSpan(n, filtration.ideals[level + 1])
-        for v in filtration.ideals[level]:
+    for level in range(len(ideals) - 1):
+        nxt = NaiveSpan(n, ideals[level + 1])
+        for v in ideals[level]:
             for e in unit:
                 w = rational_bracket(a, list(v), e)
                 assert nxt.contains(w)
@@ -224,7 +224,8 @@ def test_series_adapted_basis_spans_the_series():
     assert list(levels) == sorted(levels)
     assert lower_central_series(adapted).dims == lower_central_series(moved).dims
     # g_k of the adapted table is spanned by the basis vectors of level >= k
-    for k, ideal in enumerate(lower_central_series(adapted).ideals[:-1], start=1):
+    for k, space in enumerate(lower_central_series(adapted).spaces[:-1], start=1):
+        ideal = space.basis()
         span = NaiveSpan(9, [[int(i == t) for i in range(9)] for t in range(9) if levels[t] >= k])
         assert span.dim == len(ideal) and all(span.contains(v) for v in ideal)
 
@@ -241,7 +242,7 @@ def test_permuted_basis_is_relabelled_like_change_of_basis():
         rng.shuffle(order)
         moved = change_of_basis(catalog.generate(spec),
                                 [[Fraction(int(j == order[i])) for j in range(n)] for i in range(n)])
-        ideals = lower_central_series(moved).ideals
+        ideals = [space.basis() for space in lower_central_series(moved).spaces]
         flag, chosen = RowSpace(n), []
         for level in range(len(ideals) - 1, 0, -1):  # deepest term first
             chosen += [(level, vec) for vec in ideals[level - 1]
@@ -303,7 +304,8 @@ SERIES_SHA256 = "156b9abd00c1d8a688dfdd6f216d05939340495c8f8721673a6b5babd296c5d
 
 
 def _series_record(algebra):
-    ideals = [[[str(x) for x in row] for row in basis] for basis in lower_central_series(algebra).ideals]
+    ideals = [[[str(x) for x in row] for row in space.basis()]
+              for space in lower_central_series(algebra).spaces]
     adapted, levels = series_adapted(algebra)
     graded = gr(algebra)
     doc = algebra_to_doc(graded.algebra)
