@@ -382,8 +382,9 @@ def _split(s: FamilySpec, table: Table, short: bool) -> tuple[Algebra, Table]:
 # so its own Jacobi sums serve every table that contains it.  The 1,778 split
 # tuples among the sound tuples with n <= 17 have 97 classes (e, k, short),
 # and the families meet them in any order, so the memo keeps them all: 128
-# parts at most, each with its view, its terms by target and its own sums
-# (the 97 hold 2.75 MB under tracemalloc, about 28 KB a part).
+# parts at most, each with its view, its terms by target and its own raw sums
+# (the 97 built from cold hold 2.82 MB under tracemalloc, the a_{i,j} tables
+# they read included, about 29 KB a part).
 @lru_cache(maxsize=128)
 def _filiform_part(e: int, k: int, short: bool) -> Algebra:
     """σ in dimension e + 1: the chain of end e and the a_{i,j} line of offset
@@ -394,7 +395,7 @@ def _filiform_part(e: int, k: int, short: bool) -> Algebra:
     table = {(0, i): {i + 1: one} for i in range(1, e)}
     for (i, j), coeff in aij.values.items():
         table[i, j] = {i + j + k - 1 - (short and j == i + 1): coeff}
-    return Algebra._checked(e + 1, aij.params, table)
+    return Algebra(e + 1, table, aij.params)
 
 
 def _fixed_table(brackets: Mapping) -> Callable:
@@ -586,7 +587,8 @@ def _validate_hnrk(s: FamilySpec) -> None:
 
 def _stray_symbol(s: FamilySpec, weights: list) -> list:
     params = W2 + ("kp",)
-    weights = [w.lift(params) for w in weights]
+    # kp comes last, so each monomial gains a trailing 0 and keeps its grlex place
+    weights = [Poly(params, tuple((m + (0,), c) for m, c in w.terms)) for w in weights]
     weights[2] = Poly.variable(params, "kp") * Poly.variable(params, "l0") + Poly.variable(params, "l0")
     return weights
 

@@ -225,21 +225,6 @@ class Poly:
         nums = [None if v is None else v.numerator * (d // v.denominator) for v in values]
         return Fraction(*_integer_value(self, nums, d))
 
-    def lift(self, params: Sequence[str]) -> "Poly":
-        """Re-embed into a larger parameter universe (by name)."""
-        params = tuple(params)
-        index = {name: i for i, name in enumerate(params)}
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms:
-            new = [0] * len(params)
-            for name, exp in zip(self.params, mono):
-                if exp:
-                    if name not in index:
-                        raise ValueError(f"parameter {name} missing from target universe")
-                    new[index[name]] = exp
-            acc[tuple(new)] = acc.get(tuple(new), Fraction(0)) + coeff
-        return Poly.from_map(params, acc)
-
     # -- canonical text form -------------------------------------------------
 
     def __str__(self) -> str:

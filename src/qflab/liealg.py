@@ -3,8 +3,8 @@
 An algebra stores only the brackets [X_i, X_j] with i < j; the rest follows
 by antisymmetry.  Coefficients are Poly values over the algebra's declared
 parameter universe, so a single representation covers both concrete algebras
-and parametric families.  The constructor shares one constant ``Poly`` among
-the entries of its table that give the same plain value (a ``Poly`` is
+and parametric families.  The constructor takes a plain value to a constant
+``Poly`` through ``_constant``, one memo shared by every table (a ``Poly`` is
 immutable).  Every algebra carries one cached integer view of its table,
 ``_view``: both orders of every bracket, one row per dimension, each term
 keyed target-major by one int, its target times a stride plus its
@@ -12,8 +12,9 @@ monomial's code, which does not depend on the dimension (a concrete
 table's stride is 1 and its keys are its targets).  ``jacobi_check`` runs
 one kernel on it for any table; its report is not sorted (``lines()``
 sorts).  A table made as a part plus a constant rest (``Algebra._plus``)
-records that split, and the check adds to the part's own sums, memoised on
-the part, only the products that touch the rest: the catalog builds each
+records that split, and the check adds to a copy of the part's own sums,
+memoised on the part, only the products that touch the rest, and decodes the
+total once, so each report owns its dicts: the catalog builds each
 deformation as its filiform part, shared by every dimension, plus its rest
 this way.  ``scaled_ad`` is the same view for a concrete algebra and raises
 on a parametric one, and the numeric entry points read it or call
@@ -60,9 +61,9 @@ class DimensionMismatchError(QflabError):
 BracketTable = dict  # {(i, j): {k: Poly}} with i < j
 
 
-# The rest of a catalog table holds a few constants (1, -1, halves) that
-# recur in every table; a Poly is immutable, so each is made once.  Typed, so
-# that a float still reaches Poly.const and its TypeError.
+# The plain constants of a table (1, -1, halves) recur in every table; a Poly
+# is immutable, so ``Algebra.__init__`` and ``_plus`` make each once.  Typed,
+# so that a float still reaches Poly.const and its TypeError after a 1.
 _constant = lru_cache(maxsize=64, typed=True)(Poly.const)
 _NOTHING: Mapping = MappingProxyType({})
 
@@ -86,9 +87,6 @@ class Algebra:
         self.dim = dim
         self.params = tuple(params)
         normalized: BracketTable = {}
-        # one Poly per distinct constant; keyed on the type too, so that 1.0
-        # still reaches Poly.const (and its TypeError) after a 1
-        consts: dict[tuple, Poly] = {}
         for (i, j), targets in (table or {}).items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket indices ({i},{j}) out of range for i<j<{dim}")
@@ -96,10 +94,7 @@ class Algebra:
             for k, coeff in targets.items():
                 if not 0 <= k < dim:
                     raise ValueError(f"target index {k} out of range")
-                if isinstance(coeff, Poly):
-                    poly = coeff
-                elif (poly := consts.get((type(coeff), coeff))) is None:
-                    poly = consts[type(coeff), coeff] = Poly.const(self.params, coeff)
+                poly = coeff if isinstance(coeff, Poly) else _constant(self.params, coeff)
                 if poly.params != self.params:
                     raise ValueError("coefficient parameter universe does not match the algebra")
                 if not poly.is_zero():
@@ -144,14 +139,6 @@ class Algebra:
 
     def table(self) -> BracketTable:
         return {pair: dict(targets) for pair, targets in self._table.items()}
-
-    def bracket_of(self, i: int, j: int) -> dict:
-        """Signed bracket of two basis elements as {target: Poly}."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._table.get((i, j), {}))
-        return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
     # -- parameter handling --------------------------------------------------
 
@@ -226,14 +213,13 @@ class Algebra:
         return scale, base, view
 
     @cached_property
-    def _as_part(self) -> tuple[dict[int, list], dict, dict, dict]:
-        """``(by_target, sums, scaled, monomials)``, this table as the ``part``
-        of a split Jacobi check (see ``jacobi_check``), built once and read
-        only: its terms grouped by target, ``by_target[m]`` a list of
-        ``(a, b, terms)`` with ``terms`` the keys of ``_view[a][b]`` at target m
-        (a < b); its own Jacobi sums K(v, v) of ``_products``, their nonzero
-        keys and decoded; and the cache of ``_decode`` that every check on the
-        part shares, which grows."""
+    def _as_part(self) -> tuple[dict[int, list], dict]:
+        """``(by_target, sums)``, this table as the ``part`` of a split Jacobi
+        check (see ``jacobi_check``), built once and read only: its terms
+        grouped by target, ``by_target[m]`` a list of ``(a, b, terms)`` with
+        ``terms`` the keys of ``_view[a][b]`` at target m (a < b), and its own
+        Jacobi sums K(v, v) of ``_products``, their nonzero keys only, which
+        each check copies."""
         _, base, view = self._view
         nparams = len(self.params)
         stride = base ** nparams
@@ -245,8 +231,7 @@ class Algebra:
                                                     {key: c for key, c in terms.items() if key // stride == m}))
         sums = {triple: {key: c for key, c in component.items() if c}
                 for triple, component in _self_products(self).items()}
-        monomials: dict[int, tuple[int, ...]] = {}
-        return by_target, sums, _decode(sums, stride, base, nparams, monomials), monomials
+        return by_target, sums
 
     def _plus(self, rest: Mapping, dim: int) -> "Algebra":
         """This table plus ``rest``, ``{(i, j): {k: constant}}`` with i < j < dim,
@@ -275,16 +260,10 @@ class Algebra:
                 table[pair] = entry
             else:
                 table.pop(pair, None)
-        algebra = Algebra._checked(dim, params, table)
-        algebra._split = (self, rest)
-        return algebra
-
-    @classmethod
-    def _checked(cls, dim: int, params: tuple[str, ...], table: BracketTable) -> "Algebra":
-        """An algebra on ``table`` as is, whose indices are in range and whose
-        constants are nonzero Polys over ``params``, checked by the caller."""
-        algebra = cls.__new__(cls)
+        # every index is in range and every constant a nonzero Poly over params
+        algebra = Algebra.__new__(Algebra)
         algebra.dim, algebra.params, algebra._table = dim, params, table
+        algebra._split = (self, rest)
         return algebra
 
     @property
@@ -435,11 +414,11 @@ def _self_products(algebra: Algebra) -> dict:
     return sums
 
 
-def _decode(sums: Mapping, stride: int, base: int, nparams: int,
-            monomials: dict[int, tuple[int, ...]]) -> dict:
-    """The nonzero Jacobi sums as ``JacobiReport.scaled``: each key split by
-    ``divmod(key, stride)`` into its target and its monomial's code, each
-    distinct code decoded once into ``monomials``, a cache code -> exponents."""
+def _decode(sums: Mapping, stride: int, base: int, nparams: int) -> dict:
+    """The nonzero Jacobi sums as ``JacobiReport.scaled``, in fresh dicts:
+    each key split by ``divmod(key, stride)`` into its target and its
+    monomial's code, each distinct code decoded once."""
+    monomials: dict[int, tuple[int, ...]] = {}  # code -> exponents
     scaled = {}
     for triple, component in sums.items():
         nonzero: dict[int, dict] = {}
@@ -460,14 +439,15 @@ def _jacobi(algebra: Algebra) -> JacobiReport:
     ``Algebra._view``; see ``jacobi_check``.  The report is not sorted."""
     scale, base, _ = algebra._view
     nparams = len(algebra.params)
-    scaled = _decode(_self_products(algebra), base ** nparams, base, nparams, {})
+    scaled = _decode(_self_products(algebra), base ** nparams, base, nparams)
     return JacobiReport(algebra.params, scaled, scale * scale)
 
 
 def _split_jacobi(algebra: Algebra) -> JacobiReport:
-    """``_jacobi(algebra)`` for a table made by ``Algebra._plus``: its part's
-    own sums, memoised on the part, plus the products that touch the rest,
-    packed at the part's stride; see ``jacobi_check``."""
+    """``_jacobi(algebra)`` for a table made by ``Algebra._plus``: a copy of
+    its part's own sums, memoised on the part, plus the products that touch
+    the rest, packed at the part's stride, decoded once; see
+    ``jacobi_check``."""
     part, rest = algebra._split
     nparams = len(algebra.params)
     scale, base, view = part._view
@@ -481,21 +461,15 @@ def _split_jacobi(algebra: Algebra) -> JacobiReport:
                                    for k, c in targets.items()}
         rest_view[b][a] = {key: -c for key, c in terms.items()}
     rest_terms = [(a, b, rest_view[a][b]) for a, b in rest]
-    by_target, own, own_scaled, monomials = part._as_part
-    sums: dict = {}
+    by_target, own = part._as_part
+    sums = {triple: {key: square * c for key, c in component.items()}
+            for triple, component in own.items()}
     _products(sums, (t for m, row in enumerate(rest_view) if row for t in by_target.get(m, ())),
               rest_view, stride, mult)
     # the rows the part lacks are empty
     _products(sums, rest_terms, view + [_NOTHING] * (algebra.dim - part.dim), stride, mult)
     _products(sums, rest_terms, rest_view, stride)
-    for triple, component in sums.items():
-        for key, c in own.get(triple, {}).items():
-            component[key] = component.get(key, 0) + square * c
-    scaled = {triple: components if square == 1 else
-              {e: {mono: square * c for mono, c in coeffs.items()} for e, coeffs in components.items()}
-              for triple, components in own_scaled.items() if triple not in sums}
-    scaled.update(_decode(sums, stride, base, nparams, monomials))
-    return JacobiReport(algebra.params, scaled, common * common)
+    return JacobiReport(algebra.params, _decode(sums, stride, base, nparams), common * common)
 
 
 # A concrete table whose stored brackets hold more targets than this on
@@ -517,8 +491,8 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     multiplies the monomials.  Each key of the sums is split by
     ``divmod(key, stride)`` once, when the report is built, and that report is
     not sorted: ``lines()`` sorts, ``residuals`` compares as a dict and
-    ``catalog`` reads it into a set.  The report is read only: a split report
-    shares components with its part.
+    ``catalog`` reads it into a set.  Each report owns its dicts, so a caller
+    that edits one changes no other.
 
     A table made by ``Algebra._plus`` is split as μ = σ + ρ, σ the part (a
     table of at most the algebra's dimension over its parameters, read as one
@@ -526,8 +500,9 @@ def jacobi_check(algebra: Algebra) -> JacobiReport:
     recorded in ``algebra._split``.  The Jacobiator is bilinear in the table,
     so J(σ + ρ) = K(σ,σ) + K(σ,ρ) + K(ρ,σ) + K(ρ,ρ), K(inner, outer) the one
     kernel ``_products`` (and ``_jacobi`` is K(μ,μ)).  K(σ,σ) is memoised on
-    the part, with its terms by target, so a check pays only for the products
-    that touch ρ: K(σ,ρ) reads the part's terms whose target has a row in ρ.
+    the part, with its terms by target, so a check computes only the products
+    that touch ρ, K(σ,ρ) from the part's terms whose target has a row in ρ,
+    adds them to a fresh copy of K(σ,σ) and decodes the total once.
     ρ is constant, so its terms are packed at the part's stride with the code
     0 and adding them never carries.  The catalog's part (a filiform chain and
     its a_{i,j} line) is shared by many tables and its rest is each table's

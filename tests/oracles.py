@@ -2,8 +2,9 @@
 
 These are deliberately written with no code shared with the package: plain
 dense Gaussian elimination, a dense fraction-free rank, naive span growing,
-a dense derivation-space eliminator, a Leibniz check and a block sum of raw
-tables.  They exist to cross-check the production routines.
+a dense derivation-space eliminator, a Leibniz check, a block sum of raw
+tables and the signed bracket of two basis elements read from an algebra's
+table.  They exist to cross-check the production routines.
 
 ``staged_cn_to_qn`` is the one exception: it keeps the earlier Cn -> Qn
 elimination, which rewrites the whole algebra with the package's
@@ -133,6 +134,14 @@ class NaiveSpan:
     @property
     def dim(self):
         return len(self.vectors)
+
+
+def bracket_of(algebra, i, j):
+    """Signed bracket [X_i, X_j] of an algebra as {target: Poly}, read from
+    ``algebra.table()``, which stores only i < j."""
+    if i < j:
+        return algebra.table().get((i, j), {})
+    return {k: -c for k, c in algebra.table().get((j, i), {}).items()}
 
 
 def bracket_of_vectors(table, n, u, v):
@@ -312,7 +321,7 @@ def staged_cn_to_qn(n, alphas):
     for j in range(1, n // 2):
         P = [list(row) for row in unit]
         if j < n // 2 - 1:
-            coeff = current.bracket_of(1, n - 2 * j - 2).get(n - 1)
+            coeff = bracket_of(current, 1, n - 2 * j - 2).get(n - 1)
             value = coeff.constant_value() if coeff is not None else Fraction(0)
             for i in range(1, n - 1 - 2 * j):
                 P[i][i + 2 * j] = value / 2
